@@ -21,17 +21,20 @@ geometric-count argument above.
 
 Averaging a product's per-epoch purchase counts over every completed epoch
 that offered it (either tier) estimates its preference weight.
-``valuation_ucb`` adds the optimism margin the learning policies rely on,
-and ``min_learning_epochs`` converts an (accuracy, confidence) target into
-the number of epochs a product must be shown.
+``valuation_ucb_many`` adds the optimism margin the learning policies rely
+on, over a whole list of products at once, and ``min_learning_epochs``
+converts an (accuracy, confidence) target into the number of epochs a
+product must be shown.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import repeat
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -109,21 +112,6 @@ class _Open:
         self.steps: list[int] = []
 
 
-class _ProductStats:
-    """Per-product rollup over completed epochs, one label/count track per
-    tier, with cumulative sums so historical estimates are O(log n)."""
-
-    __slots__ = ("labels", "counts", "cumsums", "epochs_total", "purchases_total", "launch_epoch")
-
-    def __init__(self):
-        self.labels: tuple[list[int], list[int]] = ([], [])
-        self.counts: tuple[list[int], list[int]] = ([], [])
-        self.cumsums: tuple[list[int], list[int]] = ([], [])
-        self.epochs_total = 0
-        self.purchases_total = 0
-        self.launch_epoch: int | None = None
-
-
 class EpochLedger:
     """Segments a recorded step stream into epochs and keeps the per-product
     purchase statistics the estimators read.
@@ -131,6 +119,11 @@ class EpochLedger:
     ``completed`` is the shared epoch counter; ``steps_recorded`` the number
     of steps seen.  Only completed epochs contribute to estimates — an open
     epoch is invisible until it closes.
+
+    A product gets a dense index when the first epoch offering it closes.
+    Its pooled totals (epochs, purchases, launch epoch) live in arrays under
+    that index, so the optimistic index of many products is one vector
+    expression.
     """
 
     def __init__(self):
@@ -138,7 +131,15 @@ class EpochLedger:
         self.steps_recorded = 0
         self._open = [_Open(0), _Open(0)]
         self._closed: tuple[list[EpochRecord], list[EpochRecord]] = ([], [])
-        self._stats: dict[ProductId, _ProductStats] = {}
+        self._index: dict[ProductId, int] = {}
+        self._epochs_total = np.zeros(16, dtype=np.int64)
+        self._purchases_total = np.zeros(16, dtype=np.int64)
+        self._launch_epoch = np.zeros(16, dtype=np.int64)
+        # distinct launch epochs and each row's position among them, rebuilt
+        # only after new rows arrive
+        self._launch_values: list[int] = []
+        self._launch_slot = np.zeros(0, dtype=np.intp)
+        self._launch_stale = False
         self._log: list[tuple] = []
 
     # --- recording -------------------------------------------------------
@@ -189,14 +190,7 @@ class EpochLedger:
         for record in closed_records:
             self._open[record.tier_index] = _Open(self.completed)
             opened.append((record.tier_index, self.completed))
-        self._log.append(
-            (
-                tuple(sorted_ids(offer.tier(0))),
-                tuple(sorted_ids(offer.tier(1))),
-                outcome.product,
-                outcome.tier,
-            )
-        )
+        self._log.append((offer.tier(0), offer.tier(1), outcome.product, outcome.tier))
         return StepEvents(t, closed_records, tuple(opened))
 
     def _close(self, k: int) -> EpochRecord:
@@ -206,37 +200,57 @@ class EpochLedger:
         )
         self._closed[k].append(record)
         self.completed += 1
-        for i in sorted_ids(record.offered):
-            st = self._stats.get(i)
-            if st is None:
-                st = self._stats[i] = _ProductStats()
-            if st.launch_epoch is None or record.label < st.launch_epoch:
-                st.launch_epoch = record.label
-            n = record.purchases.get(i, 0)
-            st.labels[k].append(record.label)
-            st.counts[k].append(n)
-            st.cumsums[k].append((st.cumsums[k][-1] if st.cumsums[k] else 0) + n)
-            st.epochs_total += 1
-            st.purchases_total += n
+        index = self._index
+        offered = record.offered
+        new = [i for i in offered if i not in index]
+        if new:
+            for i in sorted_ids(new):
+                index[i] = len(index)
+            if len(index) > len(self._epochs_total):
+                self._grow()
+            # one product's epochs complete in label order (its tiers are
+            # disjoint and locked while open), so the first closure that
+            # offers it carries its launch epoch
+            self._launch_epoch[[index[i] for i in new]] = record.label
+            self._launch_stale = True
+        rows = np.fromiter(map(index.__getitem__, offered), dtype=np.intp, count=len(offered))
+        self._epochs_total[rows] += 1
+        for i, n in record.purchases.items():
+            self._purchases_total[index[i]] += n
         return record
+
+    def _grow(self) -> None:
+        size = len(self._epochs_total)
+        zeros = np.zeros(max(len(self._index) - size, size), dtype=np.int64)  # at least double
+        self._epochs_total = np.concatenate((self._epochs_total, zeros))
+        self._purchases_total = np.concatenate((self._purchases_total, zeros))
+        self._launch_epoch = np.concatenate((self._launch_epoch, zeros))
+
+    def _rows(self, product_ids: Iterable) -> np.ndarray:
+        try:
+            return np.fromiter(map(self._index.__getitem__, product_ids), dtype=np.intp)
+        except KeyError as exc:
+            raise NeverOfferedError(exc.args[0]) from None
 
     # --- estimates -------------------------------------------------------
 
     def valuation_estimate(self, product_id, *, upto: int | None = None) -> float:
         """Mean purchases per completed epoch offering the product, pooled
         across both tiers.  With ``upto``, only epochs labeled < upto count."""
-        st = self._stats.get(product_id)
-        if st is None:
+        j = self._index.get(product_id)
+        if j is None:
             raise NeverOfferedError(product_id)
         if upto is None:
-            epochs, purchases = st.epochs_total, st.purchases_total
+            epochs = int(self._epochs_total[j])
+            purchases = int(self._purchases_total[j])
         else:
-            epochs = purchases = 0
-            for k in (0, 1):
-                j = bisect.bisect_left(st.labels[k], upto)
-                epochs += j
-                if j:
-                    purchases += st.cumsums[k][j - 1]
+            counts = [
+                record.purchases_of(product_id)
+                for k in (0, 1)
+                for record in self._closed[k]
+                if record.label < upto and product_id in record.offered
+            ]
+            epochs, purchases = len(counts), sum(counts)
         if epochs == 0:
             raise NeverOfferedError(product_id)
         return purchases / epochs
@@ -248,7 +262,20 @@ class EpochLedger:
         n_products: int,
         confidence_scale: float | None = None,
     ) -> float:
-        """Optimistic preference index at epoch ``epoch``:
+        """Optimistic preference index of one product; see
+        ``valuation_ucb_many``."""
+        return float(
+            self.valuation_ucb_many((product_id,), epoch, n_products, confidence_scale)[0]
+        )
+
+    def valuation_ucb_many(
+        self,
+        product_ids: Iterable,
+        epoch: int,
+        n_products: int,
+        confidence_scale: float | None = None,
+    ) -> np.ndarray:
+        """Optimistic preference index at epoch ``epoch``, per product:
 
             vbar + sqrt(vbar * pad) + pad,
             pad = scale * ln(n_products * (epoch - launch_epoch) + 1) / T_i
@@ -256,35 +283,52 @@ class EpochLedger:
         where vbar and T_i pool every completed epoch that offered the
         product and launch_epoch is the label of the earliest one.  A
         negative epoch gap clamps to zero (margin vanishes rather than the
-        logarithm going undefined).
+        logarithm going undefined).  The logarithm is ``math.log``, taken
+        once per distinct launch epoch, so every value equals the scalar
+        formula's bit for bit (``np.log`` may differ in the last place).
         """
         scale = UCB_CONFIDENCE_SCALE if confidence_scale is None else confidence_scale
-        st = self._stats.get(product_id)
-        if st is None or st.epochs_total == 0:
-            raise NeverOfferedError(product_id)
-        mean = st.purchases_total / st.epochs_total
-        rounds = max(epoch - st.launch_epoch, 0)
-        pad = scale * math.log(n_products * rounds + 1.0) / st.epochs_total
-        return mean + math.sqrt(mean * pad) + pad
+        rows = self._rows(product_ids)
+        if self._launch_stale:
+            values, self._launch_slot = np.unique(
+                self._launch_epoch[: len(self._index)], return_inverse=True
+            )
+            self._launch_values = values.tolist()
+            self._launch_stale = False
+        # ln(n * 0 + 1) is exactly 0.0, which covers the clamped gaps
+        logs = np.array(
+            [
+                math.log(n_products * (epoch - start) + 1.0) if epoch > start else 0.0
+                for start in self._launch_values
+            ]
+        )
+        epochs = self._epochs_total[rows]
+        mean = self._purchases_total[rows] / epochs
+        pad = scale * logs[self._launch_slot[rows]] / epochs
+        return mean + np.sqrt(mean * pad) + pad
 
     # --- accessors -------------------------------------------------------
 
     def has_estimate(self, product_id) -> bool:
-        st = self._stats.get(product_id)
-        return st is not None and st.epochs_total > 0
+        return product_id in self._index
 
     def times_offered(self, product_id) -> int:
         """Completed epochs (both tiers) whose offer included the product."""
-        st = self._stats.get(product_id)
-        return 0 if st is None else st.epochs_total
+        j = self._index.get(product_id)
+        return 0 if j is None else int(self._epochs_total[j])
+
+    def times_offered_many(self, product_ids: Iterable) -> np.ndarray:
+        """``times_offered`` of each product, as one array."""
+        rows = np.fromiter(map(self._index.get, product_ids, repeat(-1)), dtype=np.intp)
+        return np.where(rows >= 0, self._epochs_total[rows], 0)
 
     def purchase_total(self, product_id) -> int:
-        st = self._stats.get(product_id)
-        return 0 if st is None else st.purchases_total
+        j = self._index.get(product_id)
+        return 0 if j is None else int(self._purchases_total[j])
 
     def launch_epoch(self, product_id) -> int | None:
-        st = self._stats.get(product_id)
-        return None if st is None else st.launch_epoch
+        j = self._index.get(product_id)
+        return None if j is None else int(self._launch_epoch[j])
 
     def epochs(self, tier_index: int) -> tuple[EpochRecord, ...]:
         return tuple(self._closed[tier_index])
@@ -295,10 +339,11 @@ class EpochLedger:
     def product_epochs(self, product_id, tier_index: int) -> tuple[tuple[int, int], ...]:
         """(label, purchases) per completed epoch of one tier offering the
         product, in completion order."""
-        st = self._stats.get(product_id)
-        if st is None:
-            return ()
-        return tuple(zip(st.labels[tier_index], st.counts[tier_index]))
+        return tuple(
+            (record.label, record.purchases_of(product_id))
+            for record in self._closed[tier_index]
+            if product_id in record.offered
+        )
 
     def open_labels(self) -> tuple[int, int]:
         return (self._open[0].label, self._open[1].label)
@@ -310,7 +355,7 @@ class EpochLedger:
         so every derived structure is reconstructed rather than trusted."""
         return {
             "steps": [
-                {"tier1": list(o1), "tier2": list(o2), "product": p, "tier": k}
+                {"tier1": sorted_ids(o1), "tier2": sorted_ids(o2), "product": p, "tier": k}
                 for o1, o2, p, k in self._log
             ]
         }

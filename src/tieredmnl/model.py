@@ -13,16 +13,22 @@ and the expected profit of an offer is sum_i r_i * p_i.  Everything here is
 an exact closed form; ``sample_choice`` draws outcomes whose distribution
 matches ``purchase_probabilities`` exactly.
 
-Whenever floating-point results depend on summation or iteration order,
-products are visited in ascending ``str(id)`` order so repeated runs (and
-runs in separate processes) are bit-identical.
+Determinism comes from fixed orders, never from set iteration order.  Each
+``Catalog`` gives its products dense indices once, in the canonical order
+(profit descending, then ascending ``str(id)``); the optimizer and the
+policies gather per-product arrays in that order.  The closed forms below
+sum each tier in ascending ``str(id)`` order.  Repeated runs, and runs in
+separate processes, are therefore bit-identical.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import InvalidCatalogError, InvalidOfferError, UnknownProductError
 
@@ -73,14 +79,26 @@ class Catalog:
 
     ``candidates_tier1`` / ``candidates_tier2`` list which products may be
     *selected* into each tier by an optimizer; they may overlap.  ``None``
-    means every product is a candidate for that tier.  Treat instances as
-    immutable after construction.
+    means every product is a candidate for that tier.
+
+    Construction fixes the canonical order (profit descending, then
+    ``str(id)``), each id's rank in it, the profit and valuation arrays in
+    that order, and the launch schedule behind ``visible_at``.  These caches
+    are never refreshed, so an instance must not be mutated after
+    construction.
     """
 
     products: tuple[Product, ...]
     candidates_tier1: frozenset[ProductId] = None
     candidates_tier2: frozenset[ProductId] = None
     _by_id: dict = field(init=False, repr=False, compare=False)
+    _ids: frozenset = field(init=False, repr=False, compare=False)
+    _rank: dict = field(init=False, repr=False, compare=False)
+    _profits: np.ndarray = field(init=False, repr=False, compare=False)
+    _valuations: np.ndarray = field(init=False, repr=False, compare=False)
+    _launch_times: list = field(init=False, repr=False, compare=False)
+    _by_launch: tuple = field(init=False, repr=False, compare=False)
+    _launch_sets: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.products = tuple(self.products)
@@ -89,7 +107,7 @@ class Catalog:
             if p.id in self._by_id:
                 raise InvalidCatalogError(f"duplicate product id {p.id!r}")
             self._by_id[p.id] = p
-        all_ids = frozenset(self._by_id)
+        self._ids = all_ids = frozenset(self._by_id)
         for attr in ("candidates_tier1", "candidates_tier2"):
             raw = getattr(self, attr)
             cand = all_ids if raw is None else frozenset(raw)
@@ -100,10 +118,18 @@ class Catalog:
                     f"{sorted_ids(unknown)[0]!r}"
                 )
             setattr(self, attr, cand)
+        ranked = sorted(self.products, key=lambda p: (-p.profit, str(p.id)))
+        self._rank = {p.id: k for k, p in enumerate(ranked)}
+        self._profits = np.array([p.profit for p in ranked], dtype=float)
+        self._valuations = np.array([p.valuation for p in ranked], dtype=float)
+        launched = sorted(self.products, key=lambda p: p.launch_time)
+        self._launch_times = [p.launch_time for p in launched]
+        self._by_launch = tuple(p.id for p in launched)
+        self._launch_sets = {}
 
     @property
     def ids(self) -> frozenset[ProductId]:
-        return frozenset(self._by_id)
+        return self._ids
 
     def __contains__(self, product_id) -> bool:
         return product_id in self._by_id
@@ -121,8 +147,23 @@ class Catalog:
         return self.product(product_id).valuation
 
     def visible_at(self, t: int) -> frozenset[ProductId]:
-        """Products launched on or before time step t."""
-        return frozenset(p.id for p in self.products if p.launch_time <= t)
+        """Products launched on or before time step t.
+
+        There is one set per distinct launch time, built on first request
+        and returned as the same object afterwards.
+        """
+        count = bisect.bisect_right(self._launch_times, t)
+        visible = self._launch_sets.get(count)
+        if visible is None:
+            visible = self._launch_sets[count] = frozenset(self._by_launch[:count])
+        return visible
+
+    def _indices(self, ids: Iterable[ProductId]) -> np.ndarray:
+        """Canonical ranks of ``ids``, in the order given."""
+        try:
+            return np.fromiter(map(self._rank.__getitem__, ids), dtype=np.intp)
+        except KeyError as exc:
+            raise UnknownProductError(exc.args[0]) from None
 
 
 @dataclass(frozen=True)
@@ -210,7 +251,10 @@ class ChoiceDistribution:
 
 
 def _weight(catalog: Catalog, valuations, product_id) -> float:
-    product = catalog.product(product_id)  # membership check even when overridden
+    try:
+        product = catalog._by_id[product_id]  # membership check even when overridden
+    except KeyError:
+        raise UnknownProductError(product_id) from None
     if valuations is None:
         return product.valuation
     try:
@@ -251,13 +295,14 @@ def expected_profit(
     """Expected per-customer profit sum_i r_i * p_i of a tiered offer."""
     total = 0.0
     reach = 1.0
+    by_id = catalog._by_id
     for tier in offer.tiers:
         sum_w = 0.0
         sum_rw = 0.0
         for i in sorted_ids(tier):
             w = _weight(catalog, valuations, i)
             sum_w += w
-            sum_rw += catalog.profit_of(i) * w
+            sum_rw += by_id[i].profit * w
         denom = 1.0 + sum_w
         total += reach * sum_rw / denom
         reach /= denom

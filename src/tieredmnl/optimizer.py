@@ -34,8 +34,13 @@ from .model import Catalog, TieredOffer, _weight, expected_profit, sorted_ids
 
 
 def profit_order(ids: Iterable, catalog: Catalog) -> list:
-    """Candidate order used throughout: profit descending, id ascending."""
-    return sorted(ids, key=lambda i: (-catalog.profit_of(i), str(i)))
+    """Candidate order used throughout: profit descending, id ascending
+    (the catalog's canonical order)."""
+    rank = catalog._rank
+    try:
+        return sorted(ids, key=rank.__getitem__)
+    except KeyError as exc:
+        raise UnknownProductError(exc.args[0]) from None
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,19 @@ def _thresholds(offer: TieredOffer, catalog: Catalog) -> tuple[float, ...]:
 
 
 def _candidate_arrays(order: Sequence, catalog: Catalog, valuations):
-    r = np.array([catalog.profit_of(i) for i in order], dtype=float)
-    v = np.array([_weight(catalog, valuations, i) for i in order], dtype=float)
+    """Profits and weights of ``order``, gathered from the catalog's arrays;
+    the checks match ``_weight``'s."""
+    idx = catalog._indices(order)
+    r = catalog._profits[idx]
+    if valuations is None:
+        return r, catalog._valuations[idx]
+    try:
+        v = np.fromiter(map(valuations.__getitem__, order), dtype=float, count=len(order))
+    except KeyError as exc:
+        raise UnknownProductError(exc.args[0], "no valuation override supplied") from None
+    if not (v >= 0.0).all():  # also catches NaN
+        i = order[int(np.argmin(v >= 0.0))]
+        raise InvalidOfferError(f"valuation override for {i!r} is negative: {valuations[i]!r}")
     return r, v
 
 
@@ -155,8 +171,9 @@ def _resolve_candidates(catalog, candidates, default):
     if candidates is None:
         return default
     cand = frozenset(candidates)
-    for i in cand:
-        catalog.product(i)  # raises UnknownProductError
+    unknown = cand - catalog.ids
+    if unknown:
+        raise UnknownProductError(sorted_ids(unknown)[0])
     return cand
 
 
@@ -269,7 +286,7 @@ def solve_two_tier(
     x1 = _resolve_candidates(catalog, candidates_tier1, catalog.candidates_tier1)
     x2 = _resolve_candidates(catalog, candidates_tier2, catalog.candidates_tier2)
     order1 = profit_order(x1, catalog)
-    order2 = profit_order(x2, catalog)
+    order2 = order1 if x1 == x2 else profit_order(x2, catalog)
     if x1 == x2:
         value, tier1, tier2 = _solve_shared_order(order1, catalog, valuations)
     elif x1.isdisjoint(x2):
@@ -369,23 +386,14 @@ def solve_tier1_given_tier2(
     x1 = _resolve_candidates(catalog, candidates_tier1, catalog.candidates_tier1)
     order = profit_order(x1 - tier2 - forced, catalog)
     e2 = expected_profit(TieredOffer((tier2,)), catalog, valuations)
-    sum_v = 0.0
-    sum_rv = 0.0
-    for i in sorted_ids(forced):
-        w = _weight(catalog, valuations, i)
-        sum_v += w
-        sum_rv += catalog.profit_of(i) * w
-    best_a = 0
-    best_value = (sum_rv + e2) / (1.0 + sum_v)
-    for a, i in enumerate(order, start=1):
-        w = _weight(catalog, valuations, i)
-        sum_v += w
-        sum_rv += catalog.profit_of(i) * w
-        value = (sum_rv + e2) / (1.0 + sum_v)
-        if value > best_value:
-            best_value = value
-            best_a = a
-    return frozenset(order[:best_a]) | forced, best_value
+    # forced products first (id order), then the free prefix; cumsum adds
+    # left to right from 0.0 and argmax keeps the first maximum, exactly as
+    # a running-sum scan with a strict improvement test would
+    n_forced = len(forced)
+    cv, crv = _prefix_sums(*_candidate_arrays(sorted_ids(forced) + order, catalog, valuations))
+    values = (crv[n_forced:] + e2) / (1.0 + cv[n_forced:])
+    best_a = int(np.argmax(values))
+    return frozenset(order[:best_a]) | forced, float(values[best_a])
 
 
 # --- exhaustive reference ----------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, filterfalse
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -108,6 +109,41 @@ class OraclePolicy(Policy):
         return self._current
 
 
+class _VisibleView:
+    """What the UCB policies derive from one visible product set.
+
+    ``unknown`` lists the visible ids whose weights are learned, in
+    ``str(id)`` order, split into ``estimated`` (some completed epoch
+    offered them) and ``cold`` (none yet).  ``learning`` keeps those still
+    short of the minimum-learning target.  Ledger counts only grow, so a
+    product only ever moves from cold to estimated and out of learning.
+    ``known`` pins the other visible ids' weights, and the candidate sets
+    are the catalog's restricted to the visible set.
+    """
+
+    __slots__ = (
+        "unknown", "estimated", "cold", "learning", "known", "candidates_tier1", "candidates_tier2"
+    )
+
+    def __init__(self, catalog: Catalog, visible: frozenset, known: Mapping):
+        ids = sorted_ids(visible)
+        self.unknown = tuple(i for i in ids if i not in known)
+        self.estimated: tuple = ()
+        self.cold = self.learning = self.unknown
+        self.known = {i: known[i] for i in ids if i in known}
+        self.candidates_tier1 = catalog.candidates_tier1 & visible
+        self.candidates_tier2 = catalog.candidates_tier2 & visible
+
+    def update_estimated(self, ledger: EpochLedger) -> None:
+        if any(map(ledger.has_estimate, self.cold)):
+            self.estimated = tuple(filter(ledger.has_estimate, self.unknown))
+            self.cold = tuple(filterfalse(ledger.has_estimate, self.unknown))
+
+    def update_learning(self, ledger: EpochLedger, min_epochs: int) -> None:
+        short = ledger.times_offered_many(self.learning) < min_epochs
+        self.learning = tuple(compress(self.learning, short))
+
+
 class UcbTieredPolicy(Policy):
     """Optimistic epoch learner with a minimum-learning guarantee.
 
@@ -145,6 +181,8 @@ class UcbTieredPolicy(Policy):
         self.ledger = EpochLedger()
         self._confidence_scale = confidence_scale
         self._visible: frozenset = frozenset()
+        self._views: dict[frozenset, _VisibleView] = {}
+        self._view: _VisibleView | None = None
         self._tier2_locked: frozenset = frozenset()
         self._forced_tier1: frozenset = frozenset()
         self._current: TieredOffer | None = None
@@ -159,41 +197,36 @@ class UcbTieredPolicy(Policy):
 
     # -- mechanics ---------------------------------------------------------
 
-    def _needs_learning(self, product_id) -> bool:
-        if product_id in self._known:
-            return False
-        return self.ledger.times_offered(product_id) < self.min_epochs
-
     def _optimistic_valuations(self, epoch: int) -> dict:
-        n_products = len(self._visible)
-        values = {}
-        for i in sorted_ids(self._visible):
-            if i in self._known:
-                values[i] = self._known[i]
-            elif self.ledger.has_estimate(i):
-                values[i] = self.ledger.valuation_ucb(
-                    i, epoch, n_products, self._confidence_scale
-                )
-            else:
-                values[i] = COLD_START_UCB
+        view = self._view
+        view.update_estimated(self.ledger)
+        ucb = self.ledger.valuation_ucb_many(
+            view.estimated, epoch, len(self._visible), self._confidence_scale
+        )
+        values = dict(zip(view.estimated, ucb.tolist()))
+        values.update(dict.fromkeys(view.cold, COLD_START_UCB))
+        values.update(view.known)
         return values
 
     def _start_epoch(self, t: int) -> None:
-        self._visible = self._catalog.visible_at(t)
+        self._visible = visible = self._catalog.visible_at(t)
+        view = self._views.get(visible)
+        if view is None:
+            view = self._views[visible] = _VisibleView(self._catalog, visible, self._known)
+        self._view = view
         values = self._optimistic_valuations(self.ledger.completed)
         result = solve_two_tier(
             self._catalog,
             valuations=values,
-            candidates_tier1=self._catalog.candidates_tier1 & self._visible,
-            candidates_tier2=self._catalog.candidates_tier2 & self._visible,
+            candidates_tier1=view.candidates_tier1,
+            candidates_tier2=view.candidates_tier2,
             exact=False,
         )
         selected = result.offer.all_ids
-        under = tuple(
-            i
-            for i in sorted_ids(self._visible)
-            if self._needs_learning(i) and i not in selected
-        )
+        # H: visible products not known a priori, shown in fewer than
+        # min_epochs completed epochs, and skipped by the solution
+        view.update_learning(self.ledger, self.min_epochs)
+        under = tuple(i for i in view.learning if i not in selected)
         forced1, forced2 = self._assign_forced(under)
         self._forced_tier1 = frozenset(forced1)
         self._tier2_locked = result.offer.tier(1) | frozenset(forced2)
@@ -209,7 +242,7 @@ class UcbTieredPolicy(Policy):
             self._catalog,
             self._tier2_locked,
             valuations=values,
-            candidates_tier1=self._catalog.candidates_tier1 & self._visible,
+            candidates_tier1=self._view.candidates_tier1,
             forced_tier1=self._forced_tier1,
         )
         self._current = TieredOffer.two_tier(tier1, self._tier2_locked)

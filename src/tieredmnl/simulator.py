@@ -239,8 +239,9 @@ def run(config: ExperimentConfig, policy_spec: PolicySpec, seed: int = 0) -> Reg
                 exact=False,
             ).expected_profit
         offer = policy.offer(t)
-        if not offer.all_ids <= catalog.visible_at(t):
-            missing = sorted_ids(offer.all_ids - catalog.visible_at(t))
+        launched = catalog.visible_at(t)
+        if not offer.all_ids <= launched:
+            missing = sorted_ids(offer.all_ids - launched)
             raise InvalidOfferError(
                 f"policy {policy_spec.display_label!r} offered unlaunched "
                 f"product {missing[0]!r} at t={t}"

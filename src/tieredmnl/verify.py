@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-import scipy.stats
 
 from .errors import TieredMnlError
 from .estimation import EpochLedger
@@ -200,6 +199,8 @@ def _check_geometric_counts(fixture_path) -> CheckResult:
     )
     expected = n_epochs * probs
     stat = float(((observed - expected) ** 2 / expected).sum())
+    import scipy.stats  # deferred: the rest of the package never needs scipy
+
     p_value = float(scipy.stats.chi2.sf(stat, df=edge))
     if p_value < 1e-3:
         return CheckResult(

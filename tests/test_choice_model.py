@@ -223,6 +223,18 @@ class TestProductValidation:
         )
         assert catalog.visible_at(9) == frozenset(["a"])
         assert catalog.visible_at(10) == frozenset(["a", "b"])
+        launches = {"a": 5, "b": 5, "c": 8, "d": 20}
+        catalog = Catalog(
+            tuple(Product(i, 1.0, 0.1, launch_time=t) for i, t in launches.items())
+        )
+        assert catalog.visible_at(0) == frozenset()  # before any launch
+        assert catalog.visible_at(-3) == frozenset()
+        for t in sorted(set(launches.values())):
+            assert catalog.visible_at(t - 1) == {i for i, s in launches.items() if s < t}
+            assert catalog.visible_at(t) == {i for i, s in launches.items() if s <= t}
+        assert catalog.visible_at(10**9) == catalog.ids
+        # one cached set per distinct launch time
+        assert catalog.visible_at(6) is catalog.visible_at(7)
 
 
 class TestSampling:

@@ -104,6 +104,19 @@ class TestUsage:
         assert "expected profit: 1.363636" in proc.stdout
 
 
+class TestImport:
+    def test_package_import_leaves_scipy_unloaded(self):
+        """Only the chi-square diagnostic needs scipy; importing the
+        package must not pay for it."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, tieredmnl; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestSimulate:
     def test_writes_traces_and_manifest(self, tmp_path, capsys):
         config, path = small_config(tmp_path)

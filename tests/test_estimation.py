@@ -32,6 +32,7 @@ from tieredmnl.model import (
     ChoiceSampler,
     Product,
     TieredOffer,
+    sorted_ids,
 )
 from tieredmnl.rng import BufferedRandom
 
@@ -302,6 +303,118 @@ class TestOptimisticIndex:
             if ledger.has_estimate("x"):
                 epoch = ledger.completed
                 assert ledger.valuation_ucb("x", epoch, 10) >= truth
+
+
+def reference_totals(ledger):
+    """(epochs, purchases, launch epoch) per product, recounted from the
+    ledger's completed-epoch records."""
+    totals = {}
+    for k in (0, 1):
+        for record in ledger.epochs(k):
+            for i in record.offered:
+                epochs, purchases, launch = totals.get(i, (0, 0, record.label))
+                totals[i] = (
+                    epochs + 1,
+                    purchases + record.purchases_of(i),
+                    min(launch, record.label),
+                )
+    return totals
+
+
+def reference_ucb(totals, product_id, epoch, n_products, confidence_scale=None):
+    """The scalar optimistic index, one product at a time."""
+    scale = UCB_CONFIDENCE_SCALE if confidence_scale is None else confidence_scale
+    epochs, purchases, launch = totals[product_id]
+    mean = purchases / epochs
+    rounds = max(epoch - launch, 0)
+    pad = scale * math.log(n_products * rounds + 1.0) / epochs
+    return mean + math.sqrt(mean * pad) + pad
+
+
+def random_ledger(seed, n_products=40, n_steps=4000):
+    """A ledger whose products first appear one by one, so launch epochs
+    are many and distinct, and whose tier sets are redrawn at every
+    closure."""
+    rng = np.random.default_rng(seed)
+    ids = [f"q{j:02d}" for j in range(n_products)]
+    ledger = EpochLedger()
+    tiers = [frozenset(), frozenset()]
+    for t in range(n_steps):
+        available = ids[: 2 + t * (n_products - 2) // n_steps]
+        offer = TieredOffer.two_tier(*tiers)
+        roll = rng.random()
+        if roll < 0.45 and tiers[0]:
+            outcome = ChoiceOutcome(sorted_ids(tiers[0])[int(rng.integers(len(tiers[0])))], 0)
+        elif roll < 0.7 and tiers[1]:
+            outcome = ChoiceOutcome(sorted_ids(tiers[1])[int(rng.integers(len(tiers[1])))], 1)
+        else:
+            outcome = NO_PURCHASE
+        events = ledger.record_step(offer, outcome)
+        for k in (0, 1):
+            if events.closed_tier(k) is not None:
+                others = tiers[1 - k]
+                pool = [i for i in available if i not in others]
+                tiers[k] = frozenset(i for i in pool if rng.random() < 0.3)
+    return ledger
+
+
+class TestVectorIndex:
+    """``valuation_ucb_many`` against the scalar formula, compared with ==."""
+
+    def test_matches_scalar_formula(self):
+        for seed in (1, 2, 3):
+            ledger = random_ledger(seed)
+            totals = reference_totals(ledger)
+            launches = {launch for _, _, launch in totals.values()}
+            assert len(launches) >= 10
+            ids = sorted_ids(totals)
+            for epoch in (0, 1, 7, ledger.completed // 2, ledger.completed, ledger.completed + 50):
+                for n_products, scale in ((len(ids), None), (3, 4.8), (101, 0.5)):
+                    got = ledger.valuation_ucb_many(ids, epoch, n_products, scale)
+                    want = [reference_ucb(totals, i, epoch, n_products, scale) for i in ids]
+                    assert got.tolist() == want
+                    for i in ids[::7]:
+                        assert ledger.valuation_ucb(i, epoch, n_products, scale) == (
+                            reference_ucb(totals, i, epoch, n_products, scale)
+                        )
+
+    def test_clamps_before_launch(self):
+        """Epochs below a product's launch epoch give a zero margin."""
+        ledger = random_ledger(4)
+        totals = reference_totals(ledger)
+        late = [i for i, (_, _, launch) in totals.items() if launch > 30]
+        assert late
+        got = ledger.valuation_ucb_many(late, 30, 10)
+        assert got.tolist() == [reference_ucb(totals, i, 30, 10) for i in late]
+        assert got.tolist() == [totals[i][1] / totals[i][0] for i in late]
+
+    def test_totals_match_records(self):
+        ledger = random_ledger(5)
+        totals = reference_totals(ledger)
+        for i, (epochs, purchases, launch) in totals.items():
+            assert ledger.times_offered(i) == epochs
+            assert ledger.purchase_total(i) == purchases
+            assert ledger.launch_epoch(i) == launch
+        ids = sorted_ids(totals) + ["never"]
+        assert ledger.times_offered_many(ids).tolist() == [
+            ledger.times_offered(i) for i in ids
+        ]
+
+    def test_logarithm_is_math_log(self):
+        """ln(n * gap + 1) at arguments where numpy's vectorized log can
+        round differently from math.log (on some builds it does at these
+        integers); the index must follow math.log."""
+        ledger = scripted_ledger()
+        totals = reference_totals(ledger)
+        for x in (9170, 19143, 94869, 102327, 136085, 136837, 141614, 147674, 275063, 285343):
+            got = ledger.valuation_ucb_many(["a", "b"], x - 1, 1)
+            assert got.tolist() == [reference_ucb(totals, i, x - 1, 1) for i in ("a", "b")]
+
+    def test_never_offered_in_batch(self):
+        ledger = scripted_ledger()
+        with pytest.raises(NeverOfferedError):
+            ledger.valuation_ucb_many(["a", "z"], 3, 2)
+        assert ledger.valuation_ucb_many([], 3, 2).tolist() == []
 
 
 class TestGeometricEpochCounts:

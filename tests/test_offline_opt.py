@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tieredmnl.errors import InstanceTooLargeError, InvalidOfferError
+from tieredmnl.errors import InstanceTooLargeError, InvalidOfferError, UnknownProductError
 from tieredmnl.model import (
     Catalog,
     Product,
@@ -206,6 +206,117 @@ class TestTierOneGivenTierTwo:
         catalog = Catalog((Product("a", 1.0, 0.5),))
         with pytest.raises(InvalidOfferError):
             solve_tier1_given_tier2(catalog, ["a"], forced_tier1=["a"])
+
+
+def reference_tier1(catalog, tier2, *, valuations=None, candidates_tier1=None, forced_tier1=()):
+    """Running-sum scan over the free profit prefix: forced products first
+    (id order), then one product at a time, keeping strict improvements.
+    The vectorized solver must reproduce it bit for bit."""
+    tier2 = frozenset(tier2)
+    forced = frozenset(forced_tier1)
+    x1 = catalog.candidates_tier1 if candidates_tier1 is None else frozenset(candidates_tier1)
+    order = sorted(x1 - tier2 - forced, key=lambda i: (-catalog.profit_of(i), str(i)))
+    e2 = expected_profit(TieredOffer((tier2,)), catalog, valuations)
+
+    def weight(i):
+        return catalog.valuation_of(i) if valuations is None else valuations[i]
+
+    sum_v = 0.0
+    sum_rv = 0.0
+    for i in sorted_ids(forced):
+        w = weight(i)
+        sum_v += w
+        sum_rv += catalog.profit_of(i) * w
+    best_a = 0
+    best_value = (sum_rv + e2) / (1.0 + sum_v)
+    for a, i in enumerate(order, start=1):
+        w = weight(i)
+        sum_v += w
+        sum_rv += catalog.profit_of(i) * w
+        value = (sum_rv + e2) / (1.0 + sum_v)
+        if value > best_value:
+            best_value = value
+            best_a = a
+    return frozenset(order[:best_a]) | forced, best_value
+
+
+class TestTierOneMatchesReferenceScan:
+    def random_case(self, rng):
+        n = int(rng.integers(1, 41))
+        # coarse profits force ties, which the id order has to break
+        profits = np.round(rng.uniform(0, 1, n), int(rng.integers(1, 4)))
+        # zero weights make runs of equal values, where the first maximum wins
+        weights = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0, 1, n))
+        products = tuple(
+            Product(f"p{k}", float(profits[k]), float(weights[k])) for k in range(n)
+        )
+        ids = [p.id for p in products]
+        catalog = Catalog(
+            products,
+            candidates_tier1=[i for i in ids if rng.random() < 0.8],
+            candidates_tier2=[i for i in ids if rng.random() < 0.8],
+        )
+        tier2 = frozenset(i for i in sorted_ids(catalog.candidates_tier2) if rng.random() < 0.3)
+        rest = [i for i in ids if i not in tier2]
+        # forced products need not be tier-1 candidates
+        forced = frozenset(i for i in rest if rng.random() < 0.15)
+        valuations = None
+        if rng.random() < 0.7:
+            valuations = {i: 0.0 if rng.random() < 0.2 else float(rng.uniform(0, 3)) for i in ids}
+        return catalog, tier2, forced, valuations
+
+    def test_equal_sets_and_values(self):
+        rng = np.random.default_rng(20190427)
+        for _ in range(300):
+            catalog, tier2, forced, valuations = self.random_case(rng)
+            got = solve_tier1_given_tier2(
+                catalog, tier2, valuations=valuations, forced_tier1=forced
+            )
+            want = reference_tier1(catalog, tier2, valuations=valuations, forced_tier1=forced)
+            assert got == want
+
+    def test_candidate_override(self):
+        rng = np.random.default_rng(20190428)
+        for _ in range(100):
+            catalog, tier2, forced, valuations = self.random_case(rng)
+            cand1 = frozenset(i for i in sorted_ids(catalog.ids) if rng.random() < 0.5)
+            got = solve_tier1_given_tier2(
+                catalog, tier2, valuations=valuations, candidates_tier1=cand1, forced_tier1=forced
+            )
+            want = reference_tier1(
+                catalog, tier2, valuations=valuations, candidates_tier1=cand1, forced_tier1=forced
+            )
+            assert got == want
+
+    def test_override_checks_kept(self):
+        catalog = Catalog((Product("a", 1.0, 0.5), Product("b", 2.0, 0.5)))
+        with pytest.raises(UnknownProductError):
+            solve_tier1_given_tier2(catalog, [], valuations={"a": 0.5})
+        with pytest.raises(InvalidOfferError):
+            solve_tier1_given_tier2(catalog, [], valuations={"a": 0.5, "b": -0.1})
+        with pytest.raises(InvalidOfferError):
+            solve_tier1_given_tier2(catalog, [], valuations={"a": float("nan"), "b": 0.5})
+        with pytest.raises(UnknownProductError):
+            solve_tier1_given_tier2(catalog, [], forced_tier1=["ghost"])
+
+
+class TestProfitOrder:
+    def test_matches_profit_then_id_sort(self):
+        rng = np.random.default_rng(20190429)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            profits = np.round(rng.uniform(0, 1, n), 1)
+            catalog = Catalog(
+                tuple(Product(f"p{k}", float(profits[k]), 0.1) for k in range(n))
+            )
+            subset = [i for i in catalog.ids if rng.random() < 0.6]
+            want = sorted(subset, key=lambda i: (-catalog.profit_of(i), str(i)))
+            assert profit_order(subset, catalog) == want
+
+    def test_unknown_id_raises(self):
+        catalog = Catalog((Product("a", 1.0, 0.5),))
+        with pytest.raises(UnknownProductError):
+            profit_order(["a", "ghost"], catalog)
 
 
 class TestWorkCap:

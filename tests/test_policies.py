@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from tieredmnl.errors import ConfigError, InvalidOfferError, UnknownProductError
+from tieredmnl.estimation import UCB_CONFIDENCE_SCALE
 from tieredmnl.model import (
     Catalog,
     ChoiceSampler,
@@ -21,6 +22,7 @@ from tieredmnl.model import (
     expected_profit,
     expected_profit_single_tier,
     sample_choice,
+    sorted_ids,
 )
 from tieredmnl.optimizer import enumerate_prefix_pair_offers, solve_two_tier
 from tieredmnl.policies import (
@@ -190,6 +192,77 @@ class TestUcbTieredPolicy:
             UcbTieredPolicy(
                 catalog, np.random.default_rng(0), known_valuations={"zz": 0.5}
             )
+
+
+def reference_optimistic_valuations(policy, epoch):
+    """The per-product loop behind the optimistic valuations: known weights
+    pinned, the scalar index for estimated products, COLD_START_UCB for the
+    rest."""
+    ledger = policy.ledger
+    visible = policy._visible
+    scale = policy._confidence_scale
+    scale = UCB_CONFIDENCE_SCALE if scale is None else scale
+    values = {}
+    for i in sorted_ids(visible):
+        if i in policy._known:
+            values[i] = policy._known[i]
+        elif ledger.has_estimate(i):
+            epochs = ledger.times_offered(i)
+            mean = ledger.purchase_total(i) / epochs
+            rounds = max(epoch - ledger.launch_epoch(i), 0)
+            pad = scale * math.log(len(visible) * rounds + 1.0) / epochs
+            values[i] = mean + math.sqrt(mean * pad) + pad
+        else:
+            values[i] = COLD_START_UCB
+    return values
+
+
+class TestOptimisticValuations:
+    def launch_catalog(self):
+        rng = np.random.default_rng(31)
+        return Catalog(
+            tuple(
+                Product(
+                    f"p{k:02d}",
+                    float(rng.uniform(0, 1)),
+                    float(rng.uniform(0, 0.2)),
+                    launch_time=0 if k < 12 else 40 * (k - 11),
+                )
+                for k in range(24)
+            )
+        )
+
+    @pytest.mark.parametrize("policy_cls", [UcbTieredPolicy, RandomTierLearningPolicy])
+    @pytest.mark.parametrize("scale", [None, 4.8])
+    def test_vector_path_equals_scalar_loop(self, policy_cls, scale):
+        catalog = self.launch_catalog()
+        known = {"p00": 0.05, "p03": 0.15, "p13": 0.1}
+        policy = policy_cls(
+            catalog,
+            BufferedRandom(np.random.default_rng(5)),
+            min_epochs=30,
+            known_valuations=known,
+            confidence_scale=scale,
+        )
+        rng = BufferedRandom(np.random.default_rng(6))
+        mixed = 0
+        for t in range(1, 601):
+            offer = policy.offer(t)
+            if t % 3 == 0 or t % 40 == 0:
+                completed = policy.ledger.completed
+                for epoch in (0, completed // 3, completed, completed + 17):
+                    got = policy._optimistic_valuations(epoch)
+                    assert got == reference_optimistic_valuations(policy, epoch)
+                kinds = {
+                    "known" if i in known
+                    else "estimated" if policy.ledger.has_estimate(i)
+                    else "cold"
+                    for i in policy._visible
+                }
+                mixed += kinds == {"known", "estimated", "cold"}
+            outcome = sample_choice(offer, catalog, rng)
+            policy.observe(t, offer, outcome)
+        assert mixed > 0
 
 
 class TestRandomTierPolicy:

@@ -5,6 +5,7 @@ must be exactly zero, the seed scheme by stream-sharing and byte-identical
 replays, and the config/CSV formats by round-trips and strict-key checks.
 """
 
+import hashlib
 import json
 
 import numpy as np
@@ -476,3 +477,44 @@ class TestCsvOutput:
         last = lines[-1].split(",")
         assert last[0] == "30"
         assert float(last[2]) == summary.mean_cumulative[-1]
+
+
+class TestPinnedLaunchRun:
+    """Final regret and trace bytes of a short launch scenario, recorded
+    once and pinned: a change to the decision path that moves any float or
+    any offer shows up here."""
+
+    CONFIG = ExperimentConfig(
+        label="pinned-launch",
+        horizon=1500,
+        groups=(
+            ProductGroup(14, (0.0, 1.0), (0.0, 0.1)),
+            ProductGroup(2, (0.3, 0.9), (0.0, 0.1), valuation_known=True),
+            ProductGroup(4, (0.0, 0.2), (0.0, 0.1), launch_time=300, launch_spacing=250),
+        ),
+        policies=(
+            PolicySpec("ucb_tiered", {"min_epochs": 20, "confidence_scale": 4.8}),
+            PolicySpec("random_tier", {"min_epochs": 20, "confidence_scale": 4.8}),
+        ),
+        base_seed=1729,
+    )
+    PINNED = {
+        "ucb_tiered": (
+            "10.406994373834719",
+            "0da247ea0fea6aafc6de4eaa8d9a8f8dff7e84428e5f7282f80a8ae122ae293b",
+        ),
+        "random_tier": (
+            "10.503947907621896",
+            "103e4709ca0d22127e34b835989f6173b5e6747452d4c6733151834c49da8fbf",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", ["ucb_tiered", "random_tier"])
+    def test_regret_and_trace_are_pinned(self, name, tmp_path):
+        spec = next(p for p in self.CONFIG.policies if p.name == name)
+        trace = run(self.CONFIG, spec, seed=0)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        regret, digest = self.PINNED[name]
+        assert repr(trace.final_regret) == regret
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
