@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -58,9 +59,9 @@ class Product:
     def __post_init__(self):
         if not isinstance(self.id, (int, str)) or isinstance(self.id, bool):
             raise InvalidCatalogError(f"product id must be int or str, got {self.id!r}")
-        if not self.profit >= 0.0:
+        if not (self.profit >= 0.0 and math.isfinite(self.profit)):
             raise InvalidCatalogError(
-                f"product {self.id!r}: profit must be >= 0, got {self.profit!r}"
+                f"product {self.id!r}: profit must be finite and >= 0, got {self.profit!r}"
             )
         if not 0.0 <= self.valuation <= 1.0:
             raise InvalidCatalogError(

@@ -2,11 +2,28 @@
 
 The search walks a structured family of offers instead of all subsets:
 
-* Seed family: tier 1 takes a profit-descending prefix of X1, tier 2 a
-  profit-descending prefix of whatever X2 has left.  With disjoint
+* Seed family: tier 1 takes a profit-descending prefix order1[:a] of X1,
+  tier 2 a prefix order2[:p] of X2 minus what tier 1 took.  With disjoint
   candidate sets this family provably contains an optimum (any product
   whose profit beats the offer's continuation value belongs in, anything
-  below belongs out), and prefix sums make every pair O(1).
+  below belongs out).  ``_solve_prefix_pairs`` finds the best pair in one
+  sweep over a with O(n) memory:
+
+  - For a fixed a, the tier-2 value along p is unimodal: adding the next
+    product raises it while that product's profit beats the current value,
+    and once it does not, no later (cheaper) product can raise it again.
+  - Taking one more product into tier 1 only shrinks tier 2's choice, so
+    its best value can only fall and every product kept in tier 2 still
+    beats it: the first best end position never moves left.  The pointer
+    p therefore climbs from where the last row left it and stops at the
+    first strict drop; equal values are climbed through.  Products tier 1
+    took and zero weights leave the value unchanged and are stepped over.
+  - Once the next tier-1 product earns no more than the best value so far,
+    every later row is a weighted average of an offer already beaten and
+    that profit, so the sweep stops.
+  - Ties go to the first maximum in (a, p) order, kept by strict
+    improvement.  Each pair is priced from prefix sums, so the shared and
+    disjoint cases price exactly what an (n+1) x (n+1) window matrix would.
 * Completion: when the candidate sets overlap, a shared product can be
   worth *demoting* to tier 2 even though a lower-profit product stays in
   tier 1, so prefix pairs alone can leave a gap.  What survives of the
@@ -96,75 +113,75 @@ def _prefix_sums(r: np.ndarray, v: np.ndarray):
     return cv, crv
 
 
-def _solve_shared_order(order, catalog, valuations):
-    """Both tiers draw from one profit-ordered list: tier 1 takes the first
-    a products, tier 2 the next b, so offers map to windows (a, a+b)."""
-    r, v = _candidate_arrays(order, catalog, valuations)
-    cv, crv = _prefix_sums(r, v)
-    denom1 = 1.0 + cv
-    head = crv / denom1
-    tail_v = cv[None, :] - cv[:, None]
-    tail_rv = crv[None, :] - crv[:, None]
-    # the a > stop triangle is masked below; its entries may divide by zero
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = head[:, None] + (tail_rv / (1.0 + tail_v)) / denom1[:, None]
-    n = len(order)
-    idx = np.arange(n + 1)
-    e[idx[:, None] > idx[None, :]] = -np.inf
-    flat = int(np.argmax(e))
-    a, stop = divmod(flat, n + 1)
-    return float(e.flat[flat]), order[:a], order[a:stop]
+def _solve_prefix_pairs(order1, order2, catalog, valuations):
+    """Best prefix pair: tier 1 = order1[:a], tier 2 = order2[:e] minus tier 1.
 
-
-def _solve_disjoint(order1, order2, catalog, valuations):
+    One sweep over a with a tier-2 end pointer p that only climbs (see the
+    module docstring).  A pair is priced from prefix sums minus ``rem_*``,
+    the weights tier 1 took from order2[:p], added in order1 order.  The
+    recorded end e is one past the last product tier 2 keeps, so it moves
+    left when tier 1 takes that product while p stays.  Returns (value,
+    tier1, tier2) for the first maximum in visiting order.
+    """
     r1, v1 = _candidate_arrays(order1, catalog, valuations)
     r2, v2 = _candidate_arrays(order2, catalog, valuations)
     cv1, crv1 = _prefix_sums(r1, v1)
     cv2, crv2 = _prefix_sums(r2, v2)
     denom1 = 1.0 + cv1
-    e = (crv1 / denom1)[:, None] + (crv2 / (1.0 + cv2))[None, :] / denom1[:, None]
-    flat = int(np.argmax(e))
-    a, b = divmod(flat, len(order2) + 1)
-    return float(e.flat[flat]), order1[:a], order2[:b]
+    heads = (crv1 / denom1).tolist()
+    profits1 = r1.tolist()
+    denom1 = denom1.tolist()
+    cv2 = cv2.tolist()
+    crv2 = crv2.tolist()
+    w2 = v2.tolist()
+    rw2 = (r2 * v2).tolist()
+    n1, n2 = len(order1), len(order2)
+    # tier-1 rank of each tier-2 candidate (n1: never taken) and tier-2
+    # position of each tier-1 candidate (n2: never below p)
+    at1 = dict(zip(order1, range(n1)))
+    rank1 = [at1.get(i, n1) for i in order2]
+    at2 = dict(zip(order2, range(n2)))
+    pos2 = [at2.get(i, n2) for i in order1]
 
-
-def _solve_general(order1, order2, catalog, valuations):
-    """Prefix-pair walk with running sums; tier-2 prefixes skip products the
-    current tier-1 prefix already took."""
-    items2 = [
-        (i, catalog.profit_of(i), _weight(catalog, valuations, i)) for i in order2
-    ]
     best_value = -math.inf
-    best = ((), ())
-    sum_v1 = 0.0
-    sum_rv1 = 0.0
-    taken1 = set()
-    for a in range(len(order1) + 1):
+    best_a = best_e = 0
+    p = 0
+    rem_v = rem_rv = 0.0
+    kept: list[int] = []  # positive-weight tier-2 positions below p, ascending
+    for a in range(n1 + 1):
         if a:
-            i = order1[a - 1]
-            w = _weight(catalog, valuations, i)
-            sum_v1 += w
-            sum_rv1 += catalog.profit_of(i) * w
-            taken1.add(i)
-        denom1 = 1.0 + sum_v1
-        head = sum_rv1 / denom1
-        if head > best_value:
-            best_value = head
-            best = (order1[:a], ())
-        sum_v2 = 0.0
-        sum_rv2 = 0.0
-        chosen: list = []
-        for i, r, w in items2:
-            if i in taken1:
-                continue
-            sum_v2 += w
-            sum_rv2 += r * w
-            chosen.append(i)
-            e = head + (sum_rv2 / (1.0 + sum_v2)) / denom1
-            if e > best_value:
-                best_value = e
-                best = (order1[:a], tuple(chosen))
-    return best_value, best[0], best[1]
+            if profits1[a - 1] <= best_value:
+                break
+            j = pos2[a - 1]
+            if j < p:
+                rem_v += w2[j]
+                rem_rv += rw2[j]
+                while kept and rank1[kept[-1]] < a:
+                    kept.pop()
+        head = heads[a]
+        denom = denom1[a]
+        value = head + ((crv2[p] - rem_rv) / (1.0 + (cv2[p] - rem_v))) / denom
+        if value > best_value:
+            best_value, best_a, best_e = value, a, kept[-1] + 1 if kept else 0
+        while True:
+            # products tier 1 took and zero weights leave tier 2's value as is
+            while p < n2 and (rank1[p] < a or w2[p] == 0.0):
+                if rank1[p] < a:
+                    rem_v += w2[p]
+                    rem_rv += rw2[p]
+                p += 1
+            if p == n2:
+                break
+            step = head + ((crv2[p + 1] - rem_rv) / (1.0 + (cv2[p + 1] - rem_v))) / denom
+            if step < value:
+                break
+            kept.append(p)
+            p += 1
+            value = step
+            if value > best_value:
+                best_value, best_a, best_e = value, a, p
+    tier2 = [order2[k] for k in range(best_e) if rank1[k] >= best_a]
+    return best_value, order1[:best_a], tier2
 
 
 def _resolve_candidates(catalog, candidates, default):
@@ -287,12 +304,7 @@ def solve_two_tier(
     x2 = _resolve_candidates(catalog, candidates_tier2, catalog.candidates_tier2)
     order1 = profit_order(x1, catalog)
     order2 = order1 if x1 == x2 else profit_order(x2, catalog)
-    if x1 == x2:
-        value, tier1, tier2 = _solve_shared_order(order1, catalog, valuations)
-    elif x1.isdisjoint(x2):
-        value, tier1, tier2 = _solve_disjoint(order1, order2, catalog, valuations)
-    else:
-        value, tier1, tier2 = _solve_general(order1, order2, catalog, valuations)
+    value, tier1, tier2 = _solve_prefix_pairs(order1, order2, catalog, valuations)
     if exact and not x1.isdisjoint(x2):
         exc1 = profit_order(x1 - x2, catalog)
         free = _free_shared(profit_order(x1 & x2, catalog), catalog, value)
@@ -309,57 +321,6 @@ def solve_two_tier(
     offer = TieredOffer.two_tier(tier1, tier2)
     value = expected_profit(offer, catalog, valuations)
     return SolveResult(offer, value, _thresholds(offer, catalog))
-
-
-def solve_two_tier_naive(
-    catalog: Catalog,
-    *,
-    valuations: Mapping | None = None,
-    candidates_tier1: Iterable | None = None,
-    candidates_tier2: Iterable | None = None,
-    exact: bool = True,
-    max_exact_work: int = 20_000_000,
-) -> SolveResult:
-    """The same candidate family as ``solve_two_tier``, each offer priced
-    from scratch with no running sums.  Slow validation twin.
-    """
-    x1 = _resolve_candidates(catalog, candidates_tier1, catalog.candidates_tier1)
-    x2 = _resolve_candidates(catalog, candidates_tier2, catalog.candidates_tier2)
-    order1 = profit_order(x1, catalog)
-    order2 = profit_order(x2, catalog)
-    best_value = -math.inf
-    best = None
-
-    def consider(tier1, tier2):
-        nonlocal best_value, best
-        offer = TieredOffer.two_tier(tier1, tier2)
-        value = expected_profit(offer, catalog, valuations)
-        if value > best_value:
-            best_value = value
-            best = offer
-
-    for a in range(len(order1) + 1):
-        taken = set(order1[:a])
-        rest = [i for i in order2 if i not in taken]
-        for b in range(len(rest) + 1):
-            consider(order1[:a], rest[:b])
-    if exact and not x1.isdisjoint(x2):
-        exc1 = profit_order(x1 - x2, catalog)
-        free = _free_shared(profit_order(x1 & x2, catalog), catalog, best_value)
-        work = _completion_work(len(free), len(exc1), len(order2))
-        if work > max_exact_work:
-            raise InstanceTooLargeError(
-                f"exact completion would take ~{work} steps over {len(free)} "
-                f"candidate splits (cap {max_exact_work}); restrict the "
-                "candidate sets or pass exact=False"
-            )
-        for mask in range(1 << len(free)):
-            p = [i for j, i in enumerate(free) if mask >> j & 1]
-            rest = [i for i in order2 if i not in p]
-            for a in range(len(exc1) + 1):
-                for b in range(len(rest) + 1):
-                    consider(list(exc1[:a]) + p, rest[:b])
-    return SolveResult(best, best_value, _thresholds(best, catalog))
 
 
 def solve_tier1_given_tier2(

@@ -23,6 +23,7 @@ habit of parking exploration products in the second tier.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from itertools import compress, filterfalse
@@ -412,6 +413,14 @@ def make_policy(name: str, catalog: Catalog, rng, **kwargs) -> Policy:
         raise ConfigError(
             f"unknown policy {name!r}; expected one of {sorted(_POLICIES)}"
         ) from None
+    accepted = sorted(
+        n for n, p in inspect.signature(cls).parameters.items() if p.kind is p.KEYWORD_ONLY
+    )
+    unknown = sorted(set(kwargs) - set(accepted))
+    if unknown:
+        raise ConfigError(
+            f"policy {name!r} has no option {unknown[0]!r}; accepted options: {accepted}"
+        )
     return cls(catalog, rng, **kwargs)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -421,6 +422,21 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _int(value, name: str) -> int:
+    _require(type(value) is int, f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _support(value, name: str) -> tuple[float, float]:
+    _require(
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(type(x) in (int, float) and math.isfinite(x) for x in value),
+        f"{name} must be a [lo, hi] pair of finite numbers, got {value!r}",
+    )
+    return (float(value[0]), float(value[1]))
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
     out: dict = {
         "schema": 1,
@@ -466,12 +482,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                  "each group needs count, profit, valuation")
         groups.append(
             ProductGroup(
-                int(raw["count"]),
-                tuple(float(x) for x in raw["profit"]),
-                tuple(float(x) for x in raw["valuation"]),
-                int(raw.get("launch_time", 0)),
-                int(raw.get("launch_spacing", 0)),
-                tuple(int(k) for k in raw.get("tiers", (1, 2))),
+                _int(raw["count"], "group count"),
+                _support(raw["profit"], "group profit"),
+                _support(raw["valuation"], "group valuation"),
+                _int(raw.get("launch_time", 0), "group launch_time"),
+                _int(raw.get("launch_spacing", 0), "group launch_spacing"),
+                tuple(_int(k, "group tier") for k in raw.get("tiers", (1, 2))),
                 bool(raw.get("valuation_known", False)),
             )
         )
@@ -484,13 +500,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     catalog = catalog_from_dict(data["catalog"]) if "catalog" in data else None
     return ExperimentConfig(
         label=str(data.get("label", "experiment")),
-        horizon=int(data.get("horizon", 0)),
+        horizon=_int(data.get("horizon", 0), "horizon"),
         policies=tuple(policies),
         groups=tuple(groups),
         catalog=catalog,
         known_products=tuple(data.get("known_products", ())),
-        replications=int(data.get("replications", 1)),
-        base_seed=int(data.get("base_seed", 0)),
+        replications=_int(data.get("replications", 1), "replications"),
+        base_seed=_int(data.get("base_seed", 0), "base_seed"),
         benchmark=str(data.get("benchmark", "launched")),
     )
 

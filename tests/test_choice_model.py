@@ -209,6 +209,11 @@ class TestProductValidation:
         with pytest.raises(InvalidCatalogError):
             Product("bad", -0.01, 0.5)
 
+    def test_profit_must_be_finite(self):
+        for profit in (float("inf"), float("nan")):
+            with pytest.raises(InvalidCatalogError, match="finite"):
+                Product("bad", profit, 0.5)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InvalidCatalogError):
             Catalog((Product("a", 1.0, 0.5), Product("a", 2.0, 0.5)))
@@ -321,6 +326,17 @@ class TestCatalogSerialization:
             catalog_from_dict(
                 {"products": [{"id": 1, "profit": "ten", "valuation": 0.5}]}
             )
+
+    def test_infinite_profit_rejected(self, tmp_path):
+        with pytest.raises(InvalidCatalogError, match="product 1"):
+            catalog_from_dict(
+                {"products": [{"id": 1, "profit": float("inf"), "valuation": 0.5}]}
+            )
+        # json reads the bare token Infinity as a float
+        path = tmp_path / "inf.json"
+        path.write_text('{"products": [{"id": 1, "profit": Infinity, "valuation": 0.5}]}')
+        with pytest.raises(InvalidCatalogError, match="finite"):
+            load_catalog(path)
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -17,7 +17,9 @@ from tieredmnl.model import Catalog, Product, save_catalog
 from tieredmnl.simulator import (
     ExperimentConfig,
     PolicySpec,
+    ProductGroup,
     config_from_dict,
+    config_to_dict,
     replicate,
     save_config,
 )
@@ -154,6 +156,58 @@ class TestSimulate:
         assert main(["simulate", str(path), "--out", str(flag_dir)]) == 0
         assert (flag_dir / "cli-unit").is_dir()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestMalformedConfig:
+    """Malformed numbers and policy options end as exit code 1 with an
+    ``error:`` line, never a traceback or a silent coercion."""
+
+    def group_config(self):
+        return config_to_dict(
+            ExperimentConfig(
+                label="cli-bad",
+                horizon=20,
+                policies=(PolicySpec("ucb_tiered"),),
+                groups=(ProductGroup(3, (0.0, 1.0), (0.0, 0.5)),),
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("group", "count", "abc"),
+            ("group", "count", "3"),
+            ("group", "count", 3.0),
+            ("group", "profit", ["x", 1]),
+            ("group", "profit", [0.0, float("inf")]),
+            ("group", "profit", 1.0),
+            ("group", "tiers", [True]),
+            ("top", "horizon", "fifty"),
+            ("top", "horizon", True),
+            ("top", "replications", 1.5),
+            ("top", "base_seed", None),
+            ("policy", "options", {"bogus": 1}),
+        ],
+    )
+    def test_exit_code_1(self, tmp_path, capsys, where, key, value):
+        data = self.group_config()
+        target = {"top": data, "group": data["groups"][0], "policy": data["policies"][0]}[where]
+        target[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_unknown_option_names_the_accepted_ones(self, tmp_path, capsys):
+        data = self.group_config()
+        data["policies"][0]["options"] = {"bogus": 1}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "min_epochs" in err and "confidence_scale" in err
 
 
 class TestExperiment:

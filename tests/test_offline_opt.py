@@ -7,9 +7,11 @@ profit-ordering predicates and threshold reporting.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from reference_solvers import seed_reference, solve_two_tier_naive
 
 from tieredmnl.errors import InstanceTooLargeError, InvalidOfferError, UnknownProductError
 from tieredmnl.model import (
@@ -22,6 +24,7 @@ from tieredmnl.model import (
 )
 from tieredmnl.optimizer import (
     TierPlacement,
+    _solve_prefix_pairs,
     brute_force_optimal,
     enumerate_prefix_pair_offers,
     is_profit_ordered_by_tier,
@@ -30,7 +33,6 @@ from tieredmnl.optimizer import (
     profit_order,
     solve_tier1_given_tier2,
     solve_two_tier,
-    solve_two_tier_naive,
     suffix_profits,
 )
 
@@ -150,6 +152,95 @@ class TestNaiveTwin:
             assert fast.expected_profit == pytest.approx(
                 slow.expected_profit, abs=1e-12
             )
+
+
+class TestPrefixPairSweep:
+    """The one-pass sweep against the three matrix/loop cores it replaced
+    (``reference_solvers.seed_reference``)."""
+
+    SHAPES = ("shared", "disjoint", "overlapping")
+
+    def random_case(self, rng, shape, tick=None):
+        n = int(rng.integers(0, 41))
+        profits = rng.uniform(0, 5, n)
+        if tick is not None:
+            profits = np.round(profits / tick) * tick
+        # zero weights make runs of equal values, where the first maximum wins
+        weights = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 1, n))
+        products = tuple(
+            Product(f"p{k}", float(profits[k]), float(weights[k])) for k in range(n)
+        )
+        ids = [p.id for p in products]
+        if shape == "shared":
+            x1 = x2 = [i for i in ids if rng.random() < 0.8]
+        elif shape == "disjoint":
+            coin = rng.random(n)
+            x1 = [i for i, c in zip(ids, coin) if c < 0.5]
+            x2 = [i for i, c in zip(ids, coin) if c >= 0.5]
+        else:
+            x1 = [i for i in ids if rng.random() < 0.7]
+            x2 = [i for i in ids if rng.random() < 0.7]
+        catalog = Catalog(products, x1, x2)
+        valuations = None
+        if rng.random() < 0.5:
+            valuations = {
+                i: 0.0 if rng.random() < 0.3 else float(rng.uniform(0, 2)) for i in ids
+            }
+        order1 = profit_order(catalog.candidates_tier1, catalog)
+        order2 = order1 if x1 == x2 else profit_order(catalog.candidates_tier2, catalog)
+        return catalog, valuations, order1, order2
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_same_offers_as_reference_cores(self, shape):
+        rng = np.random.default_rng(20190430 + self.SHAPES.index(shape))
+        for _ in range(2000):
+            catalog, valuations, order1, order2 = self.random_case(rng, shape)
+            got = _solve_prefix_pairs(order1, order2, catalog, valuations)
+            want = seed_reference(order1, order2, catalog, valuations)
+            assert (frozenset(got[1]), frozenset(got[2])) == (
+                frozenset(want[1]),
+                frozenset(want[2]),
+            )
+            if shape == "overlapping":
+                # the loop core sums the remaining products afresh per row
+                assert got[0] == pytest.approx(want[0], abs=1e-12)
+            else:
+                # same prefix-sum expression, bit for bit
+                assert got[0] == want[0]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ties_keep_the_value(self, shape):
+        """Profits on a 1/8 grid make exact ties, where the pick among equal
+        offers may differ but the value may not."""
+        rng = np.random.default_rng(20190501 + self.SHAPES.index(shape))
+        for _ in range(2000):
+            catalog, valuations, order1, order2 = self.random_case(rng, shape, tick=0.125)
+            got = _solve_prefix_pairs(order1, order2, catalog, valuations)
+            want = seed_reference(order1, order2, catalog, valuations)
+            assert got[0] == pytest.approx(want[0], abs=1e-12)
+            offer = TieredOffer.two_tier(got[1], got[2])
+            assert expected_profit(offer, catalog, valuations) == pytest.approx(
+                want[0], abs=1e-12
+            )
+
+    @pytest.mark.parametrize("shape", ["shared", "disjoint"])
+    def test_memory_stays_linear(self, shape):
+        n = 3000
+        rng = np.random.default_rng(20190502)
+        products = tuple(
+            Product(k, float(rng.uniform(0, 1)), float(rng.uniform(0, 0.3))) for k in range(n)
+        )
+        if shape == "shared":
+            catalog = Catalog(products)
+        else:
+            catalog = Catalog(products, range(n // 2), range(n // 2, n))
+        tracemalloc.start()
+        try:
+            solve_two_tier(catalog, exact=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestTierOneGivenTierTwo:
