@@ -262,8 +262,10 @@ def _weight(catalog: Catalog, valuations, product_id) -> float:
         w = valuations[product_id]
     except KeyError:
         raise UnknownProductError(product_id, "no valuation override supplied") from None
-    if not w >= 0.0:
-        raise InvalidOfferError(f"valuation override for {product_id!r} is negative: {w!r}")
+    if not 0.0 <= w < math.inf:
+        raise InvalidOfferError(
+            f"valuation for {product_id!r} must be finite and >= 0, got {w!r}"
+        )
     return w
 
 
@@ -382,6 +384,16 @@ def catalog_to_dict(catalog: Catalog) -> dict:
     }
 
 
+def _id_set(data: dict, key: str) -> frozenset | None:
+    """A catalog document's candidate list as a set (None when absent)."""
+    if key not in data:
+        return None
+    ids = data[key]
+    if not (isinstance(ids, list) and all(isinstance(i, (int, str)) for i in ids)):
+        raise InvalidCatalogError(f"catalog {key!r} must be a list of product ids, got {ids!r}")
+    return frozenset(ids)
+
+
 def catalog_from_dict(data: dict) -> Catalog:
     if not isinstance(data, dict):
         raise InvalidCatalogError("catalog document must be a JSON object")
@@ -390,6 +402,8 @@ def catalog_from_dict(data: dict) -> Catalog:
         raise InvalidCatalogError(f"unknown catalog key {sorted(unknown)[0]!r}")
     if "products" not in data:
         raise InvalidCatalogError("catalog document is missing 'products'")
+    if not isinstance(data["products"], list):
+        raise InvalidCatalogError("catalog 'products' must be a list")
     products = []
     for entry in data["products"]:
         if not isinstance(entry, dict):
@@ -416,9 +430,7 @@ def catalog_from_dict(data: dict) -> Catalog:
                 f"product {entry['id']!r}: {exc}"
             ) from exc
     return Catalog(
-        tuple(products),
-        frozenset(data["candidates_tier1"]) if "candidates_tier1" in data else None,
-        frozenset(data["candidates_tier2"]) if "candidates_tier2" in data else None,
+        tuple(products), _id_set(data, "candidates_tier1"), _id_set(data, "candidates_tier2")
     )
 
 

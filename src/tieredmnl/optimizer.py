@@ -6,8 +6,12 @@ The search walks a structured family of offers instead of all subsets:
   tier 2 a prefix order2[:p] of X2 minus what tier 1 took.  With disjoint
   candidate sets this family provably contains an optimum (any product
   whose profit beats the offer's continuation value belongs in, anything
-  below belongs out).  ``_solve_prefix_pairs`` finds the best pair in one
-  sweep over a with O(n) memory:
+  below belongs out).  ``_sweep`` finds the best pair in one sweep over a
+  with O(n) memory, on profit and weight arrays already gathered in profit
+  order: ``_solve_prefix_pairs`` gathers them for ``solve_two_tier``, and
+  the UCB policy gathers them from its valuation vector.  Likewise
+  ``_tier1_prefix`` serves both ``solve_tier1_given_tier2`` and the
+  policy's tier-1 re-solves.
 
   - For a fixed a, the tier-2 value along p is unimodal: adding the next
     product raises it while that product's profit beats the current value,
@@ -90,6 +94,17 @@ def _thresholds(offer: TieredOffer, catalog: Catalog) -> tuple[float, ...]:
     return tuple(out)
 
 
+def _check_weights(v: np.ndarray, ids: Sequence) -> None:
+    """Raise InvalidOfferError unless every weight in ``v`` (named by
+    ``ids``, position for position) is finite and >= 0."""
+    ok = (v >= 0.0) & (v < math.inf)  # NaN fails both
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise InvalidOfferError(
+            f"valuation for {ids[k]!r} must be finite and >= 0, got {float(v[k])!r}"
+        )
+
+
 def _candidate_arrays(order: Sequence, catalog: Catalog, valuations):
     """Profits and weights of ``order``, gathered from the catalog's arrays;
     the checks match ``_weight``'s."""
@@ -101,9 +116,7 @@ def _candidate_arrays(order: Sequence, catalog: Catalog, valuations):
         v = np.fromiter(map(valuations.__getitem__, order), dtype=float, count=len(order))
     except KeyError as exc:
         raise UnknownProductError(exc.args[0], "no valuation override supplied") from None
-    if not (v >= 0.0).all():  # also catches NaN
-        i = order[int(np.argmin(v >= 0.0))]
-        raise InvalidOfferError(f"valuation override for {i!r} is negative: {valuations[i]!r}")
+    _check_weights(v, order)
     return r, v
 
 
@@ -113,20 +126,36 @@ def _prefix_sums(r: np.ndarray, v: np.ndarray):
     return cv, crv
 
 
-def _solve_prefix_pairs(order1, order2, catalog, valuations):
-    """Best prefix pair: tier 1 = order1[:a], tier 2 = order2[:e] minus tier 1.
+def _tier_maps(order1: list, order2: list):
+    """The sweep's cross-references between two candidate orders: rank1[k]
+    is order2[k]'s position in order1 (n1: not a tier-1 candidate) and
+    pos2[j] is order1[j]'s position in order2 (n2: none).  One shared order
+    (``order2 is order1``) maps to two ranges."""
+    n1, n2 = len(order1), len(order2)
+    if order2 is order1:
+        return range(n1), range(n1)
+    at1 = dict(zip(order1, range(n1)))
+    at2 = dict(zip(order2, range(n2)))
+    return [at1.get(i, n1) for i in order2], [at2.get(i, n2) for i in order1]
 
-    One sweep over a with a tier-2 end pointer p that only climbs (see the
-    module docstring).  A pair is priced from prefix sums minus ``rem_*``,
-    the weights tier 1 took from order2[:p], added in order1 order.  The
-    recorded end e is one past the last product tier 2 keeps, so it moves
-    left when tier 1 takes that product while p stays.  Returns (value,
-    tier1, tier2) for the first maximum in visiting order.
+
+def _sweep(r1, v1, r2, v2, rank1, pos2) -> tuple[float, int, int]:
+    """Best prefix pair over candidates already gathered in profit order.
+
+    ``r1``/``v1`` are the tier-1 candidates' profits and weights, ``r2``/
+    ``v2`` the tier-2 candidates' (the same arrays when the tiers share
+    their candidates), and ``rank1``/``pos2`` come from ``_tier_maps``.
+    One sweep over the tier-1 prefix a with a tier-2 end
+    pointer p that only climbs (see the module docstring).  A pair is
+    priced from prefix sums minus ``rem_*``, the weights tier 1 took from
+    the first p tier-2 candidates, added in tier-1 order.  Returns (value,
+    a, e) for the first maximum in visiting order: tier 1 takes the first a
+    tier-1 candidates, tier 2 the tier-2 positions k < e with rank1[k] >= a.
+    e is one past the last product tier 2 keeps, so it moves left when
+    tier 1 takes that product while p stays.
     """
-    r1, v1 = _candidate_arrays(order1, catalog, valuations)
-    r2, v2 = _candidate_arrays(order2, catalog, valuations)
     cv1, crv1 = _prefix_sums(r1, v1)
-    cv2, crv2 = _prefix_sums(r2, v2)
+    cv2, crv2 = (cv1, crv1) if v2 is v1 else _prefix_sums(r2, v2)
     denom1 = 1.0 + cv1
     heads = (crv1 / denom1).tolist()
     profits1 = r1.tolist()
@@ -135,13 +164,7 @@ def _solve_prefix_pairs(order1, order2, catalog, valuations):
     crv2 = crv2.tolist()
     w2 = v2.tolist()
     rw2 = (r2 * v2).tolist()
-    n1, n2 = len(order1), len(order2)
-    # tier-1 rank of each tier-2 candidate (n1: never taken) and tier-2
-    # position of each tier-1 candidate (n2: never below p)
-    at1 = dict(zip(order1, range(n1)))
-    rank1 = [at1.get(i, n1) for i in order2]
-    at2 = dict(zip(order2, range(n2)))
-    pos2 = [at2.get(i, n2) for i in order1]
+    n1, n2 = len(profits1), len(w2)
 
     best_value = -math.inf
     best_a = best_e = 0
@@ -180,8 +203,48 @@ def _solve_prefix_pairs(order1, order2, catalog, valuations):
             value = step
             if value > best_value:
                 best_value, best_a, best_e = value, a, p
-    tier2 = [order2[k] for k in range(best_e) if rank1[k] >= best_a]
-    return best_value, order1[:best_a], tier2
+    return best_value, best_a, best_e
+
+
+def _pair_ids(order1: list, order2: list, rank1, a: int, e: int) -> tuple[list, list]:
+    """The (tier 1, tier 2) ids of the sweep's answer (a, e)."""
+    return order1[:a], [order2[k] for k in range(e) if rank1[k] >= a]
+
+
+def _solve_prefix_pairs(order1, order2, catalog, valuations):
+    """Best prefix pair: tier 1 = order1[:a], tier 2 = order2[:e] minus
+    tier 1.  Gathers the candidates' arrays and maps, then runs ``_sweep``;
+    returns (value, tier1, tier2)."""
+    r1, v1 = _candidate_arrays(order1, catalog, valuations)
+    r2, v2 = (r1, v1) if order2 is order1 else _candidate_arrays(order2, catalog, valuations)
+    rank1, pos2 = _tier_maps(order1, order2)
+    value, a, e = _sweep(r1, v1, r2, v2, rank1, pos2)
+    return (value, *_pair_ids(order1, order2, rank1, a, e))
+
+
+def _tier_value(r: np.ndarray, v: np.ndarray) -> float:
+    """Expected profit of one tier shown alone, sum(r v) / (1 + sum(v)),
+    with both sums added left to right as ``expected_profit`` adds them
+    (``np.sum`` adds pairwise and differs in the last bits)."""
+    cv, crv = _prefix_sums(r, v)
+    return crv[-1] / (1.0 + cv[-1])
+
+
+def _tier1_prefix(r1, v1, n_forced: int, r2, v2) -> tuple[int, float]:
+    """Best tier-1 prefix against a fixed tier 2.
+
+    ``r1``/``v1`` list the forced products first, then the free candidates
+    in profit order; ``r2``/``v2`` list tier 2 in ``str(id)`` order.
+    Returns (a, value): tier 1 is the forced products plus the first a free
+    ones.  cumsum adds left to right from 0.0 and argmax keeps the first
+    maximum, exactly as a running-sum scan with a strict improvement test
+    would.
+    """
+    e2 = _tier_value(r2, v2)
+    cv, crv = _prefix_sums(r1, v1)
+    values = (crv[n_forced:] + e2) / (1.0 + cv[n_forced:])
+    a = int(np.argmax(values))
+    return a, float(values[a])
 
 
 def _resolve_candidates(catalog, candidates, default):
@@ -346,15 +409,10 @@ def solve_tier1_given_tier2(
         raise InvalidOfferError("forced tier-1 products overlap tier 2")
     x1 = _resolve_candidates(catalog, candidates_tier1, catalog.candidates_tier1)
     order = profit_order(x1 - tier2 - forced, catalog)
-    e2 = expected_profit(TieredOffer((tier2,)), catalog, valuations)
-    # forced products first (id order), then the free prefix; cumsum adds
-    # left to right from 0.0 and argmax keeps the first maximum, exactly as
-    # a running-sum scan with a strict improvement test would
-    n_forced = len(forced)
-    cv, crv = _prefix_sums(*_candidate_arrays(sorted_ids(forced) + order, catalog, valuations))
-    values = (crv[n_forced:] + e2) / (1.0 + cv[n_forced:])
-    best_a = int(np.argmax(values))
-    return frozenset(order[:best_a]) | forced, float(values[best_a])
+    r2, v2 = _candidate_arrays(sorted_ids(tier2), catalog, valuations)
+    r1, v1 = _candidate_arrays(sorted_ids(forced) + order, catalog, valuations)
+    a, value = _tier1_prefix(r1, v1, len(forced), r2, v2)
+    return frozenset(order[:a]) | forced, value
 
 
 # --- exhaustive reference ----------------------------------------------------

@@ -9,6 +9,12 @@ closures, with the tier-2 set frozen by the epoch lock), while the
 explore-then-exploit benchmark holds each candidate offer until a customer
 walks away with nothing.
 
+The UCB family decides on arrays in the catalog's canonical order: one
+valuation vector indexed by catalog rank, candidate arrays cached per
+visible set, and the optimizer's sweep and tier-1 prefix cores.  The public
+solvers wrap the same cores, so the offers equal theirs for the same
+valuations.
+
 Policies price offers with the prefix-pair family (``exact=False``), the
 same family the simulator's regret benchmark maximizes over, so a policy is
 never judged against an optimum it was not allowed to search — and at the
@@ -44,8 +50,14 @@ from .model import (
     total_weight,
 )
 from .optimizer import (
+    _check_weights,
+    _pair_ids,
+    _sweep,
+    _tier1_prefix,
+    _tier_maps,
     enumerate_prefix_pair_offers,
-    solve_tier1_given_tier2,
+    profit_order,
+    solve_tier1_given_tier2,  # not called here; perfbench/probe.py wraps it on this module
     solve_two_tier,
 )
 
@@ -115,34 +127,68 @@ class _VisibleView:
 
     ``unknown`` lists the visible ids whose weights are learned, in
     ``str(id)`` order, split into ``estimated`` (some completed epoch
-    offered them) and ``cold`` (none yet).  ``learning`` keeps those still
-    short of the minimum-learning target.  Ledger counts only grow, so a
-    product only ever moves from cold to estimated and out of learning.
-    ``known`` pins the other visible ids' weights, and the candidate sets
-    are the catalog's restricted to the visible set.
+    offered them; ``estimated_ranks`` holds their catalog ranks) and
+    ``cold`` (none yet).  ``learning`` keeps those still short of the
+    minimum-learning target.  Ledger counts only grow, so a product only
+    ever moves from cold to estimated and out of learning.
+
+    ``ids1``/``ids2`` are the visible tier-1 and tier-2 candidates in the
+    catalog's canonical order, with their ranks and profits; when both
+    tiers share one candidate set, ``ids2`` is ``ids1`` and the arrays are
+    shared too.  ``rank1``/``pos2`` are the sweep's maps between the two
+    orders (two ranges for a shared set).
     """
 
     __slots__ = (
-        "unknown", "estimated", "cold", "learning", "known", "candidates_tier1", "candidates_tier2"
+        "unknown", "estimated", "estimated_ranks", "cold", "learning",
+        "ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2", "rank1", "pos2",
     )
 
     def __init__(self, catalog: Catalog, visible: frozenset, known: Mapping):
-        ids = sorted_ids(visible)
-        self.unknown = tuple(i for i in ids if i not in known)
+        self.unknown = tuple(i for i in sorted_ids(visible) if i not in known)
         self.estimated: tuple = ()
+        self.estimated_ranks = catalog._indices(())
         self.cold = self.learning = self.unknown
-        self.known = {i: known[i] for i in ids if i in known}
-        self.candidates_tier1 = catalog.candidates_tier1 & visible
-        self.candidates_tier2 = catalog.candidates_tier2 & visible
+        x1 = catalog.candidates_tier1 & visible
+        x2 = catalog.candidates_tier2 & visible
+        self.ids1 = profit_order(x1, catalog)
+        self.ranks1 = catalog._indices(self.ids1)
+        self.profits1 = catalog._profits[self.ranks1]
+        if x1 == x2:
+            self.ids2, self.ranks2, self.profits2 = self.ids1, self.ranks1, self.profits1
+        else:
+            self.ids2 = profit_order(x2, catalog)
+            self.ranks2 = catalog._indices(self.ids2)
+            self.profits2 = catalog._profits[self.ranks2]
+        self.rank1, self.pos2 = _tier_maps(self.ids1, self.ids2)
 
-    def update_estimated(self, ledger: EpochLedger) -> None:
+    def update_estimated(self, catalog: Catalog, ledger: EpochLedger) -> None:
         if any(map(ledger.has_estimate, self.cold)):
             self.estimated = tuple(filter(ledger.has_estimate, self.unknown))
+            self.estimated_ranks = catalog._indices(self.estimated)
             self.cold = tuple(filterfalse(ledger.has_estimate, self.unknown))
 
     def update_learning(self, ledger: EpochLedger, min_epochs: int) -> None:
         short = ledger.times_offered_many(self.learning) < min_epochs
         self.learning = tuple(compress(self.learning, short))
+
+
+class _Tier1Frame:
+    """The arrays one tier-2 epoch's tier-1 re-solves read: the forced
+    products (``str(id)`` order) then the free tier-1 candidates (profit
+    order), and the locked tier 2 in ``str(id)`` order."""
+
+    __slots__ = ("free", "n_forced", "ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2")
+
+    def __init__(self, catalog: Catalog, view: _VisibleView, forced: frozenset, tier2: frozenset):
+        self.free = [i for i in view.ids1 if i not in tier2 and i not in forced]
+        self.n_forced = len(forced)
+        self.ids1 = sorted_ids(forced) + self.free
+        self.ranks1 = catalog._indices(self.ids1)
+        self.profits1 = catalog._profits[self.ranks1]
+        self.ids2 = sorted_ids(tier2)
+        self.ranks2 = catalog._indices(self.ids2)
+        self.profits2 = catalog._profits[self.ranks2]
 
 
 class UcbTieredPolicy(Policy):
@@ -157,6 +203,11 @@ class UcbTieredPolicy(Policy):
     two placements.  The tier-2 set then stays frozen for the whole epoch;
     when an inner tier-1 epoch closes, only the tier-1 set is re-solved
     against the frozen tier 2.
+
+    The valuation vector holds the known weights from construction on,
+    COLD_START_UCB in every other slot until the product is estimated, and
+    in the estimated slots the UCBs of the latest re-solve.
+    ``full_resolves`` and ``tier1_resolves`` count the re-solves.
 
     A product counts as under-learned while the ledger has fewer than
     ``min_epochs`` completed epochs offering it and its weight is not known
@@ -178,12 +229,23 @@ class UcbTieredPolicy(Policy):
         super().__init__(catalog, rng, known_valuations=known_valuations)
         if min_epochs < 0:
             raise ConfigError(f"min_epochs must be >= 0, got {min_epochs!r}")
+        if confidence_scale is not None and not 0.0 <= confidence_scale < math.inf:
+            raise ConfigError(
+                f"confidence_scale must be finite and >= 0, got {confidence_scale!r}"
+            )
         self.min_epochs = int(min_epochs)
         self.ledger = EpochLedger()
+        self.full_resolves = 0
+        self.tier1_resolves = 0
         self._confidence_scale = confidence_scale
+        self._w = np.full(len(catalog.products), COLD_START_UCB)
+        self._w[catalog._indices(self._known)] = np.fromiter(
+            self._known.values(), dtype=float, count=len(self._known)
+        )
         self._visible: frozenset = frozenset()
         self._views: dict[frozenset, _VisibleView] = {}
         self._view: _VisibleView | None = None
+        self._frame: _Tier1Frame | None = None
         self._tier2_locked: frozenset = frozenset()
         self._forced_tier1: frozenset = frozenset()
         self._current: TieredOffer | None = None
@@ -198,16 +260,20 @@ class UcbTieredPolicy(Policy):
 
     # -- mechanics ---------------------------------------------------------
 
-    def _optimistic_valuations(self, epoch: int) -> dict:
+    def _update_valuations(self, epoch: int) -> None:
+        """Write the visible estimated products' UCBs at ``epoch`` into the
+        valuation vector."""
         view = self._view
-        view.update_estimated(self.ledger)
-        ucb = self.ledger.valuation_ucb_many(
-            view.estimated, epoch, len(self._visible), self._confidence_scale
-        )
-        values = dict(zip(view.estimated, ucb.tolist()))
-        values.update(dict.fromkeys(view.cold, COLD_START_UCB))
-        values.update(view.known)
-        return values
+        view.update_estimated(self._catalog, self.ledger)
+        if view.estimated:
+            self._w[view.estimated_ranks] = self.ledger.valuation_ucb_many(
+                view.estimated, epoch, len(self._visible), self._confidence_scale
+            )
+
+    def _gather(self, ranks, ids) -> np.ndarray:
+        v = self._w[ranks]
+        _check_weights(v, ids)
+        return v
 
     def _start_epoch(self, t: int) -> None:
         self._visible = visible = self._catalog.visible_at(t)
@@ -215,38 +281,41 @@ class UcbTieredPolicy(Policy):
         if view is None:
             view = self._views[visible] = _VisibleView(self._catalog, visible, self._known)
         self._view = view
-        values = self._optimistic_valuations(self.ledger.completed)
-        result = solve_two_tier(
-            self._catalog,
-            valuations=values,
-            candidates_tier1=view.candidates_tier1,
-            candidates_tier2=view.candidates_tier2,
-            exact=False,
-        )
-        selected = result.offer.all_ids
+        self._update_valuations(self.ledger.completed)
+        v1 = self._gather(view.ranks1, view.ids1)
+        v2 = v1 if view.ids2 is view.ids1 else self._gather(view.ranks2, view.ids2)
+        _, a, e = _sweep(view.profits1, v1, view.profits2, v2, view.rank1, view.pos2)
+        self.full_resolves += 1
+        tier1, tier2 = _pair_ids(view.ids1, view.ids2, view.rank1, a, e)
         # H: visible products not known a priori, shown in fewer than
         # min_epochs completed epochs, and skipped by the solution
         view.update_learning(self.ledger, self.min_epochs)
+        selected = set(tier1).union(tier2)
         under = tuple(i for i in view.learning if i not in selected)
         forced1, forced2 = self._assign_forced(under)
         self._forced_tier1 = frozenset(forced1)
-        self._tier2_locked = result.offer.tier(1) | frozenset(forced2)
+        self._tier2_locked = frozenset(tier2).union(forced2)
         self._current = TieredOffer.two_tier(
-            result.offer.tier(0) | self._forced_tier1, self._tier2_locked
+            self._forced_tier1.union(tier1), self._tier2_locked
         )
+        self._frame = None
         self._need_full = False
         self._need_tier1 = False
 
     def _recompute_tier1(self) -> None:
-        values = self._optimistic_valuations(self.ledger.completed)
-        tier1, _ = solve_tier1_given_tier2(
-            self._catalog,
-            self._tier2_locked,
-            valuations=values,
-            candidates_tier1=self._view.candidates_tier1,
-            forced_tier1=self._forced_tier1,
+        frame = self._frame
+        if frame is None:  # first tier-1 re-solve of this tier-2 epoch
+            frame = self._frame = _Tier1Frame(
+                self._catalog, self._view, self._forced_tier1, self._tier2_locked
+            )
+        self._update_valuations(self.ledger.completed)
+        v1 = self._gather(frame.ranks1, frame.ids1)
+        v2 = self._gather(frame.ranks2, frame.ids2)
+        a, _ = _tier1_prefix(frame.profits1, v1, frame.n_forced, frame.profits2, v2)
+        self.tier1_resolves += 1
+        self._current = TieredOffer.two_tier(
+            self._forced_tier1.union(frame.free[:a]), self._tier2_locked
         )
-        self._current = TieredOffer.two_tier(tier1, self._tier2_locked)
         self._need_tier1 = False
 
     def offer(self, t: int) -> TieredOffer:
@@ -402,10 +471,28 @@ _POLICIES = {
 }
 
 
+def _option_error(value, default) -> str | None:
+    """Why ``value`` cannot stand in for an option whose default is
+    ``default`` (None when it can): a bool default takes a bool, an int
+    default an int (not a bool), and a float or None default a finite
+    number (or None)."""
+    if isinstance(default, bool):
+        return None if type(value) is bool else "must be true or false"
+    if isinstance(default, int):
+        return None if type(value) is int else "must be an integer"
+    if value is None and default is None:
+        return None
+    if type(value) in (int, float) and math.isfinite(value):
+        return None
+    return "must be a finite number" + (" or null" if default is None else "")
+
+
 def make_policy(name: str, catalog: Catalog, rng, **kwargs) -> Policy:
     """Construct a policy by registry name.
 
     Known names: oracle, ucb_tiered, random_tier, explore_then_exploit.
+    Option values are type-checked against the constructor's defaults;
+    ``known_valuations`` is the base class's and is checked there.
     """
     try:
         cls = _POLICIES[name]
@@ -413,14 +500,18 @@ def make_policy(name: str, catalog: Catalog, rng, **kwargs) -> Policy:
         raise ConfigError(
             f"unknown policy {name!r}; expected one of {sorted(_POLICIES)}"
         ) from None
-    accepted = sorted(
-        n for n, p in inspect.signature(cls).parameters.items() if p.kind is p.KEYWORD_ONLY
-    )
-    unknown = sorted(set(kwargs) - set(accepted))
+    params = {
+        n: p for n, p in inspect.signature(cls).parameters.items() if p.kind is p.KEYWORD_ONLY
+    }
+    unknown = sorted(set(kwargs) - set(params))
     if unknown:
         raise ConfigError(
-            f"policy {name!r} has no option {unknown[0]!r}; accepted options: {accepted}"
+            f"policy {name!r} has no option {unknown[0]!r}; accepted options: {sorted(params)}"
         )
+    for key in sorted(set(kwargs) - {"known_valuations"}):
+        problem = _option_error(kwargs[key], params[key].default)
+        if problem:
+            raise ConfigError(f"policy {name!r} option {key!r} {problem}, got {kwargs[key]!r}")
     return cls(catalog, rng, **kwargs)
 
 

@@ -87,6 +87,11 @@ class PolicySpec:
     label: str | None = None
 
     def __post_init__(self):
+        if "known_valuations" in self.options:
+            raise ConfigError(
+                "policy options cannot set known_valuations; the config's known "
+                "products and known groups supply them"
+            )
         if self.label is None:
             object.__setattr__(self, "label", self.name)
 
@@ -427,6 +432,29 @@ def _int(value, name: str) -> int:
     return value
 
 
+def _str(value, name: str) -> str:
+    _require(isinstance(value, str), f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _id(value, name: str):
+    _require(
+        isinstance(value, (int, str)) and not isinstance(value, bool),
+        f"{name} must be a product id (string or integer), got {value!r}",
+    )
+    return value
+
+
+def _bool(value, name: str) -> bool:
+    _require(type(value) is bool, f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _list(value, name: str) -> list:
+    _require(isinstance(value, list), f"{name} must be a list, got {value!r}")
+    return value
+
+
 def _support(value, name: str) -> tuple[float, float]:
     _require(
         isinstance(value, (list, tuple))
@@ -475,7 +503,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     _require(not unknown, f"unknown config key {sorted(unknown)[0]!r}" if unknown else "")
     _require(data.get("schema") == 1, f"unsupported config schema {data.get('schema')!r}")
     groups = []
-    for raw in data.get("groups", []):
+    for raw in _list(data.get("groups", []), "groups"):
+        _require(isinstance(raw, dict), f"each group must be an object, got {raw!r}")
         bad = set(raw) - _GROUP_KEYS
         _require(not bad, f"unknown group key {sorted(bad)[0]!r}" if bad else "")
         _require("count" in raw and "profit" in raw and "valuation" in raw,
@@ -487,24 +516,38 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 _support(raw["valuation"], "group valuation"),
                 _int(raw.get("launch_time", 0), "group launch_time"),
                 _int(raw.get("launch_spacing", 0), "group launch_spacing"),
-                tuple(_int(k, "group tier") for k in raw.get("tiers", (1, 2))),
-                bool(raw.get("valuation_known", False)),
+                tuple(
+                    _int(k, "group tier") for k in _list(raw.get("tiers", [1, 2]), "group tiers")
+                ),
+                _bool(raw.get("valuation_known", False), "group valuation_known"),
             )
         )
     policies = []
-    for raw in data.get("policies", []):
+    for raw in _list(data.get("policies", []), "policies"):
+        _require(isinstance(raw, dict), f"each policy must be an object, got {raw!r}")
         bad = set(raw) - _POLICY_KEYS
         _require(not bad, f"unknown policy key {sorted(bad)[0]!r}" if bad else "")
         _require("name" in raw, "each policy needs a name")
-        policies.append(PolicySpec(raw["name"], dict(raw.get("options", {})), raw.get("label")))
+        options = raw.get("options", {})
+        _require(isinstance(options, dict), f"policy options must be an object, got {options!r}")
+        label = raw.get("label")
+        policies.append(
+            PolicySpec(
+                _str(raw["name"], "policy name"),
+                dict(options),
+                None if label is None else _str(label, "policy label"),
+            )
+        )
     catalog = catalog_from_dict(data["catalog"]) if "catalog" in data else None
     return ExperimentConfig(
-        label=str(data.get("label", "experiment")),
+        label=_str(data.get("label", "experiment"), "label"),
         horizon=_int(data.get("horizon", 0), "horizon"),
         policies=tuple(policies),
         groups=tuple(groups),
         catalog=catalog,
-        known_products=tuple(data.get("known_products", ())),
+        known_products=tuple(
+            _id(i, "known product") for i in _list(data.get("known_products", []), "known_products")
+        ),
         replications=_int(data.get("replications", 1), "replications"),
         base_seed=_int(data.get("base_seed", 0), "base_seed"),
         benchmark=str(data.get("benchmark", "launched")),

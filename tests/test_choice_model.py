@@ -317,6 +317,14 @@ class TestCatalogSerialization:
                 {"products": [{"id": 1, "profit": 1, "valuation": 0.5, "color": "red"}]}
             )
 
+    @pytest.mark.parametrize(
+        "key, value", [("products", 5), ("candidates_tier1", 5), ("candidates_tier2", [[1]])]
+    )
+    def test_malformed_structure_rejected(self, key, value):
+        data = {"products": [{"id": 1, "profit": 1.0, "valuation": 0.5}], key: value}
+        with pytest.raises(InvalidCatalogError, match=key):
+            catalog_from_dict(data)
+
     def test_missing_fields_named(self):
         with pytest.raises(InvalidCatalogError, match="valuation"):
             catalog_from_dict({"products": [{"id": 1, "profit": 1.0}]})

@@ -187,6 +187,22 @@ class TestMalformedConfig:
             ("top", "replications", 1.5),
             ("top", "base_seed", None),
             ("policy", "options", {"bogus": 1}),
+            ("top", "groups", [5]),
+            ("group", "tiers", 1),
+            ("top", "policies", [5]),
+            ("policy", "options", [1]),
+            ("policy", "options", {"min_epochs": "x"}),
+            ("policy", "options", {"confidence_scale": "x"}),
+            ("policy", "options", {"min_epochs": True}),
+            ("policy", "options", {"confidence_scale": float("inf")}),
+            ("policy", "options", {"confidence_scale": -1.0}),
+            ("policy", "options", {"known_valuations": {}}),
+            ("top", "known_products", 5),
+            ("group", "valuation_known", "no"),
+            ("top", "known_products", [["p000"]]),
+            ("top", "label", ["x"]),
+            ("policy", "name", ["ucb_tiered"]),
+            ("policy", "label", ["l"]),
         ],
     )
     def test_exit_code_1(self, tmp_path, capsys, where, key, value):

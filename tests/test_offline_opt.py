@@ -7,6 +7,7 @@ profit-ordering predicates and threshold reporting.
 """
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,9 @@ from tieredmnl.model import (
 )
 from tieredmnl.optimizer import (
     TierPlacement,
+    _candidate_arrays,
     _solve_prefix_pairs,
+    _tier_value,
     brute_force_optimal,
     enumerate_prefix_pair_offers,
     is_profit_ordered_by_tier,
@@ -389,6 +392,59 @@ class TestTierOneMatchesReferenceScan:
             solve_tier1_given_tier2(catalog, [], valuations={"a": float("nan"), "b": 0.5})
         with pytest.raises(UnknownProductError):
             solve_tier1_given_tier2(catalog, [], forced_tier1=["ghost"])
+
+
+class TestNonFiniteOverrides:
+    """An infinite or NaN weight override is rejected by every entry point
+    instead of pricing to an empty offer."""
+
+    CATALOG = Catalog((Product("a", 1.0, 0.5), Product("b", 2.0, 0.5)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_solve_two_tier(self, bad):
+        for exact in (True, False):
+            with pytest.raises(InvalidOfferError, match="'a'"):
+                solve_two_tier(self.CATALOG, valuations={"a": bad, "b": 0.5}, exact=exact)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_solve_tier1_given_tier2(self, bad):
+        with pytest.raises(InvalidOfferError, match="'a'"):
+            solve_tier1_given_tier2(self.CATALOG, ["b"], valuations={"a": bad, "b": 0.5})
+        with pytest.raises(InvalidOfferError, match="'b'"):
+            solve_tier1_given_tier2(self.CATALOG, ["b"], valuations={"a": 0.5, "b": bad})
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_expected_profit(self, bad):
+        offer = TieredOffer.two_tier(["a"], ["b"])
+        with pytest.raises(InvalidOfferError, match="'b'"):
+            expected_profit(offer, self.CATALOG, {"a": 0.5, "b": bad})
+
+
+class TestSequentialTierValue:
+    def test_equals_expected_profit_bit_for_bit(self):
+        """Left-to-right sums in id order, as expected_profit adds them; a
+        pairwise sum (np.sum) differs in the last bits past 8 terms."""
+        rng = np.random.default_rng(20190503)
+        pairwise_differs = 0
+        for _ in range(300):
+            n = int(rng.integers(9, 60))
+            products = tuple(
+                Product(f"p{k:02d}", float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+                for k in range(n)
+            )
+            catalog = Catalog(products)
+            valuations = None
+            if rng.random() < 0.5:
+                valuations = {p.id: float(rng.uniform(0, 3)) for p in products}
+            ids = sorted_ids(catalog.ids)
+            r, v = _candidate_arrays(ids, catalog, valuations)
+            want = expected_profit(TieredOffer((frozenset(ids),)), catalog, valuations)
+            assert _tier_value(r, v) == want
+            pairwise_differs += float(np.sum(r * v) / (1.0 + np.sum(v))) != want
+        assert pairwise_differs > 0
+
+    def test_empty_tier_is_worth_zero(self):
+        assert _tier_value(np.zeros(0), np.zeros(0)) == 0.0
 
 
 class TestProfitOrder:

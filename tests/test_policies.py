@@ -24,7 +24,11 @@ from tieredmnl.model import (
     sample_choice,
     sorted_ids,
 )
-from tieredmnl.optimizer import enumerate_prefix_pair_offers, solve_two_tier
+from tieredmnl.optimizer import (
+    enumerate_prefix_pair_offers,
+    solve_tier1_given_tier2,
+    solve_two_tier,
+)
 from tieredmnl.policies import (
     COLD_START_UCB,
     ExploreThenExploitPolicy,
@@ -194,12 +198,12 @@ class TestUcbTieredPolicy:
             )
 
 
-def reference_optimistic_valuations(policy, epoch):
+def reference_optimistic_valuations(policy, epoch, visible=None):
     """The per-product loop behind the optimistic valuations: known weights
     pinned, the scalar index for estimated products, COLD_START_UCB for the
     rest."""
     ledger = policy.ledger
-    visible = policy._visible
+    visible = policy._visible if visible is None else visible
     scale = policy._confidence_scale
     scale = UCB_CONFIDENCE_SCALE if scale is None else scale
     values = {}
@@ -235,6 +239,8 @@ class TestOptimisticValuations:
     @pytest.mark.parametrize("policy_cls", [UcbTieredPolicy, RandomTierLearningPolicy])
     @pytest.mark.parametrize("scale", [None, 4.8])
     def test_vector_path_equals_scalar_loop(self, policy_cls, scale):
+        """Every visible slot of the valuation vector equals the scalar
+        formula, bit for bit, at past, current and future epoch counts."""
         catalog = self.launch_catalog()
         known = {"p00": 0.05, "p03": 0.15, "p13": 0.1}
         policy = policy_cls(
@@ -251,7 +257,8 @@ class TestOptimisticValuations:
             if t % 3 == 0 or t % 40 == 0:
                 completed = policy.ledger.completed
                 for epoch in (0, completed // 3, completed, completed + 17):
-                    got = policy._optimistic_valuations(epoch)
+                    policy._update_valuations(epoch)
+                    got = {i: float(policy._w[catalog._rank[i]]) for i in policy._visible}
                     assert got == reference_optimistic_valuations(policy, epoch)
                 kinds = {
                     "known" if i in known
@@ -263,6 +270,104 @@ class TestOptimisticValuations:
             outcome = sample_choice(offer, catalog, rng)
             policy.observe(t, offer, outcome)
         assert mixed > 0
+
+
+def shaped_catalog(shape, rng):
+    """Launch catalogs for the decision-path equivalence tests: shared
+    candidate sets, disjoint ones shaped like preset 3 (known products in
+    both tiers plus unknown tier-2 products) and random overlapping ones."""
+    if shape == "disjoint":
+        spec = [(8, (0.5, 1.0), (0.0, 0.1), {1}, True),
+                (10, (0.0, 0.6), (0.0, 0.2), {2}, True),
+                (8, (0.0, 0.55), (0.0, 0.3), {2}, False)]
+    else:
+        spec = [(18, (0.0, 1.0), (0.0, 0.2), {1, 2}, False),
+                (3, (0.3, 0.9), (0.0, 0.2), {1, 2}, True),
+                (5, (0.0, 0.3), (0.0, 0.2), {1, 2}, False)]
+    products, known, x1, x2 = [], {}, [], []
+    for g, (count, profit, weight, tiers, is_known) in enumerate(spec):
+        for k in range(count):
+            pid = f"g{g}p{k:02d}"
+            launch = 60 * (k + 1) if g == 2 and shape != "disjoint" else 0
+            products.append(
+                Product(pid, float(rng.uniform(*profit)), float(rng.uniform(*weight)), launch)
+            )
+            if shape == "overlapping":
+                tiers = {1, 2} - {int(rng.integers(0, 4))}  # drops tier 1 or 2 at times
+            if 1 in tiers:
+                x1.append(pid)
+            if 2 in tiers:
+                x2.append(pid)
+            if is_known:
+                known[pid] = products[-1].valuation
+    return Catalog(tuple(products), x1, x2), known
+
+
+class TestArrayDecisionPath:
+    """The policy's gathered-array re-solves against the public solvers fed
+    the reference valuation dict, at every re-solve of a run."""
+
+    @pytest.mark.parametrize("policy_cls", [UcbTieredPolicy, RandomTierLearningPolicy])
+    @pytest.mark.parametrize("shape", ["shared", "disjoint", "overlapping"])
+    def test_resolves_match_public_solvers(self, policy_cls, shape):
+        rng = np.random.default_rng(["shared", "disjoint", "overlapping"].index(shape) + 90)
+        catalog, known = shaped_catalog(shape, rng)
+        policy = policy_cls(
+            catalog,
+            BufferedRandom(np.random.default_rng(3)),
+            min_epochs=15,
+            known_valuations=known,
+            confidence_scale=4.8,
+        )
+        customers = BufferedRandom(np.random.default_rng(4))
+        full = tier1 = forced_steps = 0
+        for t in range(1, 1201):
+            if policy._need_full or policy._current is None:
+                visible = catalog.visible_at(t)
+                values = reference_optimistic_valuations(policy, policy.ledger.completed, visible)
+                ref = solve_two_tier(
+                    catalog,
+                    valuations=values,
+                    candidates_tier1=catalog.candidates_tier1 & visible,
+                    candidates_tier2=catalog.candidates_tier2 & visible,
+                    exact=False,
+                ).offer
+                learning = {
+                    i for i in visible
+                    if i not in known and policy.ledger.times_offered(i) < 15
+                }
+                offer = policy.offer(t)
+                full += 1
+                forced1 = policy._forced_tier1
+                forced2 = policy._tier2_locked - ref.tier(1)
+                assert offer.tier(0) == ref.tier(0) | forced1
+                assert offer.tier(1) == ref.tier(1) | forced2
+                assert forced1 | forced2 == learning - ref.all_ids
+                forced_steps += bool(forced1 or forced2)
+            elif policy._need_tier1:
+                values = reference_optimistic_valuations(policy, policy.ledger.completed)
+                want, _ = solve_tier1_given_tier2(
+                    catalog,
+                    policy._tier2_locked,
+                    valuations=values,
+                    candidates_tier1=catalog.candidates_tier1 & policy._visible,
+                    forced_tier1=policy._forced_tier1,
+                )
+                offer = policy.offer(t)
+                tier1 += 1
+                assert offer == TieredOffer.two_tier(want, policy._tier2_locked)
+            else:
+                offer = policy.offer(t)
+            policy.observe(t, offer, sample_choice(offer, catalog, customers))
+        assert (policy.full_resolves, policy.tier1_resolves) == (full, tier1)
+        assert full > 50 and tier1 > 50 and forced_steps > 0
+
+    def test_non_finite_weight_in_the_vector_is_rejected(self):
+        catalog = small_catalog()
+        policy = UcbTieredPolicy(catalog, np.random.default_rng(0))
+        policy._w[catalog._rank["b"]] = math.nan
+        with pytest.raises(InvalidOfferError, match="'b'"):
+            policy.offer(1)
 
 
 class TestRandomTierPolicy:
@@ -373,6 +478,30 @@ class TestPolicyRegistry:
             "ucb_tiered", catalog, np.random.default_rng(0), min_epochs=3
         )
         assert policy.min_epochs == 3
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [
+            ("ucb_tiered", {"min_epochs": 2.0}),
+            ("ucb_tiered", {"min_epochs": False}),
+            ("ucb_tiered", {"confidence_scale": "4.8"}),
+            ("ucb_tiered", {"confidence_scale": math.nan}),
+            ("explore_then_exploit", {"gamma": None}),
+            ("explore_then_exploit", {"gamma": True}),
+            ("oracle", {"exact": 1}),
+        ],
+    )
+    def test_option_values_checked_against_defaults(self, name, options):
+        with pytest.raises(ConfigError, match=repr(next(iter(options)))):
+            make_policy(name, small_catalog(), np.random.default_rng(0), **options)
+
+    def test_option_values_of_the_default_types_pass(self):
+        catalog = small_catalog()
+        rng = np.random.default_rng(0)
+        make_policy("ucb_tiered", catalog, rng, min_epochs=3, confidence_scale=None)
+        make_policy("ucb_tiered", catalog, rng, confidence_scale=4)
+        make_policy("explore_then_exploit", catalog, rng, gamma=30)
+        make_policy("oracle", catalog, rng, exact=True)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown policy"):

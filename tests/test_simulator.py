@@ -11,8 +11,10 @@ import json
 import numpy as np
 import pytest
 
+import tieredmnl.simulator as simulator
 from tieredmnl.errors import ConfigError
 from tieredmnl.model import Catalog, Product
+from tieredmnl.policies import make_policy
 from tieredmnl.simulator import (
     ExperimentConfig,
     PolicySpec,
@@ -518,3 +520,26 @@ class TestPinnedLaunchRun:
         regret, digest = self.PINNED[name]
         assert repr(trace.final_regret) == regret
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+class TestPinnedResolveCounts:
+    """(full, tier-1) re-solves the policy counts itself on the pinned
+    launch scenario, recorded by counting its solve_two_tier /
+    solve_tier1_given_tier2 calls before it ran the optimizer's cores
+    directly."""
+
+    @pytest.mark.parametrize(
+        "name, counts", [("ucb_tiered", (990, 280)), ("random_tier", (988, 273))]
+    )
+    def test_resolve_counts_are_pinned(self, name, counts, monkeypatch):
+        config = TestPinnedLaunchRun.CONFIG
+        built = []
+
+        def keep(*args, **kwargs):
+            built.append(make_policy(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(simulator, "make_policy", keep)
+        spec = next(p for p in config.policies if p.name == name)
+        run(config, spec, seed=0)
+        assert (built[0].full_resolves, built[0].tier1_resolves) == counts
