@@ -18,70 +18,44 @@ from .errors import (
     TieredMnlError,
     UnknownProductError,
 )
-from .estimation import (
-    UCB_CONFIDENCE_SCALE,
-    EpochLedger,
-    EpochRecord,
-    LearningCriterion,
-    StepEvents,
-    min_learning_epochs,
-)
+from .estimation import UCB_CONFIDENCE_SCALE, EpochLedger, min_learning_epochs
 from .model import (
     NO_PURCHASE,
     Catalog,
-    ChoiceDistribution,
     ChoiceOutcome,
     ChoiceSampler,
     Product,
     TieredOffer,
-    catalog_from_dict,
-    catalog_to_dict,
     expected_profit,
     expected_profit_single_tier,
     load_catalog,
     purchase_probabilities,
-    sample_choice,
     save_catalog,
     sorted_ids,
-    total_weight,
 )
 from .optimizer import (
-    SolveResult,
-    TierPlacement,
     brute_force_optimal,
-    enumerate_prefix_pair_offers,
     is_profit_ordered_by_tier,
     is_profit_ordered_set,
     predict_new_product_tier,
-    profit_order,
     solve_tier1_given_tier2,
     solve_two_tier,
     suffix_profits,
 )
 from .policies import (
-    COLD_START_UCB,
-    ExploreThenExploitPolicy,
-    MonteCarloEstimate,
-    OraclePolicy,
-    Policy,
-    RandomTierLearningPolicy,
     UcbTieredPolicy,
     epoch_regret_closed_form,
     epoch_regret_monte_carlo,
     make_policy,
 )
-from .rng import BufferedRandom
 from .simulator import (
     ExperimentConfig,
     PolicySpec,
     ProductGroup,
-    RegretTrace,
-    ReplicationSummary,
     config_from_dict,
     config_to_dict,
     experiment_preset,
     load_config,
-    materialize_catalog,
     replicate,
     run,
     run_experiment,
@@ -89,84 +63,57 @@ from .simulator import (
     write_mean_curve_csv,
     write_trace_csv,
 )
-from .svgplot import LineSeries, line_chart
-from .verify import CheckResult, format_report, run_checks
+from .verify import run_checks
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BufferedRandom",
-    "COLD_START_UCB",
     "Catalog",
-    "CheckResult",
-    "ChoiceDistribution",
     "ChoiceOutcome",
     "ChoiceSampler",
     "ConfigError",
     "EpochLedger",
-    "EpochRecord",
     "ExperimentConfig",
-    "ExploreThenExploitPolicy",
     "InstanceTooLargeError",
     "InvalidCatalogError",
     "InvalidOfferError",
-    "LearningCriterion",
-    "LineSeries",
-    "MonteCarloEstimate",
     "NO_PURCHASE",
     "NeverOfferedError",
-    "OraclePolicy",
     "OutcomeMismatchError",
-    "Policy",
     "PolicySpec",
     "Product",
     "ProductGroup",
-    "RandomTierLearningPolicy",
-    "RegretTrace",
-    "ReplicationSummary",
-    "SolveResult",
-    "StepEvents",
-    "TierPlacement",
     "TieredMnlError",
     "TieredOffer",
     "UCB_CONFIDENCE_SCALE",
     "UcbTieredPolicy",
     "UnknownProductError",
     "brute_force_optimal",
-    "catalog_from_dict",
-    "catalog_to_dict",
     "config_from_dict",
     "config_to_dict",
-    "enumerate_prefix_pair_offers",
     "epoch_regret_closed_form",
     "epoch_regret_monte_carlo",
     "expected_profit",
     "expected_profit_single_tier",
     "experiment_preset",
-    "format_report",
     "is_profit_ordered_by_tier",
     "is_profit_ordered_set",
-    "line_chart",
     "load_catalog",
     "load_config",
     "make_policy",
-    "materialize_catalog",
     "min_learning_epochs",
     "predict_new_product_tier",
-    "profit_order",
     "purchase_probabilities",
     "replicate",
     "run",
     "run_checks",
     "run_experiment",
-    "sample_choice",
     "save_catalog",
     "save_config",
     "solve_tier1_given_tier2",
     "solve_two_tier",
     "sorted_ids",
     "suffix_profits",
-    "total_weight",
     "write_mean_curve_csv",
     "write_trace_csv",
     "__version__",

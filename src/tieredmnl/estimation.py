@@ -19,6 +19,10 @@ epoch began.  A tier's offered set is locked for the lifetime of each of its
 epochs; changing it mid-epoch is an error because it would break the
 geometric-count argument above.
 
+``EpochLedger.record_step`` returns the epochs a step closed, one slot per
+tier.  The ledger keeps the completed epoch records and, per product, the
+pooled epoch and purchase totals; it keeps no per-step log.
+
 Averaging a product's per-epoch purchase counts over every completed epoch
 that offered it (either tier) estimates its preference weight.
 ``valuation_ucb_many`` adds the optimism margin the learning policies rely
@@ -36,13 +40,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InvalidOfferError,
-    NeverOfferedError,
-    OutcomeMismatchError,
-)
-from .model import NO_PURCHASE, ChoiceOutcome, ProductId, TieredOffer, sorted_ids
+from .errors import ConfigError, InvalidOfferError, NeverOfferedError, OutcomeMismatchError
+from .model import ChoiceOutcome, ProductId, TieredOffer, sorted_ids
 
 # Multiplier on ln(K * rounds + 1) / T_i inside the optimism margin.  The
 # analysis behind the regret guarantee fixes this at 48; it is a module
@@ -67,37 +66,6 @@ class EpochRecord:
 
     def purchases_of(self, product_id) -> int:
         return self.purchases.get(product_id, 0)
-
-    @property
-    def total_purchases(self) -> int:
-        return sum(self.purchases.values())
-
-
-@dataclass(frozen=True)
-class StepEvents:
-    """What one recorded step did to the epoch structure.
-
-    ``closed`` holds the epochs the step completed (tier 1 first), and
-    ``opened`` the (tier_index, label) pairs of their replacements.
-    """
-
-    t: int
-    closed: tuple[EpochRecord, ...]
-    opened: tuple[tuple[int, int], ...]
-
-    def closed_tier(self, tier_index: int) -> EpochRecord | None:
-        for record in self.closed:
-            if record.tier_index == tier_index:
-                return record
-        return None
-
-    @property
-    def closed_tier1(self) -> EpochRecord | None:
-        return self.closed_tier(0)
-
-    @property
-    def closed_tier2(self) -> EpochRecord | None:
-        return self.closed_tier(1)
 
 
 class _Open:
@@ -140,15 +108,18 @@ class EpochLedger:
         self._launch_values: list[int] = []
         self._launch_slot = np.zeros(0, dtype=np.intp)
         self._launch_stale = False
-        self._log: list[tuple] = []
 
     # --- recording -------------------------------------------------------
 
-    def record_step(self, offer: TieredOffer, outcome: ChoiceOutcome) -> StepEvents:
+    def record_step(
+        self, offer: TieredOffer, outcome: ChoiceOutcome
+    ) -> tuple[EpochRecord | None, EpochRecord | None]:
         """Tally one customer's outcome under ``offer``.
 
         The offer must have exactly two tiers and, within each open epoch,
-        the same tier contents as when the epoch first showed them.
+        the same tier contents as when the epoch first showed them.  Returns
+        the records of the epochs the step closed, indexed by tier: the
+        tier-1 record or None, then the tier-2 record or None.
         """
         if len(offer.tiers) != 2:
             raise InvalidOfferError(
@@ -182,16 +153,17 @@ class EpochLedger:
         if outcome.is_purchase:
             purchases = self._open[outcome.tier].purchases
             purchases[outcome.product] = purchases.get(outcome.product, 0) + 1
-        # tier 1 closes exactly when the customer moves past it; tier 2 when
-        # the customer walks away entirely
-        closes = (tier2_viewed, not outcome.is_purchase)
-        closed_records = tuple(self._close(k) for k in (0, 1) if closes[k])
-        opened = []
-        for record in closed_records:
-            self._open[record.tier_index] = _Open(self.completed)
-            opened.append((record.tier_index, self.completed))
-        self._log.append((offer.tier(0), offer.tier(1), outcome.product, outcome.tier))
-        return StepEvents(t, closed_records, tuple(opened))
+        if not tier2_viewed:
+            return None, None
+        # tier 1 closes exactly when the customer moves past it, tier 2 when
+        # the customer walks away entirely; both reopen only after every
+        # closure of the step is tallied
+        closed1 = self._close(0)
+        closed2 = None if outcome.is_purchase else self._close(1)
+        self._open[0] = _Open(self.completed)
+        if closed2 is not None:
+            self._open[1] = _Open(self.completed)
+        return closed1, closed2
 
     def _close(self, k: int) -> EpochRecord:
         open_ = self._open[k]
@@ -348,33 +320,6 @@ class EpochLedger:
     def open_labels(self) -> tuple[int, int]:
         return (self._open[0].label, self._open[1].label)
 
-    # --- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Raw step log; ``from_dict`` rebuilds the ledger by replaying it,
-        so every derived structure is reconstructed rather than trusted."""
-        return {
-            "steps": [
-                {"tier1": sorted_ids(o1), "tier2": sorted_ids(o2), "product": p, "tier": k}
-                for o1, o2, p, k in self._log
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EpochLedger":
-        if not isinstance(data, dict) or "steps" not in data:
-            raise ConfigError("ledger document must be an object with a 'steps' list")
-        ledger = cls()
-        for row in data["steps"]:
-            unknown = set(row) - {"tier1", "tier2", "product", "tier"}
-            if unknown:
-                raise ConfigError(f"unknown ledger step key {sorted(unknown)[0]!r}")
-            offer = TieredOffer.two_tier(row.get("tier1", ()), row.get("tier2", ()))
-            product = row.get("product")
-            outcome = ChoiceOutcome(product, row.get("tier")) if product is not None else NO_PURCHASE
-            ledger.record_step(offer, outcome)
-        return ledger
-
 
 # --- minimum-learning sizing ---------------------------------------------------
 
@@ -391,16 +336,3 @@ def min_learning_epochs(epsilon: float, alpha: float) -> int:
         raise ConfigError(f"confidence alpha must lie in (0, 1), got {alpha!r}")
     root = -1.0 + math.sqrt(1.0 + 4.0 * epsilon)
     return math.ceil(192.0 * math.log(2.0 / alpha + 1.0) / root**2)
-
-
-@dataclass(frozen=True)
-class LearningCriterion:
-    """An (epsilon, alpha) accuracy target and its epoch requirement."""
-
-    epsilon: float
-    alpha: float
-    min_epochs: int
-
-    @classmethod
-    def from_accuracy(cls, epsilon: float, alpha: float) -> "LearningCriterion":
-        return cls(epsilon, alpha, min_learning_epochs(epsilon, alpha))

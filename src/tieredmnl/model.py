@@ -10,7 +10,7 @@ sale.  Marginally, a product in tier k is bought with probability
     p_i = [prod_{m<k} 1/(1 + sum_{j in S_m} v_j)] * v_i / (1 + sum_{j in S_k} v_j)
 
 and the expected profit of an offer is sum_i r_i * p_i.  Everything here is
-an exact closed form; ``sample_choice`` draws outcomes whose distribution
+an exact closed form; ``ChoiceSampler`` draws outcomes whose distribution
 matches ``purchase_probabilities`` exactly.
 
 Determinism comes from fixed orders, never from set iteration order.  Each
@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -48,7 +49,9 @@ class Product:
     The preference weight (valuation) is the MNL attraction value relative
     to the outside option's weight of 1.  The learning guarantees assume
     weights strictly below 1; the closed forms are well defined up to and
-    including 1, so the bound here is inclusive.
+    including 1, so the bound here is inclusive.  Profit and valuation take
+    any real number but a bool and are stored as float; launch_time takes
+    an int.  Nothing else is coerced.
     """
 
     id: ProductId
@@ -59,6 +62,14 @@ class Product:
     def __post_init__(self):
         if not isinstance(self.id, (int, str)) or isinstance(self.id, bool):
             raise InvalidCatalogError(f"product id must be int or str, got {self.id!r}")
+        if type(self.profit) is not float or type(self.valuation) is not float:
+            for name in ("profit", "valuation"):
+                value = getattr(self, name)
+                if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                    raise InvalidCatalogError(
+                        f"product {self.id!r}: {name} must be a number, got {value!r}"
+                    )
+                object.__setattr__(self, name, float(value))
         if not (self.profit >= 0.0 and math.isfinite(self.profit)):
             raise InvalidCatalogError(
                 f"product {self.id!r}: profit must be finite and >= 0, got {self.profit!r}"
@@ -67,7 +78,7 @@ class Product:
             raise InvalidCatalogError(
                 f"product {self.id!r}: valuation must lie in [0, 1], got {self.valuation!r}"
             )
-        if not (isinstance(self.launch_time, int) and self.launch_time >= 0):
+        if type(self.launch_time) is not int or self.launch_time < 0:
             raise InvalidCatalogError(
                 f"product {self.id!r}: launch_time must be a non-negative int, "
                 f"got {self.launch_time!r}"
@@ -355,13 +366,6 @@ class ChoiceSampler:
         return NO_PURCHASE
 
 
-def sample_choice(
-    offer: TieredOffer, catalog: Catalog, rng, valuations: Mapping | None = None
-) -> ChoiceOutcome:
-    """Draw one customer outcome for ``offer``."""
-    return ChoiceSampler(offer, catalog, valuations).sample(rng)
-
-
 # --- catalog (de)serialization ------------------------------------------------
 
 _PRODUCT_KEYS = {"id", "profit", "valuation", "launch_time"}
@@ -416,19 +420,14 @@ def catalog_from_dict(data: dict) -> Catalog:
             raise InvalidCatalogError(
                 f"product entry is missing {sorted(missing)[0]!r}"
             )
-        try:
-            products.append(
-                Product(
-                    id=entry["id"],
-                    profit=float(entry["profit"]),
-                    valuation=float(entry["valuation"]),
-                    launch_time=int(entry.get("launch_time", 0)),
-                )
+        products.append(
+            Product(
+                id=entry["id"],
+                profit=entry["profit"],
+                valuation=entry["valuation"],
+                launch_time=entry.get("launch_time", 0),
             )
-        except (TypeError, ValueError) as exc:
-            raise InvalidCatalogError(
-                f"product {entry['id']!r}: {exc}"
-            ) from exc
+        )
     return Catalog(
         tuple(products), _id_set(data, "candidates_tier1"), _id_set(data, "candidates_tier2")
     )

@@ -53,6 +53,9 @@ import numpy as np
 from .errors import InstanceTooLargeError, InvalidOfferError, UnknownProductError
 from .model import Catalog, TieredOffer, _weight, expected_profit, sorted_ids
 
+# Largest enumeration ``brute_force_optimal`` starts, in assignments.
+_BRUTE_FORCE_CAP = 2_000_000
+
 
 def profit_order(ids: Iterable, catalog: Catalog) -> list:
     """Candidate order used throughout: profit descending, id ascending
@@ -428,13 +431,13 @@ def _subset_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _brute_force_two_tier(catalog, sets, valuations, cap):
+def _brute_force_two_tier(catalog, sets, valuations):
     order1 = sorted_ids(sets[0])
     order2 = sorted_ids(sets[1])
     n1, n2 = len(order1), len(order2)
-    if 1 << (n1 + n2) > 4 * cap:
+    if 1 << (n1 + n2) > 4 * _BRUTE_FORCE_CAP:
         raise InstanceTooLargeError(
-            f"2^{n1 + n2} subset pairs exceed the cap of {4 * cap}"
+            f"2^{n1 + n2} subset pairs exceed the cap of {4 * _BRUTE_FORCE_CAP}"
         )
     union = sorted_ids(set(order1) | set(order2))
     bit = {i: j for j, i in enumerate(union)}
@@ -458,7 +461,7 @@ def _brute_force_two_tier(catalog, sets, valuations, cap):
     return TieredOffer.two_tier(tier1, tier2)
 
 
-def _brute_force_recursive(catalog, sets, valuations, cap):
+def _brute_force_recursive(catalog, sets, valuations):
     num_tiers = len(sets)
     union = sorted_ids(set().union(*sets))
     items = []
@@ -469,9 +472,9 @@ def _brute_force_recursive(catalog, sets, valuations, cap):
     count = 1
     for _, _, tiers, _ in items:
         count *= 1 + len(tiers)
-        if count > cap:
+        if count > _BRUTE_FORCE_CAP:
             raise InstanceTooLargeError(
-                f"assignment count exceeds the cap of {cap}"
+                f"assignment count exceeds the cap of {_BRUTE_FORCE_CAP}"
             )
     sum_v = [0.0] * num_tiers
     sum_rv = [0.0] * num_tiers
@@ -519,14 +522,13 @@ def brute_force_optimal(
     *,
     candidate_sets: Sequence[Iterable] | None = None,
     valuations: Mapping | None = None,
-    max_assignments: int = 2_000_000,
 ) -> SolveResult:
     """Exhaustive search over every disjoint assignment of candidates to tiers.
 
     With ``candidate_sets`` omitted, two tiers use the catalog's candidate
     sets and other tier counts make every product a candidate for every
     tier.  Raises InstanceTooLargeError rather than start an enumeration
-    larger than ``max_assignments``.
+    larger than ``_BRUTE_FORCE_CAP`` assignments.
     """
     if num_tiers < 1:
         raise InvalidOfferError("num_tiers must be >= 1")
@@ -545,9 +547,9 @@ def brute_force_optimal(
             for s in candidate_sets
         ]
     if num_tiers == 2:
-        offer = _brute_force_two_tier(catalog, sets, valuations, max_assignments)
+        offer = _brute_force_two_tier(catalog, sets, valuations)
     else:
-        offer = _brute_force_recursive(catalog, sets, valuations, max_assignments)
+        offer = _brute_force_recursive(catalog, sets, valuations)
     value = expected_profit(offer, catalog, valuations)
     return SolveResult(offer, value, _thresholds(offer, catalog))
 

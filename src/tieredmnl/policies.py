@@ -1,13 +1,15 @@
 """Decision policies over the tiered purchase stream.
 
 Every policy answers ``offer(t)`` before each customer and digests the
-outcome in ``observe(t, offer, outcome)``.  The learning policies keep an
-EpochLedger and re-decide at their natural epoch boundaries: the UCB family
-re-solves the offline problem under optimistic valuations at the start of
-every tier-2 epoch (tier 1 alone is re-solved at intermediate tier-1
-closures, with the tier-2 set frozen by the epoch lock), while the
-explore-then-exploit benchmark holds each candidate offer until a customer
-walks away with nothing.
+outcome in ``observe(t, offer, outcome)``; ``make_policy`` builds one by
+registry name.  The learning policies keep an EpochLedger and re-decide at
+their natural epoch boundaries, which they read off the (tier-1, tier-2)
+pair of closed epochs ``record_step`` returns: the UCB family re-solves the
+offline problem under optimistic valuations at the start of every tier-2
+epoch (tier 1 alone is re-solved at intermediate tier-1 closures, with the
+tier-2 set frozen by the epoch lock), while the explore-then-exploit
+benchmark holds each candidate offer until a customer walks away with
+nothing.
 
 The UCB family decides on arrays in the catalog's canonical order: one
 valuation vector indexed by catalog rank, candidate arrays cached per
@@ -15,11 +17,11 @@ visible set, and the optimizer's sweep and tier-1 prefix cores.  The public
 solvers wrap the same cores, so the offers equal theirs for the same
 valuations.
 
-Policies price offers with the prefix-pair family (``exact=False``), the
-same family the simulator's regret benchmark maximizes over, so a policy is
-never judged against an optimum it was not allowed to search — and at the
-catalog sizes the experiments run, the exact completion would be
-intractable inside the decision loop anyway.
+Every policy, the oracle included, prices offers with the prefix-pair
+family (``exact=False``), the same family the simulator's regret benchmark
+maximizes over, so a policy is never judged against an optimum it was not
+allowed to search — and at the catalog sizes the experiments run, the exact
+completion would be intractable inside the decision loop anyway.
 
 ``epoch_regret_closed_form`` / ``epoch_regret_monte_carlo`` price the
 per-epoch cost of carrying one under-learned product in either tier of a
@@ -97,14 +99,13 @@ class Policy:
 
 
 class OraclePolicy(Policy):
-    """Clairvoyant benchmark: re-solves with the true valuations whenever the
-    visible product set changes (i.e. at launches)."""
+    """Clairvoyant benchmark: re-solves the prefix-pair family with the true
+    valuations whenever the visible product set changes (i.e. at launches)."""
 
     name = "oracle"
 
-    def __init__(self, catalog, rng, *, known_valuations=None, exact: bool = False):
+    def __init__(self, catalog, rng, *, known_valuations=None):
         super().__init__(catalog, rng, known_valuations=known_valuations)
-        self._exact = exact
         self._visible: frozenset | None = None
         self._current: TieredOffer | None = None
 
@@ -116,7 +117,7 @@ class OraclePolicy(Policy):
                 self._catalog,
                 candidates_tier1=self._catalog.candidates_tier1 & visible,
                 candidates_tier2=self._catalog.candidates_tier2 & visible,
-                exact=self._exact,
+                exact=False,
             )
             self._current = result.offer
         return self._current
@@ -326,10 +327,10 @@ class UcbTieredPolicy(Policy):
         return self._current
 
     def observe(self, t, offer, outcome) -> None:
-        events = self.ledger.record_step(offer, outcome)
-        if events.closed_tier2 is not None:
+        closed = self.ledger.record_step(offer, outcome)
+        if closed[1] is not None:
             self._need_full = True
-        elif events.closed_tier1 is not None:
+        elif closed[0] is not None:
             self._need_tier1 = True
 
 
@@ -473,11 +474,8 @@ _POLICIES = {
 
 def _option_error(value, default) -> str | None:
     """Why ``value`` cannot stand in for an option whose default is
-    ``default`` (None when it can): a bool default takes a bool, an int
-    default an int (not a bool), and a float or None default a finite
-    number (or None)."""
-    if isinstance(default, bool):
-        return None if type(value) is bool else "must be true or false"
+    ``default`` (None when it can): an int default takes an int (not a
+    bool), and a float or None default a finite number (or None)."""
     if isinstance(default, int):
         return None if type(value) is int else "must be an integer"
     if value is None and default is None:

@@ -8,25 +8,24 @@ identical to repeated scalar calls while being several times faster.
 
 from __future__ import annotations
 
+_BLOCK = 4096
+
 
 class BufferedRandom:
     """Wraps a numpy Generator; ``random()`` yields the same stream as the
     generator's own scalar ``random()`` calls would."""
 
-    __slots__ = ("_generator", "_block", "_buf", "_pos", "_end")
+    __slots__ = ("_generator", "_buf", "_pos")
 
-    def __init__(self, generator, block: int = 4096):
+    def __init__(self, generator):
         self._generator = generator
-        self._block = block
         self._buf = None
-        self._pos = 0
-        self._end = 0
+        self._pos = _BLOCK
 
     def random(self) -> float:
-        if self._pos >= self._end:
-            self._buf = self._generator.random(self._block)
+        if self._pos >= _BLOCK:
+            self._buf = self._generator.random(_BLOCK)
             self._pos = 0
-            self._end = self._block
         value = self._buf.item(self._pos)
         self._pos += 1
         return value

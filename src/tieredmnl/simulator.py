@@ -124,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon!r}")
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications!r}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed!r}")
         if self.benchmark not in ("launched", "full"):
             raise ConfigError(
                 f"benchmark must be 'launched' or 'full', got {self.benchmark!r}"
@@ -210,6 +212,8 @@ def _benchmark_times(catalog: Catalog, horizon: int, mode: str) -> list[int]:
 
 def run(config: ExperimentConfig, policy_spec: PolicySpec, seed: int = 0) -> RegretTrace:
     """One policy, one replication (``seed`` is the replication index)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
     catalog, known = materialize_catalog(config, seed)
     policy_rng = BufferedRandom(
         np.random.default_rng(np.random.SeedSequence(config.base_seed, spawn_key=(seed, 2)))

@@ -176,9 +176,8 @@ def _check_geometric_counts(fixture_path) -> CheckResult:
     ledger = EpochLedger()
     n_epochs = 20_000
     counts = []
-    while len(ledger.epochs(0)) < n_epochs:
-        events = ledger.record_step(offer, sampler.sample(rand))
-        record = events.closed_tier1
+    while len(counts) < n_epochs:
+        record = ledger.record_step(offer, sampler.sample(rand))[0]
         if record is not None:
             counts.append(record.purchases_of("g"))
     mean = ledger.valuation_estimate("g")
@@ -248,8 +247,7 @@ def _check_ucb_optimism(fixture_path, confidence_scale) -> CheckResult:
     n_products, n_epochs = 12, 60
     purchases = 0
     while len(ledger.epochs(0)) < n_epochs:
-        events = ledger.record_step(offer, sampler.sample(rand))
-        record = events.closed_tier1
+        record = ledger.record_step(offer, sampler.sample(rand))[0]
         if record is None:
             continue
         purchases += record.purchases_of("u")

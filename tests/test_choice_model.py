@@ -29,7 +29,6 @@ from tieredmnl.model import (
     expected_profit_single_tier,
     load_catalog,
     purchase_probabilities,
-    sample_choice,
     save_catalog,
     sorted_ids,
     total_weight,
@@ -214,6 +213,14 @@ class TestProductValidation:
             with pytest.raises(InvalidCatalogError, match="finite"):
                 Product("bad", profit, 0.5)
 
+    def test_non_numbers_rejected(self):
+        with pytest.raises(InvalidCatalogError, match="profit"):
+            Product("x", "1", 0.5)
+        with pytest.raises(InvalidCatalogError, match="valuation"):
+            Product("x", 1.0, None)
+        with pytest.raises(InvalidCatalogError, match="launch_time"):
+            Product("x", 1.0, 0.5, launch_time=False)
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InvalidCatalogError):
             Catalog((Product("a", 1.0, 0.5), Product("a", 2.0, 0.5)))
@@ -264,14 +271,12 @@ class TestSampling:
             dist.no_purchase, abs=4.0 * math.sqrt(dist.no_purchase / n)
         )
 
-    def test_sample_choice_matches_prepared_sampler(self):
-        catalog = two_product_catalog()
-        offer = TieredOffer.two_tier([1], [2])
-        a = BufferedRandom(np.random.default_rng(7))
-        b = BufferedRandom(np.random.default_rng(7))
-        sampler = ChoiceSampler(offer, catalog)
-        for _ in range(500):
-            assert sample_choice(offer, catalog, a) == sampler.sample(b)
+    def test_buffered_stream_matches_scalar_draws(self):
+        # crosses two block refills
+        buffered = BufferedRandom(np.random.default_rng(7))
+        scalar = np.random.default_rng(7)
+        for _ in range(10_000):
+            assert buffered.random() == scalar.random()
 
     def test_zero_weight_product_never_chosen(self):
         catalog = Catalog((Product("a", 1.0, 0.0), Product("b", 1.0, 0.9)))
@@ -334,6 +339,28 @@ class TestCatalogSerialization:
             catalog_from_dict(
                 {"products": [{"id": 1, "profit": "ten", "valuation": 0.5}]}
             )
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("launch_time", 2.7),
+            ("launch_time", "3"),
+            ("launch_time", True),
+            ("profit", "2"),
+            ("profit", True),
+            ("valuation", "0.5"),
+        ],
+    )
+    def test_numbers_checked_not_coerced(self, key, value):
+        entry = {"id": 1, "profit": 1.0, "valuation": 0.5}
+        entry[key] = value
+        with pytest.raises(InvalidCatalogError, match=key):
+            catalog_from_dict({"products": [entry]})
+
+    def test_integer_profit_stored_as_float(self):
+        data = {"products": [{"id": 1, "profit": 2, "valuation": 1, "launch_time": 0}]}
+        out = catalog_to_dict(catalog_from_dict(data))["products"][0]
+        assert json.dumps(out) == '{"id": 1, "profit": 2.0, "valuation": 1.0, "launch_time": 0}'
 
     def test_infinite_profit_rejected(self, tmp_path):
         with pytest.raises(InvalidCatalogError, match="product 1"):

@@ -77,6 +77,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "product 1" in err
 
+    def test_coercible_catalog_number_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"products": [{"id": 1, "profit": 1.0, "valuation": 0.5,
+                                      "launch_time": 2.7}]}),
+            encoding="utf-8",
+        )
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "launch_time" in err
+
 
 class TestUsage:
     def test_no_subcommand_exits_1(self, capsys):
@@ -117,6 +128,51 @@ class TestImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_public_names(self):
+        import tieredmnl
+
+        assert sorted(tieredmnl.__all__) == sorted(PUBLIC_NAMES)
+        for name in tieredmnl.__all__:
+            assert getattr(tieredmnl, name) is not None
+
+    def test_benchmark_hook_points_exist(self):
+        """``perfbench/probe.py`` replaces these attributes by name."""
+        import tieredmnl.cli as cli
+        import tieredmnl.policies as policies
+        import tieredmnl.simulator as simulator
+        from tieredmnl.estimation import EpochLedger
+        from tieredmnl.model import Catalog, ChoiceSampler
+
+        hooks = {
+            simulator: ("make_policy", "run", "solve_two_tier", "ChoiceSampler",
+                        "expected_profit"),
+            policies: ("solve_two_tier", "solve_tier1_given_tier2"),
+            cli: ("main", "run_experiment", "write_trace_csv", "write_mean_curve_csv",
+                  "line_chart"),
+            EpochLedger: ("record_step", "valuation_ucb", "valuation_estimate", "epochs"),
+            ChoiceSampler: ("sample",),
+            Catalog: ("visible_at",),
+        }
+        for owner, names in hooks.items():
+            for name in names:
+                assert callable(getattr(owner, name)), (owner, name)
+
+
+PUBLIC_NAMES = [
+    "Catalog", "ChoiceOutcome", "ChoiceSampler", "ConfigError", "EpochLedger",
+    "ExperimentConfig", "InstanceTooLargeError", "InvalidCatalogError", "InvalidOfferError",
+    "NO_PURCHASE", "NeverOfferedError", "OutcomeMismatchError", "PolicySpec", "Product",
+    "ProductGroup", "TieredMnlError", "TieredOffer", "UCB_CONFIDENCE_SCALE", "UcbTieredPolicy",
+    "UnknownProductError", "__version__", "brute_force_optimal", "config_from_dict",
+    "config_to_dict", "epoch_regret_closed_form", "epoch_regret_monte_carlo",
+    "expected_profit", "expected_profit_single_tier", "experiment_preset",
+    "is_profit_ordered_by_tier", "is_profit_ordered_set", "load_catalog", "load_config",
+    "make_policy", "min_learning_epochs", "predict_new_product_tier",
+    "purchase_probabilities", "replicate", "run", "run_checks", "run_experiment",
+    "save_catalog", "save_config", "solve_tier1_given_tier2", "solve_two_tier", "sorted_ids",
+    "suffix_profits", "write_mean_curve_csv", "write_trace_csv",
+]
 
 
 class TestSimulate:
@@ -224,6 +280,24 @@ class TestMalformedConfig:
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "'bogus'" in err and "min_epochs" in err and "confidence_scale" in err
+
+
+class TestNegativeSeeds:
+    def test_simulate_seed(self, tmp_path, capsys):
+        _, path = small_config(tmp_path)
+        assert main(["simulate", str(path), "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_config_base_seed(self, tmp_path, capsys, command):
+        _, path = small_config(tmp_path)
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["base_seed"] = -5
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "base_seed" in err
 
 
 class TestExperiment:

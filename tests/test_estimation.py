@@ -22,7 +22,6 @@ from tieredmnl.errors import (
 from tieredmnl.estimation import (
     UCB_CONFIDENCE_SCALE,
     EpochLedger,
-    LearningCriterion,
     min_learning_epochs,
 )
 from tieredmnl.model import (
@@ -115,19 +114,25 @@ class TestScriptedTrace:
 
     def test_step_events(self):
         ledger = EpochLedger()
-        events = [ledger.record_step(OFFER, outcome) for outcome in SCRIPT]
-        assert [e.t for e in events] == list(range(1, 10))
+        closed, reopened = [], []
+        for outcome in SCRIPT:
+            closed.append(ledger.record_step(OFFER, outcome))
+            reopened.append(ledger.open_labels())
+        assert ledger.steps_recorded == 9
         # a tier-1 purchase closes nothing
-        assert events[0].closed == () and events[0].opened == ()
-        # a tier-2 purchase closes tier 1 only
-        assert events[1].closed_tier1 is not None
-        assert events[1].closed_tier2 is None
-        assert events[1].opened == ((0, 1),)
-        # a walk-away closes both, tier 1 first, and both reopen at the
+        assert closed[0] == (None, None) and reopened[0] == (0, 0)
+        # a tier-2 purchase closes tier 1 only, and tier 1 reopens at the
         # post-closure counter
-        assert [r.tier_index for r in events[4].closed] == [0, 1]
-        assert events[4].opened == ((0, 3), (1, 3))
-        assert events[8].opened == ((0, 6), (1, 6))
+        assert closed[1][0] is ledger.epochs(0)[0] and closed[1][1] is None
+        assert closed[1][0].steps == (1, 2)
+        assert reopened[1] == (1, 0)
+        # a walk-away closes both, indexed by tier, and both reopen at the
+        # counter after both closures
+        assert closed[4] == (ledger.epochs(0)[1], ledger.epochs(1)[0])
+        assert [r.steps[-1] for r in closed[4]] == [5, 5]
+        assert reopened[4] == (3, 3)
+        assert closed[8] == (ledger.epochs(0)[3], ledger.epochs(1)[1])
+        assert reopened[8] == (6, 6)
 
     def test_point_estimates(self):
         ledger = scripted_ledger()
@@ -215,29 +220,6 @@ class TestRecordingGuards:
             ledger.valuation_estimate("a")
         with pytest.raises(NeverOfferedError):
             ledger.valuation_ucb("a", 1, 2)
-
-
-class TestSerialization:
-    def test_round_trip_replays_identically(self):
-        ledger = scripted_ledger()
-        data = ledger.to_dict()
-        rebuilt = EpochLedger.from_dict(data)
-        assert rebuilt.completed == ledger.completed
-        assert rebuilt.labels(0) == ledger.labels(0)
-        assert rebuilt.labels(1) == ledger.labels(1)
-        assert rebuilt.epochs(0) == ledger.epochs(0)
-        assert rebuilt.epochs(1) == ledger.epochs(1)
-        assert rebuilt.valuation_estimate("a") == ledger.valuation_estimate("a")
-        assert rebuilt.to_dict() == data
-
-    def test_document_shape_errors(self):
-        with pytest.raises(ConfigError):
-            EpochLedger.from_dict({"rows": []})
-        with pytest.raises(ConfigError, match="extra"):
-            EpochLedger.from_dict(
-                {"steps": [{"tier1": ["a"], "tier2": [], "product": None,
-                            "tier": None, "extra": 1}]}
-            )
 
 
 class TestOptimisticIndex:
@@ -349,9 +331,9 @@ def random_ledger(seed, n_products=40, n_steps=4000):
             outcome = ChoiceOutcome(sorted_ids(tiers[1])[int(rng.integers(len(tiers[1])))], 1)
         else:
             outcome = NO_PURCHASE
-        events = ledger.record_step(offer, outcome)
+        closed = ledger.record_step(offer, outcome)
         for k in (0, 1):
-            if events.closed_tier(k) is not None:
+            if closed[k] is not None:
                 others = tiers[1 - k]
                 pool = [i for i in available if i not in others]
                 tiers[k] = frozenset(i for i in pool if rng.random() < 0.3)
@@ -485,7 +467,3 @@ class TestMinimumLearningSizing:
             min_learning_epochs(0.2, 0.0)
         with pytest.raises(ConfigError):
             min_learning_epochs(0.2, 1.0)
-
-    def test_criterion_bundle(self):
-        crit = LearningCriterion.from_accuracy(0.2, 0.1)
-        assert (crit.epsilon, crit.alpha, crit.min_epochs) == (0.2, 0.1, 5009)

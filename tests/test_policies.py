@@ -21,7 +21,6 @@ from tieredmnl.model import (
     TieredOffer,
     expected_profit,
     expected_profit_single_tier,
-    sample_choice,
     sorted_ids,
 )
 from tieredmnl.optimizer import (
@@ -59,7 +58,7 @@ def run_policy(policy, catalog, n_steps, seed):
     offers = []
     for t in range(1, n_steps + 1):
         offer = policy.offer(t)
-        outcome = sample_choice(offer, catalog, rng)
+        outcome = ChoiceSampler(offer, catalog).sample(rng)
         policy.observe(t, offer, outcome)
         offers.append((offer, outcome))
     return offers
@@ -127,8 +126,8 @@ class TestUcbTieredPolicy:
             for p in catalog.products:
                 if policy.ledger.times_offered(p.id) < 8:
                     assert p.id in offer.all_ids
-            outcome = sample_choice(
-                offer, catalog, BufferedRandom(np.random.default_rng(1000 + t))
+            outcome = ChoiceSampler(offer, catalog).sample(
+                BufferedRandom(np.random.default_rng(1000 + t))
             )
             policy.observe(t, offer, outcome)
         # by now everything is learned well past the floor
@@ -166,7 +165,7 @@ class TestUcbTieredPolicy:
             offer = policy.offer(t)
             if boundary:
                 assert offer == want
-            outcome = sample_choice(offer, catalog, rng)
+            outcome = ChoiceSampler(offer, catalog).sample(rng)
             policy.observe(t, offer, outcome)
             boundary = not outcome.is_purchase
         assert boundaries > 20
@@ -267,7 +266,7 @@ class TestOptimisticValuations:
                     for i in policy._visible
                 }
                 mixed += kinds == {"known", "estimated", "cold"}
-            outcome = sample_choice(offer, catalog, rng)
+            outcome = ChoiceSampler(offer, catalog).sample(rng)
             policy.observe(t, offer, outcome)
         assert mixed > 0
 
@@ -358,7 +357,7 @@ class TestArrayDecisionPath:
                 assert offer == TieredOffer.two_tier(want, policy._tier2_locked)
             else:
                 offer = policy.offer(t)
-            policy.observe(t, offer, sample_choice(offer, catalog, customers))
+            policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
         assert (policy.full_resolves, policy.tier1_resolves) == (full, tier1)
         assert full > 50 and tier1 > 50 and forced_steps > 0
 
@@ -399,7 +398,7 @@ class TestRandomTierPolicy:
             offer_a = coin.offer(t)
             offer_b = plain.offer(t)
             assert offer_a == offer_b
-            outcome = sample_choice(offer_a, catalog, rng)
+            outcome = ChoiceSampler(offer_a, catalog).sample(rng)
             coin.observe(t, offer_a, outcome)
             plain.observe(t, offer_b, outcome)
 
@@ -415,7 +414,7 @@ class TestRandomTierPolicy:
             for i in policy._forced_tier1:
                 assert i in offer.tier(0)
             forced_seen += len(policy._forced_tier1)
-            outcome = sample_choice(offer, catalog, rng)
+            outcome = ChoiceSampler(offer, catalog).sample(rng)
             policy.observe(t, offer, outcome)
         assert forced_seen > 0
 
@@ -488,7 +487,6 @@ class TestPolicyRegistry:
             ("ucb_tiered", {"confidence_scale": math.nan}),
             ("explore_then_exploit", {"gamma": None}),
             ("explore_then_exploit", {"gamma": True}),
-            ("oracle", {"exact": 1}),
         ],
     )
     def test_option_values_checked_against_defaults(self, name, options):
@@ -501,7 +499,11 @@ class TestPolicyRegistry:
         make_policy("ucb_tiered", catalog, rng, min_epochs=3, confidence_scale=None)
         make_policy("ucb_tiered", catalog, rng, confidence_scale=4)
         make_policy("explore_then_exploit", catalog, rng, gamma=30)
-        make_policy("oracle", catalog, rng, exact=True)
+
+    def test_unknown_option_rejected(self):
+        # the oracle always prices the prefix-pair family; it has no options
+        with pytest.raises(ConfigError, match="has no option 'exact'"):
+            make_policy("oracle", small_catalog(), np.random.default_rng(0), exact=1)
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown policy"):
