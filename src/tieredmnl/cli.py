@@ -98,10 +98,10 @@ def _cmd_solve(args) -> int:
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     out = _resolve_out(args.out) / _slug(config.label)
+    traces = [(spec, run(config, spec, args.seed)) for spec in config.policies]
     out.mkdir(parents=True, exist_ok=True)
     csv_names = []
-    for spec in config.policies:
-        trace = run(config, spec, args.seed)
+    for spec, trace in traces:
         name = f"trace_{_slug(spec.display_label)}_seed{args.seed}.csv"
         write_trace_csv(trace, out / name)
         csv_names.append(name)
@@ -129,8 +129,8 @@ def _cmd_experiment(args) -> int:
     for config in configs:
         n_reps = config.replications if args.reps is None else args.reps
         out = out_base / _slug(config.label)
-        out.mkdir(parents=True, exist_ok=True)
         summaries = run_experiment(config, n_reps)
+        out.mkdir(parents=True, exist_ok=True)
         summary_doc = {}
         for label, summary in summaries.items():
             slug = _slug(label)

@@ -88,10 +88,13 @@ class EpochLedger:
     of steps seen.  Only completed epochs contribute to estimates — an open
     epoch is invisible until it closes.
 
-    A product gets a dense index when the first epoch offering it closes.
-    Its pooled totals (epochs, purchases, launch epoch) live in arrays under
-    that index, so the optimistic index of many products is one vector
-    expression.
+    A product gets a dense index, its row, when the first epoch offering it
+    closes, and keeps it.  Its pooled totals (epochs, purchases, launch
+    epoch) live in arrays under that row, so the optimistic index of many
+    products is one vector expression.  ``_ucb`` reads rows alone: a caller
+    that asks for the same products again keeps their ``_rows`` (the UCB
+    policy does, per visible set), and a closing epoch reuses its tier's
+    previous rows when it offered an equal set.
     """
 
     def __init__(self):
@@ -108,6 +111,8 @@ class EpochLedger:
         self._launch_values: list[int] = []
         self._launch_slot = np.zeros(0, dtype=np.intp)
         self._launch_stale = False
+        # per tier, the last closed offered set and its rows
+        self._last_rows = [(frozenset(), np.zeros(0, dtype=np.intp))] * 2
 
     # --- recording -------------------------------------------------------
 
@@ -185,7 +190,10 @@ class EpochLedger:
             # offers it carries its launch epoch
             self._launch_epoch[[index[i] for i in new]] = record.label
             self._launch_stale = True
-        rows = np.fromiter(map(index.__getitem__, offered), dtype=np.intp, count=len(offered))
+        last_offered, rows = self._last_rows[k]
+        if offered != last_offered:
+            rows = np.fromiter(map(index.__getitem__, offered), dtype=np.intp, count=len(offered))
+            self._last_rows[k] = (offered, rows)
         self._epochs_total[rows] += 1
         for i, n in record.purchases.items():
             self._purchases_total[index[i]] += n
@@ -259,8 +267,11 @@ class EpochLedger:
         once per distinct launch epoch, so every value equals the scalar
         formula's bit for bit (``np.log`` may differ in the last place).
         """
+        return self._ucb(self._rows(product_ids), epoch, n_products, confidence_scale)
+
+    def _ucb(self, rows: np.ndarray, epoch: int, n_products: int, confidence_scale) -> np.ndarray:
+        """``valuation_ucb_many`` of the products at ledger ``rows``."""
         scale = UCB_CONFIDENCE_SCALE if confidence_scale is None else confidence_scale
-        rows = self._rows(product_ids)
         if self._launch_stale:
             values, self._launch_slot = np.unique(
                 self._launch_epoch[: len(self._index)], return_inverse=True

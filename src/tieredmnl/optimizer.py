@@ -7,7 +7,7 @@ The search walks a structured family of offers instead of all subsets:
   candidate sets this family provably contains an optimum (any product
   whose profit beats the offer's continuation value belongs in, anything
   below belongs out).  ``_sweep`` finds the best pair in one sweep over a
-  with O(n) memory, on profit and weight arrays already gathered in profit
+  with O(n) memory, on profit and weight lists already gathered in profit
   order: ``_solve_prefix_pairs`` gathers them for ``solve_two_tier``, and
   the UCB policy gathers them from its valuation vector.  Likewise
   ``_tier1_prefix`` serves both ``solve_tier1_given_tier2`` and the
@@ -26,8 +26,11 @@ The search walks a structured family of offers instead of all subsets:
     every later row is a weighted average of an offer already beaten and
     that profit, so the sweep stops.
   - Ties go to the first maximum in (a, p) order, kept by strict
-    improvement.  Each pair is priced from prefix sums, so the shared and
-    disjoint cases price exactly what an (n+1) x (n+1) window matrix would.
+    improvement.  Pairs are priced from running float sums added left to
+    right, as ``np.cumsum`` adds them, so the shared and disjoint cases
+    price exactly what an (n+1) x (n+1) window matrix would.
+  - ``_tier1_prefix`` scans the free tier-1 candidates alike and stops at
+    the first whose profit is at or below the best value so far.
 * Completion: when the candidate sets overlap, a shared product can be
   worth *demoting* to tier 2 even though a lower-profit product stays in
   tier 1, so prefix pairs alone can leave a gap.  What survives of the
@@ -123,12 +126,6 @@ def _candidate_arrays(order: Sequence, catalog: Catalog, valuations):
     return r, v
 
 
-def _prefix_sums(r: np.ndarray, v: np.ndarray):
-    cv = np.concatenate(([0.0], np.cumsum(v)))
-    crv = np.concatenate(([0.0], np.cumsum(r * v)))
-    return cv, crv
-
-
 def _tier_maps(order1: list, order2: list):
     """The sweep's cross-references between two candidate orders: rank1[k]
     is order2[k]'s position in order1 (n1: not a tier-1 candidate) and
@@ -142,65 +139,62 @@ def _tier_maps(order1: list, order2: list):
     return [at1.get(i, n1) for i in order2], [at2.get(i, n2) for i in order1]
 
 
-def _sweep(r1, v1, r2, v2, rank1, pos2) -> tuple[float, int, int]:
+def _sweep(r1, w1, r2, w2, rank1, pos2) -> tuple[float, int, int]:
     """Best prefix pair over candidates already gathered in profit order.
 
-    ``r1``/``v1`` are the tier-1 candidates' profits and weights, ``r2``/
-    ``v2`` the tier-2 candidates' (the same arrays when the tiers share
-    their candidates), and ``rank1``/``pos2`` come from ``_tier_maps``.
-    One sweep over the tier-1 prefix a with a tier-2 end
-    pointer p that only climbs (see the module docstring).  A pair is
-    priced from prefix sums minus ``rem_*``, the weights tier 1 took from
-    the first p tier-2 candidates, added in tier-1 order.  Returns (value,
-    a, e) for the first maximum in visiting order: tier 1 takes the first a
-    tier-1 candidates, tier 2 the tier-2 positions k < e with rank1[k] >= a.
-    e is one past the last product tier 2 keeps, so it moves left when
-    tier 1 takes that product while p stays.
+    ``r1``/``w1`` are lists of the tier-1 candidates' profits and weights,
+    ``r2``/``w2`` the tier-2 candidates' (the same lists when the tiers
+    share their candidates), and ``rank1``/``pos2`` come from
+    ``_tier_maps``.  One sweep over the tier-1 prefix a with a tier-2 end
+    pointer p that only climbs (see the module docstring).  The running
+    sums cv1/crv1 cover the first a tier-1 candidates and cv2/crv2 the
+    first p tier-2 candidates; ``rem_*`` are the weights tier 1 took from
+    those p, added in tier-1 order.  Each sum adds what the sweep visits,
+    left to right from 0.0, so it is the float ``np.cumsum`` would give.
+    Returns (value, a, e) for the first maximum in visiting order: tier 1
+    takes the first a tier-1 candidates, tier 2 the tier-2 positions k < e
+    with rank1[k] >= a.  e is one past the last product tier 2 keeps, so
+    it moves left when tier 1 takes that product while p stays.
     """
-    cv1, crv1 = _prefix_sums(r1, v1)
-    cv2, crv2 = (cv1, crv1) if v2 is v1 else _prefix_sums(r2, v2)
-    denom1 = 1.0 + cv1
-    heads = (crv1 / denom1).tolist()
-    profits1 = r1.tolist()
-    denom1 = denom1.tolist()
-    cv2 = cv2.tolist()
-    crv2 = crv2.tolist()
-    w2 = v2.tolist()
-    rw2 = (r2 * v2).tolist()
-    n1, n2 = len(profits1), len(w2)
-
+    n1, n2 = len(r1), len(r2)
     best_value = -math.inf
     best_a = best_e = 0
     p = 0
-    rem_v = rem_rv = 0.0
+    cv1 = crv1 = cv2 = crv2 = rem_v = rem_rv = 0.0
     kept: list[int] = []  # positive-weight tier-2 positions below p, ascending
     for a in range(n1 + 1):
         if a:
-            if profits1[a - 1] <= best_value:
+            r = r1[a - 1]
+            if r <= best_value:
                 break
+            w = w1[a - 1]
+            cv1, crv1 = cv1 + w, crv1 + r * w
             j = pos2[a - 1]
             if j < p:
-                rem_v += w2[j]
-                rem_rv += rw2[j]
+                rem_v, rem_rv = rem_v + w2[j], rem_rv + r2[j] * w2[j]
                 while kept and rank1[kept[-1]] < a:
                     kept.pop()
-        head = heads[a]
-        denom = denom1[a]
-        value = head + ((crv2[p] - rem_rv) / (1.0 + (cv2[p] - rem_v))) / denom
+        denom = 1.0 + cv1
+        head = crv1 / denom
+        value = head + ((crv2 - rem_rv) / (1.0 + (cv2 - rem_v))) / denom
         if value > best_value:
             best_value, best_a, best_e = value, a, kept[-1] + 1 if kept else 0
         while True:
             # products tier 1 took and zero weights leave tier 2's value as is
             while p < n2 and (rank1[p] < a or w2[p] == 0.0):
+                w = w2[p]
+                rw = r2[p] * w
+                cv2, crv2 = cv2 + w, crv2 + rw
                 if rank1[p] < a:
-                    rem_v += w2[p]
-                    rem_rv += rw2[p]
+                    rem_v, rem_rv = rem_v + w, rem_rv + rw
                 p += 1
             if p == n2:
                 break
-            step = head + ((crv2[p + 1] - rem_rv) / (1.0 + (cv2[p + 1] - rem_v))) / denom
+            next_v, next_rv = cv2 + w2[p], crv2 + r2[p] * w2[p]
+            step = head + ((next_rv - rem_rv) / (1.0 + (next_v - rem_v))) / denom
             if step < value:
                 break
+            cv2, crv2 = next_v, next_rv
             kept.append(p)
             p += 1
             value = step
@@ -220,34 +214,49 @@ def _solve_prefix_pairs(order1, order2, catalog, valuations):
     returns (value, tier1, tier2)."""
     r1, v1 = _candidate_arrays(order1, catalog, valuations)
     r2, v2 = (r1, v1) if order2 is order1 else _candidate_arrays(order2, catalog, valuations)
+    r1, w1 = r1.tolist(), v1.tolist()
+    r2, w2 = (r1, w1) if order2 is order1 else (r2.tolist(), v2.tolist())
     rank1, pos2 = _tier_maps(order1, order2)
-    value, a, e = _sweep(r1, v1, r2, v2, rank1, pos2)
+    value, a, e = _sweep(r1, w1, r2, w2, rank1, pos2)
     return (value, *_pair_ids(order1, order2, rank1, a, e))
 
 
-def _tier_value(r: np.ndarray, v: np.ndarray) -> float:
-    """Expected profit of one tier shown alone, sum(r v) / (1 + sum(v)),
+def _tier_value(r, w) -> float:
+    """Expected profit of one tier shown alone, sum(r w) / (1 + sum(w)),
     with both sums added left to right as ``expected_profit`` adds them
     (``np.sum`` adds pairwise and differs in the last bits)."""
-    cv, crv = _prefix_sums(r, v)
-    return crv[-1] / (1.0 + cv[-1])
+    sum_w = sum_rw = 0.0
+    for r_i, w_i in zip(r, w):
+        sum_w, sum_rw = sum_w + w_i, sum_rw + r_i * w_i
+    return sum_rw / (1.0 + sum_w)
 
 
-def _tier1_prefix(r1, v1, n_forced: int, r2, v2) -> tuple[int, float]:
+def _tier1_prefix(r1, w1, n_forced: int, r2, w2) -> tuple[int, float]:
     """Best tier-1 prefix against a fixed tier 2.
 
-    ``r1``/``v1`` list the forced products first, then the free candidates
-    in profit order; ``r2``/``v2`` list tier 2 in ``str(id)`` order.
+    ``r1``/``w1`` list the forced products first, then the free candidates
+    in profit order; ``r2``/``w2`` list tier 2 in ``str(id)`` order.
     Returns (a, value): tier 1 is the forced products plus the first a free
-    ones.  cumsum adds left to right from 0.0 and argmax keeps the first
-    maximum, exactly as a running-sum scan with a strict improvement test
-    would.
+    ones, the first maximum of a running-sum scan.  Each free candidate
+    moves the value to a weighted average of itself and its profit, so the
+    scan stops at the first one whose profit is <= the best value so far,
+    as the prefix-pair sweep does; nothing after it is read.
     """
-    e2 = _tier_value(r2, v2)
-    cv, crv = _prefix_sums(r1, v1)
-    values = (crv[n_forced:] + e2) / (1.0 + cv[n_forced:])
-    a = int(np.argmax(values))
-    return a, float(values[a])
+    e2 = _tier_value(r2, w2)
+    sum_w = sum_rw = 0.0
+    for k in range(n_forced):
+        sum_w, sum_rw = sum_w + w1[k], sum_rw + r1[k] * w1[k]
+    best_a = 0
+    best_value = (sum_rw + e2) / (1.0 + sum_w)
+    for k in range(n_forced, len(r1)):
+        r = r1[k]
+        if r <= best_value:
+            break
+        sum_w, sum_rw = sum_w + w1[k], sum_rw + r * w1[k]
+        value = (sum_rw + e2) / (1.0 + sum_w)
+        if value > best_value:
+            best_value, best_a = value, k + 1 - n_forced
+    return best_a, best_value
 
 
 def _resolve_candidates(catalog, candidates, default):
@@ -414,7 +423,7 @@ def solve_tier1_given_tier2(
     order = profit_order(x1 - tier2 - forced, catalog)
     r2, v2 = _candidate_arrays(sorted_ids(tier2), catalog, valuations)
     r1, v1 = _candidate_arrays(sorted_ids(forced) + order, catalog, valuations)
-    a, value = _tier1_prefix(r1, v1, len(forced), r2, v2)
+    a, value = _tier1_prefix(r1.tolist(), v1.tolist(), len(forced), r2.tolist(), v2.tolist())
     return frozenset(order[:a]) | forced, value
 
 

@@ -11,11 +11,11 @@ tier-2 set frozen by the epoch lock), while the explore-then-exploit
 benchmark holds each candidate offer until a customer walks away with
 nothing.
 
-The UCB family decides on arrays in the catalog's canonical order: one
-valuation vector indexed by catalog rank, candidate arrays cached per
-visible set, and the optimizer's sweep and tier-1 prefix cores.  The public
-solvers wrap the same cores, so the offers equal theirs for the same
-valuations.
+The UCB family decides in the catalog's canonical order: one valuation
+vector indexed by catalog rank, candidate profits and the estimated
+products' ledger rows cached per visible set, and the optimizer's sweep and
+tier-1 prefix cores.  The public solvers wrap the same cores, so the offers
+equal theirs for the same valuations.
 
 Every policy, the oracle included, prices offers with the prefix-pair
 family (``exact=False``), the same family the simulator's regret benchmark
@@ -128,45 +128,47 @@ class _VisibleView:
 
     ``unknown`` lists the visible ids whose weights are learned, in
     ``str(id)`` order, split into ``estimated`` (some completed epoch
-    offered them; ``estimated_ranks`` holds their catalog ranks) and
-    ``cold`` (none yet).  ``learning`` keeps those still short of the
-    minimum-learning target.  Ledger counts only grow, so a product only
-    ever moves from cold to estimated and out of learning.
+    offered them; ``estimated_ranks`` and ``estimated_rows`` hold their
+    catalog ranks and ledger rows) and ``cold`` (none yet).  ``learning``
+    keeps those still short of the minimum-learning target.  Ledger counts
+    only grow, so a product only ever moves from cold to estimated and out
+    of learning.
 
     ``ids1``/``ids2`` are the visible tier-1 and tier-2 candidates in the
-    catalog's canonical order, with their ranks and profits; when both
-    tiers share one candidate set, ``ids2`` is ``ids1`` and the arrays are
-    shared too.  ``rank1``/``pos2`` are the sweep's maps between the two
+    catalog's canonical order, with their ranks and profits (a list); when
+    both tiers share one candidate set, ``ids2`` is ``ids1`` and the rest
+    is shared too.  ``rank1``/``pos2`` are the sweep's maps between the two
     orders (two ranges for a shared set).
     """
 
     __slots__ = (
-        "unknown", "estimated", "estimated_ranks", "cold", "learning",
+        "unknown", "estimated", "estimated_ranks", "estimated_rows", "cold", "learning",
         "ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2", "rank1", "pos2",
     )
 
     def __init__(self, catalog: Catalog, visible: frozenset, known: Mapping):
         self.unknown = tuple(i for i in sorted_ids(visible) if i not in known)
         self.estimated: tuple = ()
-        self.estimated_ranks = catalog._indices(())
+        self.estimated_ranks = self.estimated_rows = catalog._indices(())
         self.cold = self.learning = self.unknown
         x1 = catalog.candidates_tier1 & visible
         x2 = catalog.candidates_tier2 & visible
         self.ids1 = profit_order(x1, catalog)
         self.ranks1 = catalog._indices(self.ids1)
-        self.profits1 = catalog._profits[self.ranks1]
+        self.profits1 = catalog._profits[self.ranks1].tolist()
         if x1 == x2:
             self.ids2, self.ranks2, self.profits2 = self.ids1, self.ranks1, self.profits1
         else:
             self.ids2 = profit_order(x2, catalog)
             self.ranks2 = catalog._indices(self.ids2)
-            self.profits2 = catalog._profits[self.ranks2]
+            self.profits2 = catalog._profits[self.ranks2].tolist()
         self.rank1, self.pos2 = _tier_maps(self.ids1, self.ids2)
 
     def update_estimated(self, catalog: Catalog, ledger: EpochLedger) -> None:
         if any(map(ledger.has_estimate, self.cold)):
             self.estimated = tuple(filter(ledger.has_estimate, self.unknown))
             self.estimated_ranks = catalog._indices(self.estimated)
+            self.estimated_rows = ledger._rows(self.estimated)
             self.cold = tuple(filterfalse(ledger.has_estimate, self.unknown))
 
     def update_learning(self, ledger: EpochLedger, min_epochs: int) -> None:
@@ -175,9 +177,9 @@ class _VisibleView:
 
 
 class _Tier1Frame:
-    """The arrays one tier-2 epoch's tier-1 re-solves read: the forced
-    products (``str(id)`` order) then the free tier-1 candidates (profit
-    order), and the locked tier 2 in ``str(id)`` order."""
+    """What one tier-2 epoch's tier-1 re-solves read: the forced products
+    (``str(id)`` order) then the free tier-1 candidates (profit order), and
+    the locked tier 2 in ``str(id)`` order, with their ranks and profits."""
 
     __slots__ = ("free", "n_forced", "ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2")
 
@@ -186,10 +188,10 @@ class _Tier1Frame:
         self.n_forced = len(forced)
         self.ids1 = sorted_ids(forced) + self.free
         self.ranks1 = catalog._indices(self.ids1)
-        self.profits1 = catalog._profits[self.ranks1]
+        self.profits1 = catalog._profits[self.ranks1].tolist()
         self.ids2 = sorted_ids(tier2)
         self.ranks2 = catalog._indices(self.ids2)
-        self.profits2 = catalog._profits[self.ranks2]
+        self.profits2 = catalog._profits[self.ranks2].tolist()
 
 
 class UcbTieredPolicy(Policy):
@@ -250,6 +252,7 @@ class UcbTieredPolicy(Policy):
         self._tier2_locked: frozenset = frozenset()
         self._forced_tier1: frozenset = frozenset()
         self._current: TieredOffer | None = None
+        self._tier1_a = 0  # free tier-1 prefix length of _current
         self._need_full = True
         self._need_tier1 = False
 
@@ -267,14 +270,14 @@ class UcbTieredPolicy(Policy):
         view = self._view
         view.update_estimated(self._catalog, self.ledger)
         if view.estimated:
-            self._w[view.estimated_ranks] = self.ledger.valuation_ucb_many(
-                view.estimated, epoch, len(self._visible), self._confidence_scale
+            self._w[view.estimated_ranks] = self.ledger._ucb(
+                view.estimated_rows, epoch, len(self._visible), self._confidence_scale
             )
 
-    def _gather(self, ranks, ids) -> np.ndarray:
+    def _gather(self, ranks, ids) -> list:
         v = self._w[ranks]
         _check_weights(v, ids)
-        return v
+        return v.tolist()
 
     def _start_epoch(self, t: int) -> None:
         self._visible = visible = self._catalog.visible_at(t)
@@ -299,6 +302,7 @@ class UcbTieredPolicy(Policy):
         self._current = TieredOffer.two_tier(
             self._forced_tier1.union(tier1), self._tier2_locked
         )
+        self._tier1_a = a
         self._frame = None
         self._need_full = False
         self._need_tier1 = False
@@ -314,9 +318,11 @@ class UcbTieredPolicy(Policy):
         v2 = self._gather(frame.ranks2, frame.ids2)
         a, _ = _tier1_prefix(frame.profits1, v1, frame.n_forced, frame.profits2, v2)
         self.tier1_resolves += 1
-        self._current = TieredOffer.two_tier(
-            self._forced_tier1.union(frame.free[:a]), self._tier2_locked
-        )
+        if a != self._tier1_a:  # the same prefix is the same offer
+            self._tier1_a = a
+            self._current = TieredOffer.two_tier(
+                self._forced_tier1.union(frame.free[:a]), self._tier2_locked
+            )
         self._need_tier1 = False
 
     def offer(self, t: int) -> TieredOffer:

@@ -6,6 +6,11 @@ outer sum when the lists are disjoint, and a running-sum double loop
 otherwise.  ``solve_two_tier_naive`` walks the same candidate family as
 ``solve_two_tier`` and prices every offer from scratch with
 ``expected_profit``.  Both are slow and exist only to check the library.
+
+``numpy_sweep``, ``numpy_tier_value`` and ``numpy_tier1_prefix`` are the
+optimizer's cores as they were written on numpy prefix sums (``cumsum``
+adds left to right from 0.0, ``argmax`` keeps the first maximum); the
+running-sum cores must return the same floats.
 """
 
 from __future__ import annotations
@@ -21,18 +26,91 @@ from tieredmnl.optimizer import (
     _candidate_arrays,
     _completion_work,
     _free_shared,
-    _prefix_sums,
     _resolve_candidates,
     _thresholds,
     profit_order,
 )
 
 
+def prefix_sums(r: np.ndarray, v: np.ndarray):
+    cv = np.concatenate(([0.0], np.cumsum(v)))
+    crv = np.concatenate(([0.0], np.cumsum(r * v)))
+    return cv, crv
+
+
+def numpy_sweep(r1, v1, r2, v2, rank1, pos2) -> tuple[float, int, int]:
+    """``optimizer._sweep`` with every pair priced from whole prefix-sum
+    arrays; the tiers share their arrays when ``v2 is v1``."""
+    cv1, crv1 = prefix_sums(r1, v1)
+    cv2, crv2 = (cv1, crv1) if v2 is v1 else prefix_sums(r2, v2)
+    denom1 = 1.0 + cv1
+    heads = (crv1 / denom1).tolist()
+    profits1 = r1.tolist()
+    denom1 = denom1.tolist()
+    cv2 = cv2.tolist()
+    crv2 = crv2.tolist()
+    w2 = v2.tolist()
+    rw2 = (r2 * v2).tolist()
+    n1, n2 = len(profits1), len(w2)
+
+    best_value = -math.inf
+    best_a = best_e = 0
+    p = 0
+    rem_v = rem_rv = 0.0
+    kept: list[int] = []
+    for a in range(n1 + 1):
+        if a:
+            if profits1[a - 1] <= best_value:
+                break
+            j = pos2[a - 1]
+            if j < p:
+                rem_v += w2[j]
+                rem_rv += rw2[j]
+                while kept and rank1[kept[-1]] < a:
+                    kept.pop()
+        head = heads[a]
+        denom = denom1[a]
+        value = head + ((crv2[p] - rem_rv) / (1.0 + (cv2[p] - rem_v))) / denom
+        if value > best_value:
+            best_value, best_a, best_e = value, a, kept[-1] + 1 if kept else 0
+        while True:
+            while p < n2 and (rank1[p] < a or w2[p] == 0.0):
+                if rank1[p] < a:
+                    rem_v += w2[p]
+                    rem_rv += rw2[p]
+                p += 1
+            if p == n2:
+                break
+            step = head + ((crv2[p + 1] - rem_rv) / (1.0 + (cv2[p + 1] - rem_v))) / denom
+            if step < value:
+                break
+            kept.append(p)
+            p += 1
+            value = step
+            if value > best_value:
+                best_value, best_a, best_e = value, a, p
+    return best_value, best_a, best_e
+
+
+def numpy_tier_value(r: np.ndarray, v: np.ndarray) -> float:
+    cv, crv = prefix_sums(r, v)
+    return crv[-1] / (1.0 + cv[-1])
+
+
+def numpy_tier1_prefix(r1, v1, n_forced: int, r2, v2) -> tuple[int, float]:
+    """``optimizer._tier1_prefix`` as an argmax over every prefix value."""
+    e2 = numpy_tier_value(r2, v2)
+    cv, crv = prefix_sums(r1, v1)
+    values = (crv[n_forced:] + e2) / (1.0 + cv[n_forced:])
+    a = int(np.argmax(values))
+    return a, float(values[a])
+
+
 def _solve_shared_order(order, catalog, valuations):
     """Both tiers draw from one profit-ordered list: tier 1 takes the first
     a products, tier 2 the next b, so offers map to windows (a, a+b)."""
     r, v = _candidate_arrays(order, catalog, valuations)
-    cv, crv = _prefix_sums(r, v)
+    cv, crv = prefix_sums(r, v)
     denom1 = 1.0 + cv
     head = crv / denom1
     tail_v = cv[None, :] - cv[:, None]
@@ -51,8 +129,8 @@ def _solve_shared_order(order, catalog, valuations):
 def _solve_disjoint(order1, order2, catalog, valuations):
     r1, v1 = _candidate_arrays(order1, catalog, valuations)
     r2, v2 = _candidate_arrays(order2, catalog, valuations)
-    cv1, crv1 = _prefix_sums(r1, v1)
-    cv2, crv2 = _prefix_sums(r2, v2)
+    cv1, crv1 = prefix_sums(r1, v1)
+    cv2, crv2 = prefix_sums(r2, v2)
     denom1 = 1.0 + cv1
     e = (crv1 / denom1)[:, None] + (crv2 / (1.0 + cv2))[None, :] / denom1[:, None]
     flat = int(np.argmax(e))

@@ -300,6 +300,23 @@ class TestNegativeSeeds:
         assert err.startswith("error:") and "base_seed" in err
 
 
+class TestNoOutputOnError:
+    """A command that fails before it has anything to write leaves no
+    output directory behind."""
+
+    def test_simulate_bad_seed(self, tmp_path):
+        _, path = small_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["simulate", str(path), "--seed", "-1", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_experiment_zero_reps(self, tmp_path):
+        _, path = small_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["experiment", str(path), "--reps", "0", "--out", str(out)]) == 1
+        assert not out.exists()
+
+
 class TestExperiment:
     def test_config_file_artifacts(self, tmp_path, capsys):
         config, path = small_config(

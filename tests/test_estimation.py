@@ -398,6 +398,46 @@ class TestVectorIndex:
             ledger.valuation_ucb_many(["a", "z"], 3, 2)
         assert ledger.valuation_ucb_many([], 3, 2).tolist() == []
 
+    def test_repeated_sets_reuse_rows(self):
+        """Each tier keeps one set, rebuilt as an equal but distinct
+        frozenset at every step, for runs of closures, then switches to
+        another set and, later, back.  Totals and indices still match a
+        recount from the records."""
+        rng = np.random.default_rng(6)
+        sets = (
+            (["r0", "r1", "r2"], ["r3", "r4"]),
+            (["r1", "r5"], ["r0", "r3", "r6"]),
+        )
+        ledger = EpochLedger()
+        chosen = [0, 0]
+        for t in range(3000):
+            tiers = [frozenset(list(sets[chosen[k]][k])) for k in (0, 1)]
+            roll = rng.random()
+            if roll < 0.4:
+                outcome = ChoiceOutcome(sorted_ids(tiers[0])[int(rng.integers(len(tiers[0])))], 0)
+            elif roll < 0.7:
+                outcome = ChoiceOutcome(sorted_ids(tiers[1])[int(rng.integers(len(tiers[1])))], 1)
+            else:
+                outcome = NO_PURCHASE
+            closed = ledger.record_step(TieredOffer.two_tier(*tiers), outcome)
+            if closed[1] is not None and t // 1000 != chosen[0]:
+                # both tiers are between epochs: move to the next phase's sets
+                chosen = [1, 1] if t < 2000 else [0, 0]
+        assert [len(ledger.epochs(k)) > 500 for k in (0, 1)] == [True, True]
+        totals = reference_totals(ledger)
+        ids = sorted_ids(totals)
+        assert ids == ["r0", "r1", "r2", "r3", "r4", "r5", "r6"]
+        for i in ids:
+            epochs, purchases, launch = totals[i]
+            assert ledger.times_offered(i) == epochs
+            assert ledger.purchase_total(i) == purchases
+            assert ledger.launch_epoch(i) == launch
+        for epoch in (0, ledger.completed // 2, ledger.completed):
+            got = ledger.valuation_ucb_many(ids, epoch, len(ids))
+            want = [reference_ucb(totals, i, epoch, len(ids)) for i in ids]
+            assert got.tolist() == want
+            assert [ledger.valuation_ucb(i, epoch, len(ids)) for i in ids] == want
+
 
 class TestGeometricEpochCounts:
     def sample_counts(self, offer, catalog, product, tier_index, n_epochs, seed):

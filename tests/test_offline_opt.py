@@ -12,7 +12,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from reference_solvers import seed_reference, solve_two_tier_naive
+from reference_solvers import (
+    numpy_sweep,
+    numpy_tier1_prefix,
+    numpy_tier_value,
+    seed_reference,
+    solve_two_tier_naive,
+)
 
 from tieredmnl.errors import InstanceTooLargeError, InvalidOfferError, UnknownProductError
 from tieredmnl.model import (
@@ -27,6 +33,9 @@ from tieredmnl.optimizer import (
     TierPlacement,
     _candidate_arrays,
     _solve_prefix_pairs,
+    _sweep,
+    _tier1_prefix,
+    _tier_maps,
     _tier_value,
     brute_force_optimal,
     enumerate_prefix_pair_offers,
@@ -445,6 +454,103 @@ class TestSequentialTierValue:
 
     def test_empty_tier_is_worth_zero(self):
         assert _tier_value(np.zeros(0), np.zeros(0)) == 0.0
+
+
+class TestRunningSumCores:
+    """The running-sum cores against the numpy prefix-sum cores they
+    replaced (``reference_solvers``), on the same gathered inputs."""
+
+    SHAPES = ("shared", "disjoint", "overlapping")
+
+    def random_case(self, rng, shape, tick=None):
+        """Sweep inputs and tier-1 prefix inputs (forced products first,
+        tier 2 in id order) of one random catalog, as numpy arrays."""
+        n = int(rng.integers(0, 41))
+        profits = rng.uniform(0, 5, n)
+        if tick is not None:
+            profits = np.round(profits / tick) * tick
+        products = tuple(Product(f"p{k}", float(profits[k]), 0.5) for k in range(n))
+        ids = [p.id for p in products]
+        if shape == "shared":
+            x1 = x2 = [i for i in ids if rng.random() < 0.8]
+        elif shape == "disjoint":
+            coin = rng.random(n)
+            x1 = [i for i, c in zip(ids, coin) if c < 0.5]
+            x2 = [i for i, c in zip(ids, coin) if c >= 0.5]
+        else:
+            x1 = [i for i in ids if rng.random() < 0.7]
+            x2 = [i for i in ids if rng.random() < 0.7]
+        catalog = Catalog(products, x1, x2)
+        valuations = {i: 0.0 if rng.random() < 0.3 else float(rng.uniform(0, 3)) for i in ids}
+        order1 = profit_order(catalog.candidates_tier1, catalog)
+        order2 = order1 if x1 == x2 else profit_order(catalog.candidates_tier2, catalog)
+        r1, v1 = _candidate_arrays(order1, catalog, valuations)
+        r2, v2 = (r1, v1) if order2 is order1 else _candidate_arrays(order2, catalog, valuations)
+        sweep = (r1, v1, r2, v2, *_tier_maps(order1, order2))
+        tier2 = sorted_ids(i for i in order2 if rng.random() < 0.3)
+        forced = sorted_ids(i for i in ids if i not in tier2 and rng.random() < 0.15)
+        free = [i for i in order1 if i not in tier2 and i not in forced]
+        fr1, fv1 = _candidate_arrays(forced + free, catalog, valuations)
+        fr2, fv2 = _candidate_arrays(tier2, catalog, valuations)
+        return sweep, (fr1, fv1, len(forced), fr2, fv2)
+
+    @staticmethod
+    def new_sweep(r1, v1, r2, v2, rank1, pos2):
+        p1, w1 = r1.tolist(), v1.tolist()
+        p2, w2 = (p1, w1) if v2 is v1 else (r2.tolist(), v2.tolist())
+        return _sweep(p1, w1, p2, w2, rank1, pos2)
+
+    @staticmethod
+    def new_tier1(r1, v1, n_forced, r2, v2):
+        return _tier1_prefix(r1.tolist(), v1.tolist(), n_forced, r2.tolist(), v2.tolist())
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equal_answers(self, shape):
+        rng = np.random.default_rng(20190601 + self.SHAPES.index(shape))
+        for _ in range(2000):
+            sweep, tier1 = self.random_case(rng, shape)
+            assert self.new_sweep(*sweep) == numpy_sweep(*sweep)
+            assert self.new_tier1(*tier1) == numpy_tier1_prefix(*tier1)
+            r2, v2 = tier1[3], tier1[4]
+            assert _tier_value(r2.tolist(), v2.tolist()) == numpy_tier_value(r2, v2)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_ties_keep_the_value(self, shape):
+        """On a 1/8 profit grid a candidate can earn exactly the best value,
+        where the early stop and an argmax over every prefix may pick
+        different equal offers but not different values."""
+        rng = np.random.default_rng(20190611 + self.SHAPES.index(shape))
+        for _ in range(2000):
+            sweep, tier1 = self.random_case(rng, shape, tick=0.125)
+            assert self.new_sweep(*sweep)[0] == pytest.approx(numpy_sweep(*sweep)[0], abs=1e-12)
+            assert self.new_tier1(*tier1)[1] == pytest.approx(
+                numpy_tier1_prefix(*tier1)[1], abs=1e-12
+            )
+
+    def test_empty_and_single_candidate(self):
+        empty = np.zeros(0)
+        assert _sweep([], [], [], [], range(0), range(0)) == (0.0, 0, 0)
+        assert numpy_sweep(empty, empty, empty, empty, range(0), range(0)) == (0.0, 0, 0)
+        assert _tier1_prefix([], [], 0, [], []) == (0, 0.0)
+        assert numpy_tier1_prefix(empty, empty, 0, empty, empty) == (0, 0.0)
+        for r, w in ((2.0, 0.5), (2.0, 0.0), (0.0, 0.5)):
+            arr_r, arr_w = np.array([r]), np.array([w])
+            shared = (arr_r, arr_w, arr_r, arr_w, range(1), range(1))
+            assert self.new_sweep(*shared) == numpy_sweep(*shared)
+            for one_tier in (
+                (arr_r, arr_w, empty, empty, [], [0]),
+                (empty, empty, arr_r, arr_w, [0], []),
+            ):
+                assert self.new_sweep(*one_tier) == numpy_sweep(*one_tier)
+            for n_forced in (0, 1):
+                args = (arr_r, arr_w, n_forced, empty, empty)
+                assert self.new_tier1(*args) == numpy_tier1_prefix(*args)
+
+    def test_tier1_scan_stops_at_a_profit_equal_to_the_best_value(self):
+        """Taking 2.0 at weight 1 makes the value exactly 1.0; a free
+        candidate earning 1.0 cannot raise it, so the scan reads no further
+        (the None weight would fail if it did)."""
+        assert _tier1_prefix([2.0, 1.0, 0.5], [1.0, None, None], 0, [], []) == (1, 1.0)
 
 
 class TestProfitOrder:

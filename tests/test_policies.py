@@ -24,6 +24,7 @@ from tieredmnl.model import (
     sorted_ids,
 )
 from tieredmnl.optimizer import (
+    _tier1_prefix,
     enumerate_prefix_pair_offers,
     solve_tier1_given_tier2,
     solve_two_tier,
@@ -271,6 +272,42 @@ class TestOptimisticValuations:
         assert mixed > 0
 
 
+    def test_rows_follow_a_view_gaining_estimates(self):
+        """With every product launched at t=0 the policy keeps one visible
+        view, whose estimated products (and their cached ledger rows) grow
+        as epochs close; every re-solve writes the scalar loop's values."""
+        rng = np.random.default_rng(32)
+        catalog = Catalog(
+            tuple(
+                Product(f"p{k:02d}", float(rng.uniform(0, 1)), float(rng.uniform(0, 0.3)))
+                for k in range(16)
+            )
+        )
+        policy = UcbTieredPolicy(
+            catalog,
+            BufferedRandom(np.random.default_rng(7)),
+            min_epochs=3,
+            known_valuations={"p05": 0.2},
+            confidence_scale=4.8,
+        )
+        customers = BufferedRandom(np.random.default_rng(8))
+        sizes = []
+        for t in range(1, 401):
+            resolves = policy.full_resolves + policy.tier1_resolves
+            offer = policy.offer(t)
+            if policy.full_resolves + policy.tier1_resolves != resolves:
+                got = {i: float(policy._w[catalog._rank[i]]) for i in policy._visible}
+                assert got == reference_optimistic_valuations(policy, policy.ledger.completed)
+                view = policy._view
+                assert view.estimated_rows.tolist() == [
+                    policy.ledger._index[i] for i in view.estimated
+                ]
+                sizes.append(len(view.estimated))
+            policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
+        assert len(policy._views) == 1
+        assert len(set(sizes) - {0}) >= 2
+
+
 def shaped_catalog(shape, rng):
     """Launch catalogs for the decision-path equivalence tests: shared
     candidate sets, disjoint ones shaped like preset 3 (known products in
@@ -360,6 +397,79 @@ class TestArrayDecisionPath:
             policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
         assert (policy.full_resolves, policy.tier1_resolves) == (full, tier1)
         assert full > 50 and tier1 > 50 and forced_steps > 0
+
+    def test_repeated_tier1_answer_keeps_the_offer(self):
+        """A tier-1 re-solve that picks the same prefix as the offer in
+        force returns that very offer object; a new prefix builds a new
+        one."""
+        rng = np.random.default_rng(91)
+        catalog, known = shaped_catalog("shared", rng)
+        policy = UcbTieredPolicy(
+            catalog,
+            BufferedRandom(np.random.default_rng(3)),
+            min_epochs=15,
+            known_valuations=known,
+            confidence_scale=4.8,
+        )
+        customers = BufferedRandom(np.random.default_rng(4))
+        kept = changed = 0
+        previous = None
+        for t in range(1, 1201):
+            tier1_resolve = policy._need_tier1 and not policy._need_full
+            before = policy._tier1_a
+            offer = policy.offer(t)
+            if tier1_resolve:
+                if policy._tier1_a == before:
+                    assert offer is previous
+                    kept += 1
+                else:
+                    assert offer.tier(0) != previous.tier(0)
+                    assert offer.tier(1) == previous.tier(1)
+                    changed += 1
+            previous = offer
+            policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
+        assert kept > 50 and changed > 0
+
+    @pytest.mark.parametrize("shape", ["shared", "overlapping"])
+    def test_tier1_frame_prices_like_the_public_solver(self, shape):
+        """The tier-1 frame hands the core the public solver's inputs in the
+        public solver's order (tier 2 summed in id order), so the value it
+        prices is the same float."""
+        rng = np.random.default_rng(["shared", "overlapping"].index(shape) + 95)
+        catalog, known = shaped_catalog(shape, rng)
+        policy = UcbTieredPolicy(
+            catalog,
+            BufferedRandom(np.random.default_rng(3)),
+            min_epochs=15,
+            known_valuations=known,
+            confidence_scale=4.8,
+        )
+        customers = BufferedRandom(np.random.default_rng(4))
+        checked = 0
+        for t in range(1, 1201):
+            tier1_resolve = policy._need_tier1 and not policy._need_full
+            offer = policy.offer(t)
+            if tier1_resolve:
+                frame = policy._frame
+                got = _tier1_prefix(
+                    frame.profits1,
+                    policy._w[frame.ranks1].tolist(),
+                    frame.n_forced,
+                    frame.profits2,
+                    policy._w[frame.ranks2].tolist(),
+                )
+                want = solve_tier1_given_tier2(
+                    catalog,
+                    policy._tier2_locked,
+                    valuations=reference_optimistic_valuations(policy, policy.ledger.completed),
+                    candidates_tier1=catalog.candidates_tier1 & policy._visible,
+                    forced_tier1=policy._forced_tier1,
+                )
+                assert got[1] == want[1]
+                assert policy._forced_tier1.union(frame.free[: got[0]]) == want[0]
+                checked += 1
+            policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
+        assert checked > 50
 
     def test_non_finite_weight_in_the_vector_is_rejected(self):
         catalog = small_catalog()
