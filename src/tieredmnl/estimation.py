@@ -21,7 +21,9 @@ geometric-count argument above.
 
 ``EpochLedger.record_step`` returns the epochs a step closed, one slot per
 tier.  The ledger keeps the completed epoch records and, per product, the
-pooled epoch and purchase totals; it keeps no per-step log.
+pooled epoch and purchase totals; it keeps no per-step log.  Policies keep
+an offer object while its answer stands, so the epoch lock and the close
+compare a tier's set by identity before comparing it by value.
 
 Averaging a product's per-epoch purchase counts over every completed epoch
 that offered it (either tier) estimates its preference weight.
@@ -34,9 +36,8 @@ product must be shown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,13 +50,13 @@ from .model import ChoiceOutcome, ProductId, TieredOffer, sorted_ids
 UCB_CONFIDENCE_SCALE = 48.0
 
 
-@dataclass(frozen=True)
-class EpochRecord:
+class EpochRecord(NamedTuple):
     """One completed epoch: its tier, label, locked offer, and purchases.
 
     ``steps`` lists the 1-based step indices the epoch covered (for tier 2,
     only the steps on which tier 2 was viewed).  ``purchases`` maps product
-    id to how many of the epoch's steps bought it.
+    id to how many of the epoch's steps bought it.  A named tuple, because
+    one is built per closed epoch, nearly one per customer.
     """
 
     tier_index: int
@@ -126,45 +127,45 @@ class EpochLedger:
         the records of the epochs the step closed, indexed by tier: the
         tier-1 record or None, then the tier-2 record or None.
         """
-        if len(offer.tiers) != 2:
+        tiers = offer.tiers
+        if len(tiers) != 2:
             raise InvalidOfferError(
-                f"epoch accounting expects a two-tier offer, got {len(offer.tiers)} tiers"
+                f"epoch accounting expects a two-tier offer, got {len(tiers)} tiers"
             )
-        if outcome.is_purchase:
-            if outcome.tier not in (0, 1):
+        product, tier = outcome.product, outcome.tier
+        if product is not None:
+            if tier not in (0, 1):
                 raise OutcomeMismatchError(
-                    f"outcome tier index {outcome.tier!r} is not a two-tier index"
+                    f"outcome tier index {tier!r} is not a two-tier index"
                 )
-            if outcome.product not in offer.tier(outcome.tier):
+            if product not in tiers[tier]:
                 raise OutcomeMismatchError(
-                    f"product {outcome.product!r} was not offered in tier {outcome.tier + 1}"
+                    f"product {product!r} was not offered in tier {tier + 1}"
                 )
         self.steps_recorded += 1
         t = self.steps_recorded
-        tier2_viewed = not (outcome.is_purchase and outcome.tier == 0)
-        viewed = (True, tier2_viewed)
-        for k in (0, 1):
-            if not viewed[k]:
-                continue
+        tier2_viewed = tier != 0
+        for k in (0, 1) if tier2_viewed else (0,):
             open_ = self._open[k]
-            if open_.offered is None:
-                open_.offered = offer.tier(k)
-            elif open_.offered != offer.tier(k):
+            locked = open_.offered
+            if locked is None:
+                open_.offered = tiers[k]
+            elif locked is not tiers[k] and locked != tiers[k]:  # mostly the same object
                 raise InvalidOfferError(
                     f"tier {k + 1} changed during epoch {open_.label}: locked "
-                    f"{sorted_ids(open_.offered)}, got {sorted_ids(offer.tier(k))}"
+                    f"{sorted_ids(locked)}, got {sorted_ids(tiers[k])}"
                 )
             open_.steps.append(t)
-        if outcome.is_purchase:
-            purchases = self._open[outcome.tier].purchases
-            purchases[outcome.product] = purchases.get(outcome.product, 0) + 1
+        if product is not None:
+            purchases = self._open[tier].purchases
+            purchases[product] = purchases.get(product, 0) + 1
         if not tier2_viewed:
             return None, None
         # tier 1 closes exactly when the customer moves past it, tier 2 when
         # the customer walks away entirely; both reopen only after every
         # closure of the step is tallied
         closed1 = self._close(0)
-        closed2 = None if outcome.is_purchase else self._close(1)
+        closed2 = None if product is not None else self._close(1)
         self._open[0] = _Open(self.completed)
         if closed2 is not None:
             self._open[1] = _Open(self.completed)
@@ -172,26 +173,26 @@ class EpochLedger:
 
     def _close(self, k: int) -> EpochRecord:
         open_ = self._open[k]
-        record = EpochRecord(
-            k, open_.label, open_.offered, dict(open_.purchases), tuple(open_.steps)
-        )
+        # the open epoch is dropped after its close, so its dict passes on
+        record = EpochRecord(k, open_.label, open_.offered, open_.purchases, tuple(open_.steps))
         self._closed[k].append(record)
         self.completed += 1
         index = self._index
         offered = record.offered
-        new = [i for i in offered if i not in index]
-        if new:
-            for i in sorted_ids(new):
-                index[i] = len(index)
-            if len(index) > len(self._epochs_total):
-                self._grow()
-            # one product's epochs complete in label order (its tiers are
-            # disjoint and locked while open), so the first closure that
-            # offers it carries its launch epoch
-            self._launch_epoch[[index[i] for i in new]] = record.label
-            self._launch_stale = True
         last_offered, rows = self._last_rows[k]
-        if offered != last_offered:
+        # an equal set (usually the same object) has every product indexed
+        if offered is not last_offered and offered != last_offered:
+            new = [i for i in offered if i not in index]
+            if new:
+                for i in sorted_ids(new):
+                    index[i] = len(index)
+                if len(index) > len(self._epochs_total):
+                    self._grow()
+                # one product's epochs complete in label order (its tiers are
+                # disjoint and locked while open), so the first closure that
+                # offers it carries its launch epoch
+                self._launch_epoch[[index[i] for i in new]] = record.label
+                self._launch_stale = True
             rows = np.fromiter(map(index.__getitem__, offered), dtype=np.intp, count=len(offered))
             self._last_rows[k] = (offered, rows)
         self._epochs_total[rows] += 1
@@ -234,6 +235,11 @@ class EpochLedger:
         if epochs == 0:
             raise NeverOfferedError(product_id)
         return purchases / epochs
+
+    def _means(self, rows: np.ndarray) -> np.ndarray:
+        """``valuation_estimate`` of the products at ledger ``rows``: int64
+        over int64 rounds like Python's int / int below 2**53."""
+        return self._purchases_total[rows] / self._epochs_total[rows]
 
     def valuation_ucb(
         self,

@@ -122,7 +122,10 @@ class Catalog:
         self._ids = all_ids = frozenset(self._by_id)
         for attr in ("candidates_tier1", "candidates_tier2"):
             raw = getattr(self, attr)
-            cand = all_ids if raw is None else frozenset(raw)
+            ids = () if raw is None else tuple(raw)
+            if any(isinstance(i, bool) for i in ids):  # True and False alias ids 1 and 0
+                raise InvalidCatalogError(f"{attr} lists a bool, which is not a product id")
+            cand = all_ids if raw is None else frozenset(ids)
             unknown = cand - all_ids
             if unknown:
                 raise InvalidCatalogError(
@@ -388,14 +391,14 @@ def catalog_to_dict(catalog: Catalog) -> dict:
     }
 
 
-def _id_set(data: dict, key: str) -> frozenset | None:
-    """A catalog document's candidate list as a set (None when absent)."""
+def _id_list(data: dict, key: str) -> list | None:
+    """A catalog document's candidate list (None when absent)."""
     if key not in data:
         return None
     ids = data[key]
     if not (isinstance(ids, list) and all(isinstance(i, (int, str)) for i in ids)):
         raise InvalidCatalogError(f"catalog {key!r} must be a list of product ids, got {ids!r}")
-    return frozenset(ids)
+    return ids
 
 
 def catalog_from_dict(data: dict) -> Catalog:
@@ -429,7 +432,7 @@ def catalog_from_dict(data: dict) -> Catalog:
             )
         )
     return Catalog(
-        tuple(products), _id_set(data, "candidates_tier1"), _id_set(data, "candidates_tier2")
+        tuple(products), _id_list(data, "candidates_tier1"), _id_list(data, "candidates_tier2")
     )
 
 

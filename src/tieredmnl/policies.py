@@ -15,7 +15,9 @@ The UCB family decides in the catalog's canonical order: one valuation
 vector indexed by catalog rank, candidate profits and the estimated
 products' ledger rows cached per visible set, and the optimizer's sweep and
 tier-1 prefix cores.  The public solvers wrap the same cores, so the offers
-equal theirs for the same valuations.
+equal theirs for the same valuations.  A re-solve whose answer equals the
+offer in force returns that offer object.  Explore-then-exploit reads its
+estimates from the ledger's rows as one vector.
 
 Every policy, the oracle included, prices offers with the prefix-pair
 family (``exact=False``), the same family the simulator's regret benchmark
@@ -172,6 +174,8 @@ class _VisibleView:
             self.cold = tuple(filterfalse(ledger.has_estimate, self.unknown))
 
     def update_learning(self, ledger: EpochLedger, min_epochs: int) -> None:
+        if not self.learning:
+            return
         short = ledger.times_offered_many(self.learning) < min_epochs
         self.learning = tuple(compress(self.learning, short))
 
@@ -179,11 +183,15 @@ class _VisibleView:
 class _Tier1Frame:
     """What one tier-2 epoch's tier-1 re-solves read: the forced products
     (``str(id)`` order) then the free tier-1 candidates (profit order), and
-    the locked tier 2 in ``str(id)`` order, with their ranks and profits."""
+    the locked tier 2 in ``str(id)`` order, with their ranks and profits.
+    ``view`` is the visible set's view the frame was built from."""
 
-    __slots__ = ("free", "n_forced", "ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2")
+    __slots__ = (
+        "view", "free", "n_forced", "ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2",
+    )
 
     def __init__(self, catalog: Catalog, view: _VisibleView, forced: frozenset, tier2: frozenset):
+        self.view = view
         self.free = [i for i in view.ids1 if i not in tier2 and i not in forced]
         self.n_forced = len(forced)
         self.ids1 = sorted_ids(forced) + self.free
@@ -297,13 +305,19 @@ class UcbTieredPolicy(Policy):
         selected = set(tier1).union(tier2)
         under = tuple(i for i in view.learning if i not in selected)
         forced1, forced2 = self._assign_forced(under)
-        self._forced_tier1 = frozenset(forced1)
-        self._tier2_locked = frozenset(tier2).union(forced2)
-        self._current = TieredOffer.two_tier(
-            self._forced_tier1.union(tier1), self._tier2_locked
-        )
+        forced = frozenset(forced1)
+        tiers = (forced.union(tier1), frozenset(tier2).union(forced2))
+        current = self._current
+        # the same tiers and forced split are the same offer: keep the object
+        # (and the tier-1 frame, unless the visible set moved)
+        if current is None or current.tiers != tiers or forced != self._forced_tier1:
+            self._forced_tier1 = forced
+            self._tier2_locked = tiers[1]
+            self._current = TieredOffer(tiers)
+            self._frame = None
+        elif self._frame is not None and self._frame.view is not view:
+            self._frame = None
         self._tier1_a = a
-        self._frame = None
         self._need_full = False
         self._need_tier1 = False
 
@@ -415,18 +429,23 @@ class ExploreThenExploitPolicy(Policy):
         self._sizes = self._member1.sum(axis=1) + self._member2.sum(axis=1)
         self._tier1_sizes = self._member1.sum(axis=1)
         self._counts = np.zeros(len(self._offers))
+        # never-offered products; the others' positions and ledger rows
+        self._cold = tuple(self._products)
+        self._cols = self._rows = np.zeros(0, dtype=np.intp)
         self._incumbent: int | None = None
         self._cursor = 0
         self._current: int | None = None
         self._at_boundary = False
 
     def _candidate_values(self) -> np.ndarray:
-        v = np.array(
-            [
-                self.ledger.valuation_estimate(i) if self.ledger.has_estimate(i) else 0.0
-                for i in self._products
-            ]
-        )
+        ledger = self.ledger
+        if any(map(ledger.has_estimate, self._cold)):
+            self._cold = tuple(filterfalse(ledger.has_estimate, self._products))
+            cols = [j for j, i in enumerate(self._products) if ledger.has_estimate(i)]
+            self._cols = np.array(cols, dtype=np.intp)
+            self._rows = ledger._rows(self._products[j] for j in cols)
+        v = np.zeros(len(self._products))
+        v[self._cols] = ledger._means(self._rows)
         rv = self._profits * v
         denom1 = 1.0 + self._member1 @ v
         denom2 = 1.0 + self._member2 @ v
@@ -441,15 +460,12 @@ class ExploreThenExploitPolicy(Policy):
         if self._incumbent is None:
             self._incumbent = self._argmax(values)
         quota = max(self.gamma * math.log(t), 1.0)
-        eligible = (values > values[self._incumbent]) & (self._counts < quota)
-        chosen = None
-        for step in range(len(self._offers)):
-            idx = (self._cursor + step) % len(self._offers)
-            if eligible[idx]:
-                chosen = idx
-                self._cursor = idx + 1
-                break
-        if chosen is None:
+        eligible = np.flatnonzero((values > values[self._incumbent]) & (self._counts < quota))
+        if len(eligible):  # the first eligible index in cycle order from the cursor
+            start = self._cursor % len(self._offers)
+            chosen = int(eligible[np.searchsorted(eligible, start) % len(eligible)])
+            self._cursor = chosen + 1
+        else:
             self._incumbent = self._argmax(values)
             chosen = self._incumbent
         self._current = chosen

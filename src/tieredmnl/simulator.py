@@ -7,7 +7,9 @@ analytically so the headline metric carries no sampling noise (realized
 revenue is logged alongside as a diagnostic).  The benchmark S*_t is the
 prefix-pair optimum over the products launched by t, re-solved at launch
 times — the same family every policy prices offers with, so no policy is
-judged against a search space it could not use.
+judged against a search space it could not use.  The unlaunched-product
+check, the price and the sampler are worked out once per distinct offer,
+and the trace CSV formats each offer object's id cells once.
 
 Replication seeds fan out of one base seed via numpy's SeedSequence spawn
 keys: (rep, 0) draws the catalog, (rep, 1) the customers, (rep, 2) the
@@ -22,6 +24,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -249,15 +252,17 @@ def run(config: ExperimentConfig, policy_spec: PolicySpec, seed: int = 0) -> Reg
                 exact=False,
             ).expected_profit
         offer = policy.offer(t)
-        launched = catalog.visible_at(t)
-        if not offer.all_ids <= launched:
-            missing = sorted_ids(offer.all_ids - launched)
-            raise InvalidOfferError(
-                f"policy {policy_spec.display_label!r} offered unlaunched "
-                f"product {missing[0]!r} at t={t}"
-            )
         cached = cache.get(offer)
         if cached is None:
+            # visible sets only grow, so an offer valid when first served
+            # stays valid
+            launched = catalog.visible_at(t)
+            if not offer.all_ids <= launched:
+                missing = sorted_ids(offer.all_ids - launched)
+                raise InvalidOfferError(
+                    f"policy {policy_spec.display_label!r} offered unlaunched "
+                    f"product {missing[0]!r} at t={t}"
+                )
             cached = (
                 expected_profit(offer, catalog),
                 ChoiceSampler(offer, catalog, None),
@@ -581,35 +586,35 @@ def _id_cell(ids: Iterable) -> str:
 
 
 def write_trace_csv(trace: RegretTrace, path) -> None:
-    """Per-step trace; floats via repr so replays are byte-identical."""
-    cumulative = trace.cumulative()
+    """Per-step trace; csv writes floats via repr, so replays are
+    byte-identical.  Each distinct offer object's id cells are formatted
+    once."""
+    keys = list(map(id, trace.offers))  # the trace keeps every offer alive
+    cells = {}
+    for key, offer in zip(keys, trace.offers):
+        if key not in cells:
+            cells[key] = (_id_cell(offer.tier(0)), _id_cell(offer.tier(1)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["t", "instantaneous_regret", "cumulative_regret", "offered_tier1", "offered_tier2"]
         )
-        for t in range(len(trace)):
-            offer = trace.offers[t]
-            writer.writerow(
-                [
-                    t + 1,
-                    repr(float(trace.instantaneous[t])),
-                    repr(float(cumulative[t])),
-                    _id_cell(offer.tier(0)),
-                    _id_cell(offer.tier(1)),
-                ]
+        writer.writerows(
+            (t, regret, cumulative, *cells[key])
+            for t, regret, cumulative, key in zip(
+                count(1), trace.instantaneous.tolist(), trace.cumulative().tolist(), keys
             )
+        )
 
 
 def write_mean_curve_csv(summary: ReplicationSummary, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "mean_instantaneous_regret", "mean_cumulative_regret"])
-        for t in range(len(summary.mean_cumulative)):
-            writer.writerow(
-                [
-                    t + 1,
-                    repr(float(summary.mean_instantaneous[t])),
-                    repr(float(summary.mean_cumulative[t])),
-                ]
+        writer.writerows(
+            zip(
+                count(1),
+                summary.mean_instantaneous.tolist(),
+                summary.mean_cumulative.tolist(),
             )
+        )

@@ -229,6 +229,15 @@ class TestProductValidation:
         with pytest.raises(InvalidCatalogError):
             Catalog((Product("a", 1.0, 0.5),), candidates_tier1=["ghost"])
 
+    @pytest.mark.parametrize("attr", ["candidates_tier1", "candidates_tier2"])
+    @pytest.mark.parametrize("ids", [[True], [1, True], [False]])
+    def test_bool_candidate_ids_rejected(self, attr, ids):
+        """True and False hash like product ids 1 and 0, so a bool in a
+        candidate list would silently stand for them."""
+        products = (Product(0, 1.0, 0.5), Product(1, 2.0, 0.5))
+        with pytest.raises(InvalidCatalogError, match=attr):
+            Catalog(products, **{attr: ids})
+
     def test_visible_at_filters_by_launch_time(self):
         catalog = Catalog(
             (Product("a", 1.0, 0.5), Product("b", 1.0, 0.5, launch_time=10))
@@ -327,6 +336,12 @@ class TestCatalogSerialization:
     )
     def test_malformed_structure_rejected(self, key, value):
         data = {"products": [{"id": 1, "profit": 1.0, "valuation": 0.5}], key: value}
+        with pytest.raises(InvalidCatalogError, match=key):
+            catalog_from_dict(data)
+
+    @pytest.mark.parametrize("key", ["candidates_tier1", "candidates_tier2"])
+    def test_bool_candidate_ids_rejected(self, key):
+        data = {"products": [{"id": 1, "profit": 1.0, "valuation": 0.5}], key: [True]}
         with pytest.raises(InvalidCatalogError, match=key):
             catalog_from_dict(data)
 

@@ -5,6 +5,8 @@ the artifact tree; one subprocess smoke test covers the real entry point.
 The exit-code contract: 0 success, 1 bad input, 2 failed diagnostics.
 """
 
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -20,6 +22,7 @@ from tieredmnl.simulator import (
     ProductGroup,
     config_from_dict,
     config_to_dict,
+    experiment_preset,
     replicate,
     save_config,
 )
@@ -87,6 +90,17 @@ class TestSolve:
         assert main(["solve", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "launch_time" in err
+
+    def test_bool_candidate_id_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"products": [{"id": 1, "profit": 1.0, "valuation": 0.5}],
+                        "candidates_tier1": [True]}),
+            encoding="utf-8",
+        )
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "candidates_tier1" in err
 
 
 class TestUsage:
@@ -374,6 +388,43 @@ class TestExperiment:
     def test_nonexistent_config_argument(self, tmp_path, capsys):
         assert main(["experiment", "9", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestPinnedExperimentArtifacts:
+    """sha256 of every file ``tieredmnl experiment`` writes for preset 2 cut
+    to T=400 with two replications: both policies' traces (explore-then-
+    exploit included), both CSV writers, the JSON documents and the chart.
+    Recorded once; a change that moves any byte shows up here."""
+
+    PINNED = {
+        "exp2/manifest.json": "6e318a6e235e303ec45dbbe9ba26fe28220aa6f926f66d4803a47391a0cf82be",
+        "exp2/mean_explore_then_exploit.csv":
+            "0da1afbf98fc09a2b7485aafdf0ac9e712ff4af2657bfe474c66300a5b4d38db",
+        "exp2/mean_ucb_tiered.csv":
+            "f3948fc5c638bdf90a26fb91c204a87705e56316933dd7fed9a1eb2d37fd9267",
+        "exp2/summary.json": "1c85641ace106c5e459c1356a2c268c1416aabb056fe293cfd0aa80c397b9a76",
+        "exp2/trace_explore_then_exploit_rep000.csv":
+            "03c5859c0d75ef7255601b37705f91b8410ad4504ce53ffaad02bf244b37c3a5",
+        "exp2/trace_explore_then_exploit_rep001.csv":
+            "3ad7c696f21383cb66a8840e3a5e6111a739a0843ff9165b29e414d635e487da",
+        "exp2/trace_ucb_tiered_rep000.csv":
+            "f5d6f3a11aca7fac6af4123cc798bbba978a56baa072247b253e6e0209f41e77",
+        "exp2/trace_ucb_tiered_rep001.csv":
+            "08892e134f1085070c0f2da1a6814122bbb3735dad0ecc5b07dd785eb8ac9c0b",
+        "exp2_regret.svg": "6f03489e1ff4147c2962328dff517720926760e92ba973c2abc4c9433d09c79b",
+    }
+
+    def test_artifact_hashes_are_pinned(self, tmp_path):
+        path = tmp_path / "exp2.json"
+        save_config(dataclasses.replace(experiment_preset(2)[0], horizon=400), path)
+        out = tmp_path / "out"
+        assert main(["experiment", str(path), "--reps", "2", "--out", str(out)]) == 0
+        written = {
+            p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.rglob("*")
+            if p.is_file()
+        }
+        assert written == self.PINNED
 
 
 class TestVerifyCommand:

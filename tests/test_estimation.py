@@ -194,6 +194,39 @@ class TestRecordingGuards:
         assert record.steps == (1, 2, 3)
         assert record.purchases_of("b") == 2
 
+    def test_equal_but_distinct_sets_pass_the_lock(self):
+        """The lock compares by identity first and by value after it: a
+        rebuilt, equal set passes; a changed one still raises."""
+        ledger = EpochLedger()
+        ledger.record_step(OFFER, ChoiceOutcome("b", 1))  # tier 2 stays open
+        ledger.record_step(OFFER, ChoiceOutcome("a", 0))  # tier 1 stays open
+        rebuilt = TieredOffer.two_tier(frozenset(["a"]), frozenset(["b"]))
+        assert rebuilt.tier(0) is not OFFER.tier(0) and rebuilt.tier(1) is not OFFER.tier(1)
+        ledger.record_step(rebuilt, ChoiceOutcome("b", 1))
+        assert ledger.labels(1) == ()
+        with pytest.raises(InvalidOfferError, match="tier 2 changed"):
+            ledger.record_step(TieredOffer.two_tier(["c"], ["b", "d"]), NO_PURCHASE)
+        ledger = EpochLedger()
+        ledger.record_step(OFFER, ChoiceOutcome("a", 0))
+        with pytest.raises(InvalidOfferError, match="tier 1 changed"):
+            ledger.record_step(TieredOffer.two_tier(["c"], ["b"]), ChoiceOutcome("c", 0))
+
+    def test_same_size_close_with_a_new_product_indexes_it(self):
+        """A tier's close whose set has the size of its last closed set but
+        one new product still indexes that product, at its own label."""
+        ledger = EpochLedger()
+        ledger.record_step(TieredOffer.two_tier(["a", "b"], ["x"]), NO_PURCHASE)
+        ledger.record_step(TieredOffer.two_tier(["a", "c"], ["x"]), ChoiceOutcome("x", 1))
+        assert ledger.labels(0) == (0, 2)
+        assert ledger.has_estimate("c") and ledger.launch_epoch("c") == 2
+        assert ledger.launch_epoch("a") == 0
+        totals = reference_totals(ledger)
+        for i in ("a", "b", "c", "x"):
+            assert (ledger.times_offered(i), ledger.purchase_total(i)) == totals[i][:2]
+        assert ledger.valuation_ucb_many(["c"], 3, 4).tolist() == [
+            reference_ucb(totals, "c", 3, 4)
+        ]
+
     def test_outcome_must_match_offer(self):
         ledger = EpochLedger()
         with pytest.raises(OutcomeMismatchError):

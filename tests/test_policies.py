@@ -430,6 +430,54 @@ class TestArrayDecisionPath:
             policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
         assert kept > 50 and changed > 0
 
+    @pytest.mark.parametrize("policy_cls", [UcbTieredPolicy, RandomTierLearningPolicy])
+    def test_repeated_full_answer_keeps_the_offer(self, policy_cls):
+        """A full re-solve that gives the tiers and forced split of the
+        offer in force returns that very offer object."""
+        rng = np.random.default_rng(93)
+        catalog, known = shaped_catalog("shared", rng)
+        policy = policy_cls(
+            catalog,
+            BufferedRandom(np.random.default_rng(5)),
+            min_epochs=15,
+            known_valuations=known,
+            confidence_scale=4.8,
+        )
+        customers = BufferedRandom(np.random.default_rng(6))
+        kept = 0
+        for t in range(1, 1201):
+            full = policy._need_full or policy._current is None
+            previous, forced = policy._current, policy._forced_tier1
+            offer = policy.offer(t)
+            if full and offer == previous and policy._forced_tier1 == forced:
+                assert offer is previous
+                kept += 1
+            policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
+        assert kept > 100
+
+    def test_kept_offer_rebuilds_the_frame_after_a_launch(self):
+        """An offer kept across a launch keeps its tiers, but its tier-1
+        frame must come from the new visible set: the launched products may
+        join tier 1 at the next tier-1 re-solve."""
+        rng = np.random.default_rng(94)
+        catalog, known = shaped_catalog("shared", rng)
+        policy = UcbTieredPolicy(
+            catalog,
+            BufferedRandom(np.random.default_rng(7)),
+            known_valuations=known,
+            confidence_scale=4.8,
+        )
+        customers = BufferedRandom(np.random.default_rng(8))
+        crossed = 0
+        for t in range(1, 400):
+            view, frame, previous = policy._view, policy._frame, policy._current
+            offer = policy.offer(t)
+            if frame is not None and offer is previous and policy._view is not view:
+                crossed += 1
+            assert policy._frame is None or policy._frame.view is policy._view
+            policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
+        assert crossed > 0
+
     @pytest.mark.parametrize("shape", ["shared", "overlapping"])
     def test_tier1_frame_prices_like_the_public_solver(self, shape):
         """The tier-1 frame hands the core the public solver's inputs in the
@@ -559,6 +607,54 @@ class TestExploreThenExploit:
         policy = ExploreThenExploitPolicy(catalog, np.random.default_rng(0), gamma=0.0)
         history = run_policy(policy, catalog, 100, seed=6)
         assert len(history) == 100
+
+    def test_estimate_vector_and_cycle_scan_match_the_loops(self):
+        """At every choice, the estimates gathered from the ledger's rows
+        equal ``valuation_estimate`` product by product (0 for a product
+        never offered), and the chosen candidate is the first eligible one
+        in cycle order from the cursor, found one index at a time."""
+        rng = np.random.default_rng(12)
+        catalog = Catalog(
+            tuple(
+                Product(f"p{k:02d}", float(rng.uniform(0, 1)), float(rng.uniform(0, 0.1)))
+                for k in range(9)
+            )
+        )
+        policy = ExploreThenExploitPolicy(catalog, np.random.default_rng(0), gamma=5.0)
+        choose = policy._choose
+        explored = 0
+
+        def checked_choose(t):
+            nonlocal explored
+            ledger = policy.ledger
+            values = policy._candidate_values()
+            v = np.array(
+                [
+                    ledger.valuation_estimate(i) if ledger.has_estimate(i) else 0.0
+                    for i in policy._products
+                ]
+            )
+            rv = policy._profits * v
+            denom1 = 1.0 + policy._member1 @ v
+            denom2 = 1.0 + policy._member2 @ v
+            want = (policy._member1 @ rv) / denom1 + (policy._member2 @ rv) / (denom1 * denom2)
+            assert values.tolist() == want.tolist()
+            incumbent = policy._argmax(values) if policy._incumbent is None else policy._incumbent
+            quota = max(policy.gamma * math.log(t), 1.0)
+            eligible = (values > values[incumbent]) & (policy._counts < quota)
+            n = len(policy._offers)
+            scan = [(policy._cursor + step) % n for step in range(n)]
+            first = next((idx for idx in scan if eligible[idx]), None)
+            choose(t)
+            if first is None:
+                assert policy._current == policy._incumbent == policy._argmax(values)
+            else:
+                assert (policy._current, policy._cursor) == (first, first + 1)
+                explored += 1
+
+        policy._choose = checked_choose
+        run_policy(policy, catalog, 3000, seed=8)
+        assert explored > 20
 
     def test_rejects_bad_configuration(self):
         catalog = small_catalog()

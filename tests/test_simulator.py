@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import tieredmnl.simulator as simulator
-from tieredmnl.errors import ConfigError
-from tieredmnl.model import Catalog, Product
+from tieredmnl.errors import ConfigError, InvalidOfferError
+from tieredmnl.model import Catalog, Product, TieredOffer
 from tieredmnl.policies import make_policy
 from tieredmnl.simulator import (
     ExperimentConfig,
@@ -121,6 +121,48 @@ class TestRegretAccounting:
         spec = PolicySpec("ucb_tiered", {"min_epochs": -3})
         with pytest.raises(ConfigError):
             run(oracle_config(policies=(spec,)), spec, seed=0)
+
+
+class _ScriptedPolicy:
+    """Serves ``early`` before step ``switch`` and, from then on, a fresh
+    but equal copy of ``late`` at every step."""
+
+    def __init__(self, early, late, switch):
+        self._early, self._late, self._switch = early, late, switch
+
+    def offer(self, t):
+        if t < self._switch:
+            return TieredOffer.two_tier(*self._early)
+        return TieredOffer.two_tier(*self._late)
+
+    def observe(self, t, offer, outcome):
+        pass
+
+
+class TestUnlaunchedOffers:
+    CATALOG = Catalog(
+        (
+            Product("a", 3.0, 0.5),
+            Product("b", 2.0, 0.4),
+            Product("c", 2.5, 0.6, launch_time=5),
+        )
+    )
+
+    def _run(self, monkeypatch, policy, horizon=20):
+        monkeypatch.setattr(simulator, "make_policy", lambda *args, **kwargs: policy)
+        return run(oracle_config(catalog=self.CATALOG, horizon=horizon), ORACLE, seed=0)
+
+    def test_first_offer_before_launch_is_rejected(self, monkeypatch):
+        policy = _ScriptedPolicy((["a"], ["b"]), (["a", "c"], ["b"]), switch=3)
+        with pytest.raises(InvalidOfferError, match=r"unlaunched product 'c' at t=3"):
+            self._run(monkeypatch, policy)
+
+    def test_equal_valid_offer_served_again_runs(self, monkeypatch):
+        policy = _ScriptedPolicy((["a"], ["b"]), (["a", "c"], ["b"]), switch=5)
+        trace = self._run(monkeypatch, policy)
+        assert len(trace) == 20
+        assert trace.offers[4] == trace.offers[19] == TieredOffer.two_tier(["a", "c"], ["b"])
+        assert trace.offers[4] is not trace.offers[19]
 
 
 class TestSeedScheme:
