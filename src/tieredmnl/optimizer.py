@@ -8,10 +8,11 @@ The search walks a structured family of offers instead of all subsets:
   whose profit beats the offer's continuation value belongs in, anything
   below belongs out).  ``_sweep`` finds the best pair in one sweep over a
   with O(n) memory, on profit and weight lists already gathered in profit
-  order: ``_solve_prefix_pairs`` gathers them for ``solve_two_tier``, and
-  the UCB policy gathers them from its valuation vector.  Likewise
-  ``_tier1_prefix`` serves both ``solve_tier1_given_tier2`` and the
-  policy's tier-1 re-solves.
+  order.  A ``_PairFrame`` holds one candidate layout and gathers the
+  weights from a vector indexed by catalog rank; ``solve_two_tier`` builds
+  one per call and the UCB policy one per visible set.  Likewise a
+  ``_Tier1Frame`` feeds ``_tier1_prefix`` for ``solve_tier1_given_tier2``
+  and for the policy's tier-1 re-solves.
 
   - For a fixed a, the tier-2 value along p is unimodal: adding the next
     product raises it while that product's profit beats the current value,
@@ -41,8 +42,9 @@ The search walks a structured family of offers instead of all subsets:
   seed maximum} as the shared part of tier 1 — exact, but exponential in
   |F|, so it is guarded by a work cap and skippable via ``exact=False``.
 
-``brute_force_optimal`` enumerates every assignment outright (any number of
-tiers) and serves as the reference oracle for the structured search.
+``brute_force_optimal`` enumerates every assignment outright with one
+recursive search for any number of tiers, and serves as the reference
+oracle for the structured search.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ from .model import Catalog, TieredOffer, _weight, expected_profit, sorted_ids
 
 # Largest enumeration ``brute_force_optimal`` starts, in assignments.
 _BRUTE_FORCE_CAP = 2_000_000
+# Largest subset enumeration the exact completion starts, in steps.
+_MAX_EXACT_WORK = 20_000_000
 
 
 def profit_order(ids: Iterable, catalog: Catalog) -> list:
@@ -100,30 +104,32 @@ def _thresholds(offer: TieredOffer, catalog: Catalog) -> tuple[float, ...]:
     return tuple(out)
 
 
-def _check_weights(v: np.ndarray, ids: Sequence) -> None:
-    """Raise InvalidOfferError unless every weight in ``v`` (named by
-    ``ids``, position for position) is finite and >= 0."""
+def _weight_vector(catalog: Catalog, valuations, *orders) -> np.ndarray:
+    """Preference weights indexed by catalog rank: the catalog's own, or
+    the ``valuations`` overrides of the ids in ``orders`` (NaN elsewhere)."""
+    if valuations is None:
+        return catalog._valuations
+    w = np.full(len(catalog._valuations), math.nan)
+    for order in orders:
+        ranks = catalog._indices(order)
+        try:
+            w[ranks] = np.fromiter(map(valuations.__getitem__, order), float, len(order))
+        except KeyError as exc:
+            raise UnknownProductError(exc.args[0], "no valuation override supplied") from None
+    return w
+
+
+def _gather(w: np.ndarray, ranks, ids) -> list:
+    """``w[ranks]`` as a list of floats, named by ``ids`` position for
+    position; InvalidOfferError unless every weight is finite and >= 0."""
+    v = w[ranks]
     ok = (v >= 0.0) & (v < math.inf)  # NaN fails both
     if not ok.all():
         k = int(np.argmin(ok))
         raise InvalidOfferError(
             f"valuation for {ids[k]!r} must be finite and >= 0, got {float(v[k])!r}"
         )
-
-
-def _candidate_arrays(order: Sequence, catalog: Catalog, valuations):
-    """Profits and weights of ``order``, gathered from the catalog's arrays;
-    the checks match ``_weight``'s."""
-    idx = catalog._indices(order)
-    r = catalog._profits[idx]
-    if valuations is None:
-        return r, catalog._valuations[idx]
-    try:
-        v = np.fromiter(map(valuations.__getitem__, order), dtype=float, count=len(order))
-    except KeyError as exc:
-        raise UnknownProductError(exc.args[0], "no valuation override supplied") from None
-    _check_weights(v, order)
-    return r, v
+    return v.tolist()
 
 
 def _tier_maps(order1: list, order2: list):
@@ -203,22 +209,38 @@ def _sweep(r1, w1, r2, w2, rank1, pos2) -> tuple[float, int, int]:
     return best_value, best_a, best_e
 
 
-def _pair_ids(order1: list, order2: list, rank1, a: int, e: int) -> tuple[list, list]:
-    """The (tier 1, tier 2) ids of the sweep's answer (a, e)."""
-    return order1[:a], [order2[k] for k in range(e) if rank1[k] >= a]
+class _PairFrame:
+    """The sweep's inputs for one pair of candidate sets, built once and
+    solved against any weight vector indexed by catalog rank.
 
+    ``ids1``/``ids2`` are the tier-1 and tier-2 candidates in the catalog's
+    canonical order, with their ranks and profit lists; when both tiers
+    share one candidate set, tier 2 uses tier 1's lists.  ``rank1``/``pos2``
+    are the sweep's maps between the two orders.
+    """
 
-def _solve_prefix_pairs(order1, order2, catalog, valuations):
-    """Best prefix pair: tier 1 = order1[:a], tier 2 = order2[:e] minus
-    tier 1.  Gathers the candidates' arrays and maps, then runs ``_sweep``;
-    returns (value, tier1, tier2)."""
-    r1, v1 = _candidate_arrays(order1, catalog, valuations)
-    r2, v2 = (r1, v1) if order2 is order1 else _candidate_arrays(order2, catalog, valuations)
-    r1, w1 = r1.tolist(), v1.tolist()
-    r2, w2 = (r1, w1) if order2 is order1 else (r2.tolist(), v2.tolist())
-    rank1, pos2 = _tier_maps(order1, order2)
-    value, a, e = _sweep(r1, w1, r2, w2, rank1, pos2)
-    return (value, *_pair_ids(order1, order2, rank1, a, e))
+    __slots__ = ("ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2", "rank1", "pos2")
+
+    def __init__(self, catalog: Catalog, x1: frozenset, x2: frozenset):
+        self.ids1 = profit_order(x1, catalog)
+        self.ranks1 = catalog._indices(self.ids1)
+        self.profits1 = catalog._profits[self.ranks1].tolist()
+        if x1 == x2:
+            self.ids2, self.ranks2, self.profits2 = self.ids1, self.ranks1, self.profits1
+        else:
+            self.ids2 = profit_order(x2, catalog)
+            self.ranks2 = catalog._indices(self.ids2)
+            self.profits2 = catalog._profits[self.ranks2].tolist()
+        self.rank1, self.pos2 = _tier_maps(self.ids1, self.ids2)
+
+    def solve(self, w: np.ndarray) -> tuple[float, int, list, list]:
+        """(value, a, tier-1 ids, tier-2 ids) of the best prefix pair: tier 1
+        is ``ids1[:a]``, tier 2 a prefix of ``ids2`` minus tier 1."""
+        ids1, ids2, rank1 = self.ids1, self.ids2, self.rank1
+        w1 = _gather(w, self.ranks1, ids1)
+        w2 = w1 if ids2 is ids1 else _gather(w, self.ranks2, ids2)
+        value, a, e = _sweep(self.profits1, w1, self.profits2, w2, rank1, self.pos2)
+        return value, a, ids1[:a], [ids2[k] for k in range(e) if rank1[k] >= a]
 
 
 def _tier_value(r, w) -> float:
@@ -257,6 +279,32 @@ def _tier1_prefix(r1, w1, n_forced: int, r2, w2) -> tuple[int, float]:
         if value > best_value:
             best_value, best_a = value, k + 1 - n_forced
     return best_a, best_value
+
+
+class _Tier1Frame:
+    """The tier-1 prefix scan's inputs against a fixed tier 2, built once
+    and solved against any weight vector indexed by catalog rank: the
+    ``forced`` products (``str(id)`` order), then the ``free`` candidates
+    (``order`` minus tier 2 and the forced products, in profit order), and
+    ``tier2`` in ``str(id)`` order, each with ranks and profit lists."""
+
+    __slots__ = ("free", "n_forced", "ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2")
+
+    def __init__(self, catalog: Catalog, order: list, forced: frozenset, tier2: frozenset):
+        self.free = [i for i in order if i not in tier2 and i not in forced]
+        self.n_forced = len(forced)
+        self.ids1 = sorted_ids(forced) + self.free
+        self.ranks1 = catalog._indices(self.ids1)
+        self.profits1 = catalog._profits[self.ranks1].tolist()
+        self.ids2 = sorted_ids(tier2)
+        self.ranks2 = catalog._indices(self.ids2)
+        self.profits2 = catalog._profits[self.ranks2].tolist()
+
+    def solve(self, w: np.ndarray) -> tuple[int, float]:
+        """(a, value): tier 1 is the forced products plus ``free[:a]``."""
+        w2 = _gather(w, self.ranks2, self.ids2)
+        w1 = _gather(w, self.ranks1, self.ids1)
+        return _tier1_prefix(self.profits1, w1, self.n_forced, self.profits2, w2)
 
 
 def _resolve_candidates(catalog, candidates, default):
@@ -358,7 +406,6 @@ def solve_two_tier(
     candidates_tier1: Iterable | None = None,
     candidates_tier2: Iterable | None = None,
     exact: bool = True,
-    max_exact_work: int = 20_000_000,
 ) -> SolveResult:
     """Two-tier optimum: prefix-pair seed plus the shared-subset completion.
 
@@ -368,7 +415,7 @@ def solve_two_tier(
 
     With ``exact`` (the default) the returned maximum equals the global
     maximum; the completion raises InstanceTooLargeError when its subset
-    enumeration would exceed ``max_exact_work`` steps, which happens once
+    enumeration would exceed ``_MAX_EXACT_WORK`` steps, which happens once
     many shared products outearn the seed value.  ``exact=False`` returns
     the best prefix-pair offer — already optimal for disjoint candidate
     sets, and in the rare overlap corners short by at most a sliver; the
@@ -377,20 +424,20 @@ def solve_two_tier(
     """
     x1 = _resolve_candidates(catalog, candidates_tier1, catalog.candidates_tier1)
     x2 = _resolve_candidates(catalog, candidates_tier2, catalog.candidates_tier2)
-    order1 = profit_order(x1, catalog)
-    order2 = order1 if x1 == x2 else profit_order(x2, catalog)
-    value, tier1, tier2 = _solve_prefix_pairs(order1, order2, catalog, valuations)
+    frame = _PairFrame(catalog, x1, x2)
+    w = _weight_vector(catalog, valuations, frame.ids1, frame.ids2)
+    value, _, tier1, tier2 = frame.solve(w)
     if exact and not x1.isdisjoint(x2):
         exc1 = profit_order(x1 - x2, catalog)
         free = _free_shared(profit_order(x1 & x2, catalog), catalog, value)
-        work = _completion_work(len(free), len(exc1), len(order2))
-        if work > max_exact_work:
+        work = _completion_work(len(free), len(exc1), len(frame.ids2))
+        if work > _MAX_EXACT_WORK:
             raise InstanceTooLargeError(
                 f"exact completion would take ~{work} steps over {len(free)} "
-                f"candidate splits (cap {max_exact_work}); restrict the "
+                f"candidate splits (cap {_MAX_EXACT_WORK}); restrict the "
                 "candidate sets or pass exact=False"
             )
-        refined = _completion(order2, exc1, free, catalog, valuations, value)
+        refined = _completion(frame.ids2, exc1, free, catalog, valuations, value)
         if refined is not None:
             value, tier1, tier2 = refined
     offer = TieredOffer.two_tier(tier1, tier2)
@@ -420,54 +467,12 @@ def solve_tier1_given_tier2(
     if forced & tier2:
         raise InvalidOfferError("forced tier-1 products overlap tier 2")
     x1 = _resolve_candidates(catalog, candidates_tier1, catalog.candidates_tier1)
-    order = profit_order(x1 - tier2 - forced, catalog)
-    r2, v2 = _candidate_arrays(sorted_ids(tier2), catalog, valuations)
-    r1, v1 = _candidate_arrays(sorted_ids(forced) + order, catalog, valuations)
-    a, value = _tier1_prefix(r1.tolist(), v1.tolist(), len(forced), r2.tolist(), v2.tolist())
-    return frozenset(order[:a]) | forced, value
+    frame = _Tier1Frame(catalog, profit_order(x1, catalog), forced, tier2)
+    a, value = frame.solve(_weight_vector(catalog, valuations, frame.ids2, frame.ids1))
+    return frozenset(frame.free[:a]) | forced, value
 
 
 # --- exhaustive reference ----------------------------------------------------
-
-
-def _subset_sums(values: np.ndarray) -> np.ndarray:
-    """sums[m] = sum of values[j] over the set bits of mask m."""
-    n = len(values)
-    out = np.zeros(1 << n)
-    for j in range(n):
-        k = 1 << j
-        out[k : 2 * k] = out[:k] + values[j]
-    return out
-
-
-def _brute_force_two_tier(catalog, sets, valuations):
-    order1 = sorted_ids(sets[0])
-    order2 = sorted_ids(sets[1])
-    n1, n2 = len(order1), len(order2)
-    if 1 << (n1 + n2) > 4 * _BRUTE_FORCE_CAP:
-        raise InstanceTooLargeError(
-            f"2^{n1 + n2} subset pairs exceed the cap of {4 * _BRUTE_FORCE_CAP}"
-        )
-    union = sorted_ids(set(order1) | set(order2))
-    bit = {i: j for j, i in enumerate(union)}
-
-    def tier_arrays(order):
-        r = np.array([catalog.profit_of(i) for i in order])
-        v = np.array([_weight(catalog, valuations, i) for i in order])
-        masks = _subset_sums(np.array([float(1 << bit[i]) for i in order]))
-        return _subset_sums(v), _subset_sums(r * v), masks.astype(np.int64)
-
-    sv1, srv1, gm1 = tier_arrays(order1)
-    sv2, srv2, gm2 = tier_arrays(order2)
-    e = (srv1 / (1.0 + sv1))[:, None] + (srv2 / (1.0 + sv2))[None, :] / (1.0 + sv1)[
-        :, None
-    ]
-    e[(gm1[:, None] & gm2[None, :]) != 0] = -np.inf
-    flat = int(np.argmax(e))
-    m1, m2 = divmod(flat, 1 << n2)
-    tier1 = [i for j, i in enumerate(order1) if m1 >> j & 1]
-    tier2 = [i for j, i in enumerate(order2) if m2 >> j & 1]
-    return TieredOffer.two_tier(tier1, tier2)
 
 
 def _brute_force_recursive(catalog, sets, valuations):
@@ -537,7 +542,9 @@ def brute_force_optimal(
     With ``candidate_sets`` omitted, two tiers use the catalog's candidate
     sets and other tier counts make every product a candidate for every
     tier.  Raises InstanceTooLargeError rather than start an enumeration
-    larger than ``_BRUTE_FORCE_CAP`` assignments.
+    larger than ``_BRUTE_FORCE_CAP`` assignments, the product of (1 + the
+    number of tiers each product may join): with two tiers, up to 13
+    products shared by both tiers, or 20 split between disjoint sets.
     """
     if num_tiers < 1:
         raise InvalidOfferError("num_tiers must be >= 1")
@@ -555,10 +562,7 @@ def brute_force_optimal(
             _resolve_candidates(catalog, s if s is not None else (), frozenset())
             for s in candidate_sets
         ]
-    if num_tiers == 2:
-        offer = _brute_force_two_tier(catalog, sets, valuations)
-    else:
-        offer = _brute_force_recursive(catalog, sets, valuations)
+    offer = _brute_force_recursive(catalog, sets, valuations)
     value = expected_profit(offer, catalog, valuations)
     return SolveResult(offer, value, _thresholds(offer, catalog))
 

@@ -12,12 +12,13 @@ benchmark holds each candidate offer until a customer walks away with
 nothing.
 
 The UCB family decides in the catalog's canonical order: one valuation
-vector indexed by catalog rank, candidate profits and the estimated
-products' ledger rows cached per visible set, and the optimizer's sweep and
-tier-1 prefix cores.  The public solvers wrap the same cores, so the offers
-equal theirs for the same valuations.  A re-solve whose answer equals the
-offer in force returns that offer object.  Explore-then-exploit reads its
-estimates from the ledger's rows as one vector.
+vector indexed by catalog rank, solved through the optimizer's candidate
+frames — a ``_PairFrame`` cached per visible set (with the estimated
+products' ledger rows) and a ``_Tier1Frame`` per tier-2 epoch.  The public
+solvers solve through the same frames, so the offers equal theirs for the
+same valuations.  A re-solve whose answer equals the offer in force returns
+that offer object.  Explore-then-exploit reads its estimates from the
+ledger's rows as one vector.
 
 Every policy, the oracle included, prices offers with the prefix-pair
 family (``exact=False``), the same family the simulator's regret benchmark
@@ -54,13 +55,9 @@ from .model import (
     total_weight,
 )
 from .optimizer import (
-    _check_weights,
-    _pair_ids,
-    _sweep,
-    _tier1_prefix,
-    _tier_maps,
+    _PairFrame,
+    _Tier1Frame,
     enumerate_prefix_pair_offers,
-    profit_order,
     solve_tier1_given_tier2,  # not called here; perfbench/probe.py wraps it on this module
     solve_two_tier,
 )
@@ -134,18 +131,12 @@ class _VisibleView:
     catalog ranks and ledger rows) and ``cold`` (none yet).  ``learning``
     keeps those still short of the minimum-learning target.  Ledger counts
     only grow, so a product only ever moves from cold to estimated and out
-    of learning.
-
-    ``ids1``/``ids2`` are the visible tier-1 and tier-2 candidates in the
-    catalog's canonical order, with their ranks and profits (a list); when
-    both tiers share one candidate set, ``ids2`` is ``ids1`` and the rest
-    is shared too.  ``rank1``/``pos2`` are the sweep's maps between the two
-    orders (two ranges for a shared set).
+    of learning.  ``pair`` is the optimizer's frame over the visible tier-1
+    and tier-2 candidates.
     """
 
     __slots__ = (
-        "unknown", "estimated", "estimated_ranks", "estimated_rows", "cold", "learning",
-        "ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2", "rank1", "pos2",
+        "unknown", "estimated", "estimated_ranks", "estimated_rows", "cold", "learning", "pair",
     )
 
     def __init__(self, catalog: Catalog, visible: frozenset, known: Mapping):
@@ -153,18 +144,9 @@ class _VisibleView:
         self.estimated: tuple = ()
         self.estimated_ranks = self.estimated_rows = catalog._indices(())
         self.cold = self.learning = self.unknown
-        x1 = catalog.candidates_tier1 & visible
-        x2 = catalog.candidates_tier2 & visible
-        self.ids1 = profit_order(x1, catalog)
-        self.ranks1 = catalog._indices(self.ids1)
-        self.profits1 = catalog._profits[self.ranks1].tolist()
-        if x1 == x2:
-            self.ids2, self.ranks2, self.profits2 = self.ids1, self.ranks1, self.profits1
-        else:
-            self.ids2 = profit_order(x2, catalog)
-            self.ranks2 = catalog._indices(self.ids2)
-            self.profits2 = catalog._profits[self.ranks2].tolist()
-        self.rank1, self.pos2 = _tier_maps(self.ids1, self.ids2)
+        self.pair = _PairFrame(
+            catalog, catalog.candidates_tier1 & visible, catalog.candidates_tier2 & visible
+        )
 
     def update_estimated(self, catalog: Catalog, ledger: EpochLedger) -> None:
         if any(map(ledger.has_estimate, self.cold)):
@@ -178,28 +160,6 @@ class _VisibleView:
             return
         short = ledger.times_offered_many(self.learning) < min_epochs
         self.learning = tuple(compress(self.learning, short))
-
-
-class _Tier1Frame:
-    """What one tier-2 epoch's tier-1 re-solves read: the forced products
-    (``str(id)`` order) then the free tier-1 candidates (profit order), and
-    the locked tier 2 in ``str(id)`` order, with their ranks and profits.
-    ``view`` is the visible set's view the frame was built from."""
-
-    __slots__ = (
-        "view", "free", "n_forced", "ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2",
-    )
-
-    def __init__(self, catalog: Catalog, view: _VisibleView, forced: frozenset, tier2: frozenset):
-        self.view = view
-        self.free = [i for i in view.ids1 if i not in tier2 and i not in forced]
-        self.n_forced = len(forced)
-        self.ids1 = sorted_ids(forced) + self.free
-        self.ranks1 = catalog._indices(self.ids1)
-        self.profits1 = catalog._profits[self.ranks1].tolist()
-        self.ids2 = sorted_ids(tier2)
-        self.ranks2 = catalog._indices(self.ids2)
-        self.profits2 = catalog._profits[self.ranks2].tolist()
 
 
 class UcbTieredPolicy(Policy):
@@ -256,8 +216,7 @@ class UcbTieredPolicy(Policy):
         self._visible: frozenset = frozenset()
         self._views: dict[frozenset, _VisibleView] = {}
         self._view: _VisibleView | None = None
-        self._frame: _Tier1Frame | None = None
-        self._tier2_locked: frozenset = frozenset()
+        self._frame: _Tier1Frame | None = None  # built from self._view
         self._forced_tier1: frozenset = frozenset()
         self._current: TieredOffer | None = None
         self._tier1_a = 0  # free tier-1 prefix length of _current
@@ -282,23 +241,16 @@ class UcbTieredPolicy(Policy):
                 view.estimated_rows, epoch, len(self._visible), self._confidence_scale
             )
 
-    def _gather(self, ranks, ids) -> list:
-        v = self._w[ranks]
-        _check_weights(v, ids)
-        return v.tolist()
-
     def _start_epoch(self, t: int) -> None:
         self._visible = visible = self._catalog.visible_at(t)
         view = self._views.get(visible)
         if view is None:
             view = self._views[visible] = _VisibleView(self._catalog, visible, self._known)
+        moved = view is not self._view
         self._view = view
         self._update_valuations(self.ledger.completed)
-        v1 = self._gather(view.ranks1, view.ids1)
-        v2 = v1 if view.ids2 is view.ids1 else self._gather(view.ranks2, view.ids2)
-        _, a, e = _sweep(view.profits1, v1, view.profits2, v2, view.rank1, view.pos2)
+        _, a, tier1, tier2 = view.pair.solve(self._w)
         self.full_resolves += 1
-        tier1, tier2 = _pair_ids(view.ids1, view.ids2, view.rank1, a, e)
         # H: visible products not known a priori, shown in fewer than
         # min_epochs completed epochs, and skipped by the solution
         view.update_learning(self.ledger, self.min_epochs)
@@ -312,31 +264,27 @@ class UcbTieredPolicy(Policy):
         # (and the tier-1 frame, unless the visible set moved)
         if current is None or current.tiers != tiers or forced != self._forced_tier1:
             self._forced_tier1 = forced
-            self._tier2_locked = tiers[1]
             self._current = TieredOffer(tiers)
             self._frame = None
-        elif self._frame is not None and self._frame.view is not view:
+        elif moved:
             self._frame = None
         self._tier1_a = a
         self._need_full = False
         self._need_tier1 = False
 
     def _recompute_tier1(self) -> None:
+        tier2 = self._current.tiers[1]  # locked for the tier-2 epoch
         frame = self._frame
         if frame is None:  # first tier-1 re-solve of this tier-2 epoch
             frame = self._frame = _Tier1Frame(
-                self._catalog, self._view, self._forced_tier1, self._tier2_locked
+                self._catalog, self._view.pair.ids1, self._forced_tier1, tier2
             )
         self._update_valuations(self.ledger.completed)
-        v1 = self._gather(frame.ranks1, frame.ids1)
-        v2 = self._gather(frame.ranks2, frame.ids2)
-        a, _ = _tier1_prefix(frame.profits1, v1, frame.n_forced, frame.profits2, v2)
+        a, _ = frame.solve(self._w)
         self.tier1_resolves += 1
         if a != self._tier1_a:  # the same prefix is the same offer
             self._tier1_a = a
-            self._current = TieredOffer.two_tier(
-                self._forced_tier1.union(frame.free[:a]), self._tier2_locked
-            )
+            self._current = TieredOffer.two_tier(self._forced_tier1.union(frame.free[:a]), tier2)
         self._need_tier1 = False
 
     def offer(self, t: int) -> TieredOffer:

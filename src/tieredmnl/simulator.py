@@ -44,6 +44,10 @@ from .optimizer import solve_two_tier
 from .policies import make_policy
 from .rng import BufferedRandom
 
+# Largest horizon and group count a config may ask for: numpy sizes the
+# per-step arrays and the group draws from them.
+_MAX_SIZE = 2**31 - 1
+
 
 @dataclass(frozen=True)
 class ProductGroup:
@@ -64,8 +68,8 @@ class ProductGroup:
     valuation_known: bool = False
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError(f"group count must be >= 1, got {self.count!r}")
+        if not 1 <= self.count <= _MAX_SIZE:
+            raise ConfigError(f"group count must lie in [1, {_MAX_SIZE}], got {self.count!r}")
         lo, hi = self.profit
         if not 0.0 <= lo <= hi:
             raise ConfigError(f"profit support must satisfy 0 <= lo <= hi, got {self.profit!r}")
@@ -123,8 +127,8 @@ class ExperimentConfig:
     benchmark: str = "launched"
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon!r}")
+        if not 1 <= self.horizon <= _MAX_SIZE:
+            raise ConfigError(f"horizon must lie in [1, {_MAX_SIZE}], got {self.horizon!r}")
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications!r}")
         if self.base_seed < 0:

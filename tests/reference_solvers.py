@@ -23,13 +23,20 @@ from tieredmnl.errors import InstanceTooLargeError
 from tieredmnl.model import TieredOffer, _weight, expected_profit
 from tieredmnl.optimizer import (
     SolveResult,
-    _candidate_arrays,
     _completion_work,
     _free_shared,
     _resolve_candidates,
     _thresholds,
+    _weight_vector,
     profit_order,
 )
+
+
+def gathered(order, catalog, valuations=None):
+    """Profits and weights of ``order`` as arrays, read at the ids' catalog
+    ranks from the catalog's profits and the rank-indexed weight vector."""
+    idx = catalog._indices(order)
+    return catalog._profits[idx], _weight_vector(catalog, valuations, order)[idx]
 
 
 def prefix_sums(r: np.ndarray, v: np.ndarray):
@@ -109,7 +116,7 @@ def numpy_tier1_prefix(r1, v1, n_forced: int, r2, v2) -> tuple[int, float]:
 def _solve_shared_order(order, catalog, valuations):
     """Both tiers draw from one profit-ordered list: tier 1 takes the first
     a products, tier 2 the next b, so offers map to windows (a, a+b)."""
-    r, v = _candidate_arrays(order, catalog, valuations)
+    r, v = gathered(order, catalog, valuations)
     cv, crv = prefix_sums(r, v)
     denom1 = 1.0 + cv
     head = crv / denom1
@@ -127,8 +134,8 @@ def _solve_shared_order(order, catalog, valuations):
 
 
 def _solve_disjoint(order1, order2, catalog, valuations):
-    r1, v1 = _candidate_arrays(order1, catalog, valuations)
-    r2, v2 = _candidate_arrays(order2, catalog, valuations)
+    r1, v1 = gathered(order1, catalog, valuations)
+    r2, v2 = gathered(order2, catalog, valuations)
     cv1, crv1 = prefix_sums(r1, v1)
     cv2, crv2 = prefix_sums(r2, v2)
     denom1 = 1.0 + cv1

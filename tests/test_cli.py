@@ -254,6 +254,8 @@ class TestMalformedConfig:
             ("group", "tiers", [True]),
             ("top", "horizon", "fifty"),
             ("top", "horizon", True),
+            ("top", "horizon", 10**30),
+            ("group", "count", 10**30),
             ("top", "replications", 1.5),
             ("top", "base_seed", None),
             ("policy", "options", {"bogus": 1}),

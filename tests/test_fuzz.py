@@ -1,0 +1,162 @@
+"""Fuzzing of the input boundaries: catalog and config documents.
+
+Number slots draw the values that trip naive parsers — bools, strings,
+NaN, ±inf, negatives and 10**30 — next to ordinary numbers.  Only a
+``TieredMnlError`` may escape the library, and ``tieredmnl simulate``
+exits 0 or 1.  A config that parses is simulated only when it is small
+(horizon <= 200, at most 20 products), so the whole module runs in a few
+seconds.  Examples are derandomized so every run draws the same cases.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from tieredmnl.cli import main
+from tieredmnl.errors import TieredMnlError
+from tieredmnl.model import catalog_from_dict
+from tieredmnl.optimizer import solve_two_tier
+from tieredmnl.simulator import config_from_dict
+
+FUZZ = settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+ODD_NUMBERS = st.sampled_from(
+    [True, False, "1", "x", math.nan, math.inf, -math.inf, -1, -0.5, 10**30, None]
+)
+
+
+def slot(ordinary):
+    """A value from ``ordinary`` eleven times in twelve, else an odd one, so
+    most documents parse and the odd values meet every later stage."""
+    return st.sampled_from([ordinary] * 11 + [ODD_NUMBERS]).flatmap(lambda draw: draw)
+
+
+def ints(lo, hi):
+    return slot(st.integers(lo, hi))
+
+
+def reals(lo, hi):
+    return slot(st.floats(lo, hi))
+
+
+IDS = st.one_of(st.integers(0, 6), st.sampled_from(["a", "b", "c", "d"]))
+
+
+@st.composite
+def catalog_docs(draw):
+    products = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {"id": slot(IDS), "profit": reals(0, 5), "valuation": reals(0, 1)},
+                optional={"launch_time": ints(0, 3)},
+            ),
+            max_size=6,
+            unique_by=lambda p: repr(p["id"]),
+        )
+    )
+    doc = {"products": products}
+    ids = st.sampled_from([p["id"] for p in products] or ["a"])
+    for key in ("candidates_tier1", "candidates_tier2"):
+        if draw(st.booleans()):
+            doc[key] = draw(st.lists(slot(ids), max_size=6))
+    return doc
+
+
+@given(doc=catalog_docs())
+@settings(FUZZ, max_examples=200)
+def test_catalog_documents_fail_only_with_package_errors(doc):
+    try:
+        catalog = catalog_from_dict(doc)
+        solve_two_tier(catalog, exact=False)
+    except TieredMnlError:
+        pass
+
+
+def _support(lo, hi):
+    return slot(st.lists(reals(lo, hi), min_size=2, max_size=2).map(sorted_if_numbers))
+
+
+def sorted_if_numbers(pair):
+    return sorted(pair) if all(type(x) is float for x in pair) else pair
+
+
+POLICY_OPTIONS = {
+    "oracle": {},
+    "ucb_tiered": {"min_epochs": ints(0, 5), "confidence_scale": reals(0, 5)},
+    "random_tier": {"min_epochs": ints(0, 5)},
+    "explore_then_exploit": {"gamma": reals(0, 40)},
+}
+
+
+@st.composite
+def policy_docs(draw):
+    name = draw(st.sampled_from(sorted(POLICY_OPTIONS)))
+    options = draw(st.fixed_dictionaries({}, optional=POLICY_OPTIONS[name]))
+    return {"name": name, "options": options}
+
+
+@st.composite
+def config_docs(draw):
+    doc = {
+        "schema": 1,
+        "label": "fuzz",
+        "horizon": draw(ints(1, 200)),
+        "policies": draw(st.lists(policy_docs(), min_size=1, max_size=2)),
+        "replications": draw(ints(1, 3)),
+        "base_seed": draw(ints(0, 1000)),
+    }
+    if draw(st.booleans()):
+        doc["groups"] = draw(
+            st.lists(
+                st.fixed_dictionaries(
+                    {"count": ints(1, 8), "profit": _support(0, 5),
+                     "valuation": _support(0, 1)},
+                    optional={
+                        "launch_time": ints(0, 50),
+                        "launch_spacing": ints(0, 20),
+                        "tiers": st.lists(ints(1, 2), min_size=1, max_size=2, unique=True),
+                        "valuation_known": slot(st.booleans()),
+                    },
+                ),
+                min_size=1,
+                max_size=3,
+            )
+        )
+    else:
+        catalog = draw(catalog_docs())
+        doc["catalog"] = catalog
+        ids = [p["id"] for p in catalog["products"]]
+        doc["known_products"] = draw(st.lists(slot(st.sampled_from(ids or ["a"])), max_size=2))
+    return doc
+
+
+def _small(config) -> bool:
+    if config.catalog is not None:
+        n = len(config.catalog.products)
+    else:
+        n = sum(g.count for g in config.groups)
+    return config.horizon <= 200 and n <= 20
+
+
+@given(doc=config_docs())
+@settings(FUZZ, max_examples=120)
+def test_config_documents_exit_0_or_1(doc):
+    try:
+        runnable = _small(config_from_dict(doc))
+    except TieredMnlError:
+        runnable = True  # the CLI must report the same error as exit code 1
+    if not runnable:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["simulate", str(path), "--out", str(Path(tmp) / "out")]) in (0, 1)

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from reference_solvers import (
+    gathered,
     numpy_sweep,
     numpy_tier1_prefix,
     numpy_tier_value,
@@ -20,6 +21,7 @@ from reference_solvers import (
     solve_two_tier_naive,
 )
 
+from tieredmnl import optimizer
 from tieredmnl.errors import InstanceTooLargeError, InvalidOfferError, UnknownProductError
 from tieredmnl.model import (
     Catalog,
@@ -31,12 +33,12 @@ from tieredmnl.model import (
 )
 from tieredmnl.optimizer import (
     TierPlacement,
-    _candidate_arrays,
-    _solve_prefix_pairs,
+    _PairFrame,
     _sweep,
     _tier1_prefix,
     _tier_maps,
     _tier_value,
+    _weight_vector,
     brute_force_optimal,
     enumerate_prefix_pair_offers,
     is_profit_ordered_by_tier,
@@ -202,12 +204,20 @@ class TestPrefixPairSweep:
         order2 = order1 if x1 == x2 else profit_order(catalog.candidates_tier2, catalog)
         return catalog, valuations, order1, order2
 
+    @staticmethod
+    def frame_solve(catalog, valuations):
+        """(value, tier 1, tier 2) through a frame on the catalog's candidates."""
+        frame = _PairFrame(catalog, catalog.candidates_tier1, catalog.candidates_tier2)
+        w = _weight_vector(catalog, valuations, frame.ids1, frame.ids2)
+        value, _, tier1, tier2 = frame.solve(w)
+        return value, tier1, tier2
+
     @pytest.mark.parametrize("shape", SHAPES)
     def test_same_offers_as_reference_cores(self, shape):
         rng = np.random.default_rng(20190430 + self.SHAPES.index(shape))
         for _ in range(2000):
             catalog, valuations, order1, order2 = self.random_case(rng, shape)
-            got = _solve_prefix_pairs(order1, order2, catalog, valuations)
+            got = self.frame_solve(catalog, valuations)
             want = seed_reference(order1, order2, catalog, valuations)
             assert (frozenset(got[1]), frozenset(got[2])) == (
                 frozenset(want[1]),
@@ -227,7 +237,7 @@ class TestPrefixPairSweep:
         rng = np.random.default_rng(20190501 + self.SHAPES.index(shape))
         for _ in range(2000):
             catalog, valuations, order1, order2 = self.random_case(rng, shape, tick=0.125)
-            got = _solve_prefix_pairs(order1, order2, catalog, valuations)
+            got = self.frame_solve(catalog, valuations)
             want = seed_reference(order1, order2, catalog, valuations)
             assert got[0] == pytest.approx(want[0], abs=1e-12)
             offer = TieredOffer.two_tier(got[1], got[2])
@@ -446,7 +456,7 @@ class TestSequentialTierValue:
             if rng.random() < 0.5:
                 valuations = {p.id: float(rng.uniform(0, 3)) for p in products}
             ids = sorted_ids(catalog.ids)
-            r, v = _candidate_arrays(ids, catalog, valuations)
+            r, v = gathered(ids, catalog, valuations)
             want = expected_profit(TieredOffer((frozenset(ids),)), catalog, valuations)
             assert _tier_value(r, v) == want
             pairwise_differs += float(np.sum(r * v) / (1.0 + np.sum(v))) != want
@@ -484,14 +494,14 @@ class TestRunningSumCores:
         valuations = {i: 0.0 if rng.random() < 0.3 else float(rng.uniform(0, 3)) for i in ids}
         order1 = profit_order(catalog.candidates_tier1, catalog)
         order2 = order1 if x1 == x2 else profit_order(catalog.candidates_tier2, catalog)
-        r1, v1 = _candidate_arrays(order1, catalog, valuations)
-        r2, v2 = (r1, v1) if order2 is order1 else _candidate_arrays(order2, catalog, valuations)
+        r1, v1 = gathered(order1, catalog, valuations)
+        r2, v2 = (r1, v1) if order2 is order1 else gathered(order2, catalog, valuations)
         sweep = (r1, v1, r2, v2, *_tier_maps(order1, order2))
         tier2 = sorted_ids(i for i in order2 if rng.random() < 0.3)
         forced = sorted_ids(i for i in ids if i not in tier2 and rng.random() < 0.15)
         free = [i for i in order1 if i not in tier2 and i not in forced]
-        fr1, fv1 = _candidate_arrays(forced + free, catalog, valuations)
-        fr2, fv2 = _candidate_arrays(tier2, catalog, valuations)
+        fr1, fv1 = gathered(forced + free, catalog, valuations)
+        fr2, fv2 = gathered(tier2, catalog, valuations)
         return sweep, (fr1, fv1, len(forced), fr2, fv2)
 
     @staticmethod
@@ -580,22 +590,25 @@ class TestWorkCap:
             tuple(Product(f"p{k:02d}", 5.0 + 0.001 * k, 0.5) for k in range(n))
         )
 
-    def test_exact_mode_raises_beyond_cap(self):
+    def test_exact_mode_raises_beyond_cap(self, monkeypatch):
         catalog = self.shared_catalog(24)
+        monkeypatch.setattr(optimizer, "_MAX_EXACT_WORK", 1000)
         with pytest.raises(InstanceTooLargeError):
-            solve_two_tier(catalog, max_exact_work=1000)
+            solve_two_tier(catalog)
         with pytest.raises(InstanceTooLargeError):
             solve_two_tier_naive(catalog, max_exact_work=1000)
 
-    def test_heuristic_mode_never_raises(self):
+    def test_heuristic_mode_never_raises(self, monkeypatch):
         catalog = self.shared_catalog(40)
-        result = solve_two_tier(catalog, exact=False, max_exact_work=1)
+        monkeypatch.setattr(optimizer, "_MAX_EXACT_WORK", 1)
+        result = solve_two_tier(catalog, exact=False)
         assert result.expected_profit > 0.0
 
-    def test_cap_binds_on_work_not_size(self):
+    def test_cap_binds_on_work_not_size(self, monkeypatch):
         # few free products -> exact mode fine even with a modest cap
         catalog = random_instance(np.random.default_rng(1), n_max=5)
-        solve_two_tier(catalog, max_exact_work=200_000)
+        monkeypatch.setattr(optimizer, "_MAX_EXACT_WORK", 200_000)
+        solve_two_tier(catalog)
 
 
 class TestPrefixPairEnumeration:
@@ -711,6 +724,29 @@ class TestExhaustiveSearchGuards:
         )
         with pytest.raises(InstanceTooLargeError):
             brute_force_optimal(catalog)
+
+    def test_two_tiers_share_the_assignment_cap(self):
+        """Two tiers run the same search as any other tier count: 12 shared
+        products (3^12 assignments) solve, and 21 disjoint ones (2^21)
+        exceed the cap."""
+        rng = np.random.default_rng(172)
+        catalog = Catalog(
+            tuple(
+                Product(f"p{k:02d}", float(rng.uniform(0, 5)), float(rng.uniform(0, 1)))
+                for k in range(12)
+            )
+        )
+        best = brute_force_optimal(catalog)
+        assert best.expected_profit == pytest.approx(
+            solve_two_tier(catalog).expected_profit, abs=1e-12
+        )
+        disjoint = Catalog(
+            tuple(Product(f"p{k:02d}", 1.0, 0.5) for k in range(21)),
+            [f"p{k:02d}" for k in range(10)],
+            [f"p{k:02d}" for k in range(10, 21)],
+        )
+        with pytest.raises(InstanceTooLargeError, match="cap"):
+            brute_force_optimal(disjoint)
 
     def test_single_tier_matches_scan(self):
         rng = np.random.default_rng(171)

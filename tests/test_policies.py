@@ -375,23 +375,24 @@ class TestArrayDecisionPath:
                 offer = policy.offer(t)
                 full += 1
                 forced1 = policy._forced_tier1
-                forced2 = policy._tier2_locked - ref.tier(1)
+                forced2 = policy._current.tiers[1] - ref.tier(1)
                 assert offer.tier(0) == ref.tier(0) | forced1
                 assert offer.tier(1) == ref.tier(1) | forced2
                 assert forced1 | forced2 == learning - ref.all_ids
                 forced_steps += bool(forced1 or forced2)
             elif policy._need_tier1:
                 values = reference_optimistic_valuations(policy, policy.ledger.completed)
+                locked = policy._current.tiers[1]
                 want, _ = solve_tier1_given_tier2(
                     catalog,
-                    policy._tier2_locked,
+                    locked,
                     valuations=values,
                     candidates_tier1=catalog.candidates_tier1 & policy._visible,
                     forced_tier1=policy._forced_tier1,
                 )
                 offer = policy.offer(t)
                 tier1 += 1
-                assert offer == TieredOffer.two_tier(want, policy._tier2_locked)
+                assert offer == TieredOffer.two_tier(want, locked)
             else:
                 offer = policy.offer(t)
             policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
@@ -474,7 +475,12 @@ class TestArrayDecisionPath:
             offer = policy.offer(t)
             if frame is not None and offer is previous and policy._view is not view:
                 crossed += 1
-            assert policy._frame is None or policy._frame.view is policy._view
+            if policy._frame is not None:
+                tier2 = policy._current.tiers[1]
+                assert policy._frame.free == [
+                    i for i in policy._view.pair.ids1
+                    if i not in tier2 and i not in policy._forced_tier1
+                ]
             policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
         assert crossed > 0
 
@@ -508,7 +514,7 @@ class TestArrayDecisionPath:
                 )
                 want = solve_tier1_given_tier2(
                     catalog,
-                    policy._tier2_locked,
+                    policy._current.tiers[1],
                     valuations=reference_optimistic_valuations(policy, policy.ledger.completed),
                     candidates_tier1=catalog.candidates_tier1 & policy._visible,
                     forced_tier1=policy._forced_tier1,
