@@ -22,8 +22,9 @@ geometric-count argument above.
 ``EpochLedger.record_step`` returns the epochs a step closed, one slot per
 tier.  The ledger keeps the completed epoch records and, per product, the
 pooled epoch and purchase totals; it keeps no per-step log.  Policies keep
-an offer object while its answer stands, so the epoch lock and the close
-compare a tier's set by identity before comparing it by value.
+an offer object while its answer stands, so the epoch lock compares a
+tier's set by identity first; the close looks its set's rows up in a dict
+keyed by every offered set closed so far.
 
 Averaging a product's per-epoch purchase counts over every completed epoch
 that offered it (either tier) estimates its preference weight.
@@ -94,8 +95,8 @@ class EpochLedger:
     epoch) live in arrays under that row, so the optimistic index of many
     products is one vector expression.  ``_ucb`` reads rows alone: a caller
     that asks for the same products again keeps their ``_rows`` (the UCB
-    policy does, per visible set), and a closing epoch reuses its tier's
-    previous rows when it offered an equal set.
+    policy does, per visible set), and a closing epoch reuses the rows of
+    any offered set closed before.
     """
 
     def __init__(self):
@@ -112,8 +113,8 @@ class EpochLedger:
         self._launch_values: list[int] = []
         self._launch_slot = np.zeros(0, dtype=np.intp)
         self._launch_stale = False
-        # per tier, the last closed offered set and its rows
-        self._last_rows = [(frozenset(), np.zeros(0, dtype=np.intp))] * 2
+        # every offered set closed so far, mapped to its products' rows
+        self._set_rows: dict[frozenset, np.ndarray] = {}
 
     # --- recording -------------------------------------------------------
 
@@ -179,9 +180,8 @@ class EpochLedger:
         self.completed += 1
         index = self._index
         offered = record.offered
-        last_offered, rows = self._last_rows[k]
-        # an equal set (usually the same object) has every product indexed
-        if offered is not last_offered and offered != last_offered:
+        rows = self._set_rows.get(offered)
+        if rows is None:  # a set closed before has every product indexed
             new = [i for i in offered if i not in index]
             if new:
                 for i in sorted_ids(new):
@@ -194,7 +194,7 @@ class EpochLedger:
                 self._launch_epoch[[index[i] for i in new]] = record.label
                 self._launch_stale = True
             rows = np.fromiter(map(index.__getitem__, offered), dtype=np.intp, count=len(offered))
-            self._last_rows[k] = (offered, rows)
+            self._set_rows[offered] = rows
         self._epochs_total[rows] += 1
         for i, n in record.purchases.items():
             self._purchases_total[index[i]] += n

@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidCatalogError, InvalidOfferError, UnknownProductError
+from .errors import InvalidCatalogError, InvalidOfferError, TieredMnlError, UnknownProductError
 
 ProductId = int | str
 
@@ -40,6 +40,17 @@ ProductId = int | str
 def sorted_ids(ids: Iterable[ProductId]) -> list[ProductId]:
     """Deterministic iteration order for id collections."""
     return sorted(ids, key=str)
+
+
+def _finite(value, error: type[TieredMnlError], what: str) -> float:
+    """``value`` as a finite float; ``error`` naming ``what`` for a bool, a
+    non-number, NaN, an infinity or an int beyond the float range."""
+    try:
+        if isinstance(value, numbers.Real) and type(value) is not bool and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # math.isfinite converts an int to a float
+        pass
+    raise error(f"{what} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,12 +75,8 @@ class Product:
             raise InvalidCatalogError(f"product id must be int or str, got {self.id!r}")
         if type(self.profit) is not float or type(self.valuation) is not float:
             for name in ("profit", "valuation"):
-                value = getattr(self, name)
-                if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                    raise InvalidCatalogError(
-                        f"product {self.id!r}: {name} must be a number, got {value!r}"
-                    )
-                object.__setattr__(self, name, float(value))
+                what = f"product {self.id!r}: {name}"
+                object.__setattr__(self, name, _finite(getattr(self, name), InvalidCatalogError, what))
         if not (self.profit >= 0.0 and math.isfinite(self.profit)):
             raise InvalidCatalogError(
                 f"product {self.id!r}: profit must be finite and >= 0, got {self.profit!r}"
@@ -337,9 +344,9 @@ class ChoiceSampler:
     """Prepared sampler for a fixed offer.
 
     Splits [0, 1 + sum v) per tier into the no-purchase slab [0, 1) and one
-    interval per product, walked in id-sorted order; zero-weight products get
-    zero-width intervals and are never selected.  ``rng`` needs only a
-    ``random()`` method returning floats in [0, 1).
+    interval per product in id-sorted order, found by bisection; zero-weight
+    products get zero-width intervals and are never selected.  ``rng`` needs
+    only a ``random()`` method returning floats in [0, 1).
     """
 
     __slots__ = ("offer", "_tiers")
@@ -361,11 +368,8 @@ class ChoiceSampler:
             u = rng.random() * denom
             if u < 1.0:
                 continue
-            x = u - 1.0
-            for j, edge in enumerate(cum):
-                if x < edge:
-                    return ChoiceOutcome(ids[j], k)
-            return ChoiceOutcome(ids[-1], k)  # u==denom up to rounding
+            j = bisect.bisect_right(cum, u - 1.0)  # past the last edge only by rounding
+            return ChoiceOutcome(ids[min(j, len(ids) - 1)], k)
         return NO_PURCHASE
 
 

@@ -22,7 +22,8 @@ The search walks a structured family of offers instead of all subsets:
     beats it: the first best end position never moves left.  The pointer
     p therefore climbs from where the last row left it and stops at the
     first strict drop; equal values are climbed through.  Products tier 1
-    took and zero weights leave the value unchanged and are stepped over.
+    took and zero weights leave the value unchanged and are stepped over;
+    after the scan, tier 2's end e steps back over them from the best p.
   - Once the next tier-1 product earns no more than the best value so far,
     every later row is a weighted average of an offer already beaten and
     that profit, so the sweep stops.
@@ -122,14 +123,12 @@ def _weight_vector(catalog: Catalog, valuations, *orders) -> np.ndarray:
 def _gather(w: np.ndarray, ranks, ids) -> list:
     """``w[ranks]`` as a list of floats, named by ``ids`` position for
     position; InvalidOfferError unless every weight is finite and >= 0."""
-    v = w[ranks]
-    ok = (v >= 0.0) & (v < math.inf)  # NaN fails both
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise InvalidOfferError(
-            f"valuation for {ids[k]!r} must be finite and >= 0, got {float(v[k])!r}"
-        )
-    return v.tolist()
+    v = w[ranks].tolist()
+    if not (sum(v) < math.inf and min(v, default=0.0) >= 0.0):  # a NaN or +inf fails the sum
+        for i, x in zip(ids, v):  # names the first bad weight; finite ones can overflow the sum
+            if not 0.0 <= x < math.inf:
+                raise InvalidOfferError(f"valuation for {i!r} must be finite and >= 0, got {x!r}")
+    return v
 
 
 def _tier_maps(order1: list, order2: list):
@@ -159,15 +158,14 @@ def _sweep(r1, w1, r2, w2, rank1, pos2) -> tuple[float, int, int]:
     left to right from 0.0, so it is the float ``np.cumsum`` would give.
     Returns (value, a, e) for the first maximum in visiting order: tier 1
     takes the first a tier-1 candidates, tier 2 the tier-2 positions k < e
-    with rank1[k] >= a.  e is one past the last product tier 2 keeps, so
-    it moves left when tier 1 takes that product while p stays.
+    with rank1[k] >= a.  After the sweep, e steps back from the best end
+    pointer over the positions tier 1 took and over zero weights.
     """
     n1, n2 = len(r1), len(r2)
     best_value = -math.inf
     best_a = best_e = 0
     p = 0
     cv1 = crv1 = cv2 = crv2 = rem_v = rem_rv = 0.0
-    kept: list[int] = []  # positive-weight tier-2 positions below p, ascending
     for a in range(n1 + 1):
         if a:
             r = r1[a - 1]
@@ -178,13 +176,11 @@ def _sweep(r1, w1, r2, w2, rank1, pos2) -> tuple[float, int, int]:
             j = pos2[a - 1]
             if j < p:
                 rem_v, rem_rv = rem_v + w2[j], rem_rv + r2[j] * w2[j]
-                while kept and rank1[kept[-1]] < a:
-                    kept.pop()
         denom = 1.0 + cv1
         head = crv1 / denom
         value = head + ((crv2 - rem_rv) / (1.0 + (cv2 - rem_v))) / denom
         if value > best_value:
-            best_value, best_a, best_e = value, a, kept[-1] + 1 if kept else 0
+            best_value, best_a, best_e = value, a, p
         while True:
             # products tier 1 took and zero weights leave tier 2's value as is
             while p < n2 and (rank1[p] < a or w2[p] == 0.0):
@@ -201,11 +197,12 @@ def _sweep(r1, w1, r2, w2, rank1, pos2) -> tuple[float, int, int]:
             if step < value:
                 break
             cv2, crv2 = next_v, next_rv
-            kept.append(p)
             p += 1
             value = step
             if value > best_value:
                 best_value, best_a, best_e = value, a, p
+    while best_e and (rank1[best_e - 1] < best_a or w2[best_e - 1] == 0.0):
+        best_e -= 1  # from the best p back to the last positive weight tier 1 left
     return best_value, best_a, best_e
 
 
@@ -233,14 +230,16 @@ class _PairFrame:
             self.profits2 = catalog._profits[self.ranks2].tolist()
         self.rank1, self.pos2 = _tier_maps(self.ids1, self.ids2)
 
-    def solve(self, w: np.ndarray) -> tuple[float, int, list, list]:
-        """(value, a, tier-1 ids, tier-2 ids) of the best prefix pair: tier 1
-        is ``ids1[:a]``, tier 2 a prefix of ``ids2`` minus tier 1."""
-        ids1, ids2, rank1 = self.ids1, self.ids2, self.rank1
-        w1 = _gather(w, self.ranks1, ids1)
-        w2 = w1 if ids2 is ids1 else _gather(w, self.ranks2, ids2)
-        value, a, e = _sweep(self.profits1, w1, self.profits2, w2, rank1, self.pos2)
-        return value, a, ids1[:a], [ids2[k] for k in range(e) if rank1[k] >= a]
+    def solve(self, w: np.ndarray) -> tuple[float, int, int]:
+        """``_sweep``'s (value, a, e) of the best prefix pair."""
+        w1 = _gather(w, self.ranks1, self.ids1)
+        w2 = w1 if self.ids2 is self.ids1 else _gather(w, self.ranks2, self.ids2)
+        return _sweep(self.profits1, w1, self.profits2, w2, self.rank1, self.pos2)
+
+    def tiers(self, a: int, e: int) -> tuple[list, list]:
+        """The ids of (a, e): tier 1 ``ids1[:a]``, tier 2 ``ids2[:e]`` minus tier 1."""
+        ids2, rank1 = self.ids2, self.rank1
+        return self.ids1[:a], [ids2[k] for k in range(e) if rank1[k] >= a]
 
 
 def _tier_value(r, w) -> float:
@@ -426,7 +425,8 @@ def solve_two_tier(
     x2 = _resolve_candidates(catalog, candidates_tier2, catalog.candidates_tier2)
     frame = _PairFrame(catalog, x1, x2)
     w = _weight_vector(catalog, valuations, frame.ids1, frame.ids2)
-    value, _, tier1, tier2 = frame.solve(w)
+    value, a, e = frame.solve(w)
+    tier1, tier2 = frame.tiers(a, e)
     if exact and not x1.isdisjoint(x2):
         exc1 = profit_order(x1 - x2, catalog)
         free = _free_shared(profit_order(x1 & x2, catalog), catalog, value)

@@ -17,8 +17,9 @@ frames — a ``_PairFrame`` cached per visible set (with the estimated
 products' ledger rows) and a ``_Tier1Frame`` per tier-2 epoch.  The public
 solvers solve through the same frames, so the offers equal theirs for the
 same valuations.  A re-solve whose answer equals the offer in force returns
-that offer object.  Explore-then-exploit reads its estimates from the
-ledger's rows as one vector.
+that offer object; a full re-solve repeating the one that built it returns
+it without building a set.  Explore-then-exploit reads its estimates from
+the ledger's rows as one vector.
 
 Every policy, the oracle included, prices offers with the prefix-pair
 family (``exact=False``), the same family the simulator's regret benchmark
@@ -49,6 +50,7 @@ from .model import (
     ChoiceOutcome,
     ProductId,
     TieredOffer,
+    _finite,
     _weight,
     expected_profit,
     sorted_ids,
@@ -159,7 +161,8 @@ class _VisibleView:
         if not self.learning:
             return
         short = ledger.times_offered_many(self.learning) < min_epochs
-        self.learning = tuple(compress(self.learning, short))
+        if not short.all():  # the same tuple object until a product graduates
+            self.learning = tuple(compress(self.learning, short))
 
 
 class UcbTieredPolicy(Policy):
@@ -178,7 +181,10 @@ class UcbTieredPolicy(Policy):
     The valuation vector holds the known weights from construction on,
     COLD_START_UCB in every other slot until the product is estimated, and
     in the estimated slots the UCBs of the latest re-solve.
-    ``full_resolves`` and ``tier1_resolves`` count the re-solves.
+    ``full_resolves`` and ``tier1_resolves`` count the re-solves.  A full
+    re-solve repeating the view, sweep indices (a, e), learning tuple and
+    forced split that built the offer in force keeps it untouched, until a
+    tier-1 re-solve replaces it; ``random_tier`` still flips its coins.
 
     A product counts as under-learned while the ledger has fewer than
     ``min_epochs`` completed epochs offering it and its weight is not known
@@ -200,10 +206,9 @@ class UcbTieredPolicy(Policy):
         super().__init__(catalog, rng, known_valuations=known_valuations)
         if min_epochs < 0:
             raise ConfigError(f"min_epochs must be >= 0, got {min_epochs!r}")
-        if confidence_scale is not None and not 0.0 <= confidence_scale < math.inf:
-            raise ConfigError(
-                f"confidence_scale must be finite and >= 0, got {confidence_scale!r}"
-            )
+        scale = confidence_scale
+        if scale is not None and _finite(scale, ConfigError, "confidence_scale") < 0.0:
+            raise ConfigError(f"confidence_scale must be >= 0, got {scale!r}")
         self.min_epochs = int(min_epochs)
         self.ledger = EpochLedger()
         self.full_resolves = 0
@@ -220,6 +225,8 @@ class UcbTieredPolicy(Policy):
         self._forced_tier1: frozenset = frozenset()
         self._current: TieredOffer | None = None
         self._tier1_a = 0  # free tier-1 prefix length of _current
+        # the last full re-solve's key, (tier 1, tier 2, H) and forced split
+        self._key = self._answer = self._split = None
         self._need_full = True
         self._need_tier1 = False
 
@@ -246,28 +253,33 @@ class UcbTieredPolicy(Policy):
         view = self._views.get(visible)
         if view is None:
             view = self._views[visible] = _VisibleView(self._catalog, visible, self._known)
-        moved = view is not self._view
-        self._view = view
+        if view is not self._view:  # the tier-1 frame belongs to the old view
+            self._view, self._frame = view, None
         self._update_valuations(self.ledger.completed)
-        _, a, tier1, tier2 = view.pair.solve(self._w)
+        _, a, e = view.pair.solve(self._w)
         self.full_resolves += 1
         # H: visible products not known a priori, shown in fewer than
         # min_epochs completed epochs, and skipped by the solution
         view.update_learning(self.ledger, self.min_epochs)
-        selected = set(tier1).union(tier2)
-        under = tuple(i for i in view.learning if i not in selected)
-        forced1, forced2 = self._assign_forced(under)
-        forced = frozenset(forced1)
-        tiers = (forced.union(tier1), frozenset(tier2).union(forced2))
-        current = self._current
-        # the same tiers and forced split are the same offer: keep the object
-        # (and the tier-1 frame, unless the visible set moved)
-        if current is None or current.tiers != tiers or forced != self._forced_tier1:
-            self._forced_tier1 = forced
-            self._current = TieredOffer(tiers)
-            self._frame = None
-        elif moved:
-            self._frame = None
+        key = (view, a, e, view.learning)
+        if key != self._key:
+            tier1, tier2 = view.pair.tiers(a, e)
+            selected = set(tier1).union(tier2)
+            under = tuple(i for i in view.learning if i not in selected)
+            self._key, self._answer, self._split = key, (tier1, tier2, under), None
+        tier1, tier2, under = self._answer
+        split = self._assign_forced(under)
+        if split != self._split:  # else the same key and split keep the offer
+            self._split = split
+            forced = frozenset(split[0])
+            tiers = (forced.union(tier1), frozenset(tier2).union(split[1]))
+            current = self._current
+            # the same tiers and forced split are the same offer: keep the
+            # object and its tier-1 frame
+            if current is None or current.tiers != tiers or forced != self._forced_tier1:
+                self._forced_tier1 = forced
+                self._current = TieredOffer(tiers)
+                self._frame = None
         self._tier1_a = a
         self._need_full = False
         self._need_tier1 = False
@@ -285,6 +297,7 @@ class UcbTieredPolicy(Policy):
         if a != self._tier1_a:  # the same prefix is the same offer
             self._tier1_a = a
             self._current = TieredOffer.two_tier(self._forced_tier1.union(frame.free[:a]), tier2)
+            self._split = None  # no longer the offer the full re-solve built
         self._need_tier1 = False
 
     def offer(self, t: int) -> TieredOffer:
@@ -342,7 +355,8 @@ class ExploreThenExploitPolicy(Policy):
 
     def __init__(self, catalog, rng, *, gamma: float = 30.0, known_valuations=None):
         super().__init__(catalog, rng, known_valuations=known_valuations)
-        if gamma < 0:
+        self.gamma = _finite(gamma, ConfigError, "gamma")
+        if self.gamma < 0:
             raise ConfigError(f"gamma must be >= 0, got {gamma!r}")
         late = [i for i in sorted_ids(catalog.ids) if catalog.product(i).launch_time > 0]
         if late:
@@ -350,7 +364,6 @@ class ExploreThenExploitPolicy(Policy):
                 f"explore_then_exploit needs every product at launch_time 0; "
                 f"{late[0]!r} launches later"
             )
-        self.gamma = float(gamma)
         self.ledger = EpochLedger()
         self._products = sorted_ids(catalog.ids)
         self._profits = np.array([catalog.profit_of(i) for i in self._products])
@@ -442,19 +455,6 @@ _POLICIES = {
 }
 
 
-def _option_error(value, default) -> str | None:
-    """Why ``value`` cannot stand in for an option whose default is
-    ``default`` (None when it can): an int default takes an int (not a
-    bool), and a float or None default a finite number (or None)."""
-    if isinstance(default, int):
-        return None if type(value) is int else "must be an integer"
-    if value is None and default is None:
-        return None
-    if type(value) in (int, float) and math.isfinite(value):
-        return None
-    return "must be a finite number" + (" or null" if default is None else "")
-
-
 def make_policy(name: str, catalog: Catalog, rng, **kwargs) -> Policy:
     """Construct a policy by registry name.
 
@@ -476,10 +476,14 @@ def make_policy(name: str, catalog: Catalog, rng, **kwargs) -> Policy:
         raise ConfigError(
             f"policy {name!r} has no option {unknown[0]!r}; accepted options: {sorted(params)}"
         )
+    # an int default takes an int (not a bool), a float or None default a
+    # finite number (or None)
     for key in sorted(set(kwargs) - {"known_valuations"}):
-        problem = _option_error(kwargs[key], params[key].default)
-        if problem:
-            raise ConfigError(f"policy {name!r} option {key!r} {problem}, got {kwargs[key]!r}")
+        value, default, what = kwargs[key], params[key].default, f"policy {name!r} option {key!r}"
+        if isinstance(default, int) and type(value) is not int:
+            raise ConfigError(f"{what} must be an integer, got {value!r}")
+        if not isinstance(default, int) and (value is not None or default is not None):
+            _finite(value, ConfigError, what)
     return cls(catalog, rng, **kwargs)
 
 

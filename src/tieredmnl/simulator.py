@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Iterable, Mapping
@@ -35,6 +34,7 @@ from .model import (
     ChoiceSampler,
     Product,
     TieredOffer,
+    _finite,
     catalog_from_dict,
     catalog_to_dict,
     expected_profit,
@@ -470,12 +470,10 @@ def _list(value, name: str) -> list:
 
 def _support(value, name: str) -> tuple[float, float]:
     _require(
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(type(x) in (int, float) and math.isfinite(x) for x in value),
+        isinstance(value, (list, tuple)) and len(value) == 2,
         f"{name} must be a [lo, hi] pair of finite numbers, got {value!r}",
     )
-    return (float(value[0]), float(value[1]))
+    return tuple(_finite(x, ConfigError, f"{name} bound") for x in value)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -591,13 +589,17 @@ def _id_cell(ids: Iterable) -> str:
 
 def write_trace_csv(trace: RegretTrace, path) -> None:
     """Per-step trace; csv writes floats via repr, so replays are
-    byte-identical.  Each distinct offer object's id cells are formatted
-    once."""
+    byte-identical.  Each distinct offer object's id cells, and each
+    distinct instantaneous regret (told apart by its bits, so ``-0.0``
+    keeps its sign), are formatted once."""
     keys = list(map(id, trace.offers))  # the trace keeps every offer alive
     cells = {}
     for key, offer in zip(keys, trace.offers):
         if key not in cells:
             cells[key] = (_id_cell(offer.tier(0)), _id_cell(offer.tier(1)))
+    bits, slots = np.unique(trace.instantaneous.view(np.int64), return_inverse=True)
+    texts = [repr(x) for x in bits.view(np.float64).tolist()]
+    regrets = [texts[k] for k in slots.tolist()]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -606,7 +608,7 @@ def write_trace_csv(trace: RegretTrace, path) -> None:
         writer.writerows(
             (t, regret, cumulative, *cells[key])
             for t, regret, cumulative, key in zip(
-                count(1), trace.instantaneous.tolist(), trace.cumulative().tolist(), keys
+                count(1), regrets, trace.cumulative().tolist(), keys
             )
         )
 

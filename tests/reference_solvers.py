@@ -10,7 +10,9 @@ otherwise.  ``solve_two_tier_naive`` walks the same candidate family as
 ``numpy_sweep``, ``numpy_tier_value`` and ``numpy_tier1_prefix`` are the
 optimizer's cores as they were written on numpy prefix sums (``cumsum``
 adds left to right from 0.0, ``argmax`` keeps the first maximum); the
-running-sum cores must return the same floats.
+running-sum cores must return the same floats.  ``stack_sweep`` is the
+running-sum sweep as it tracked the tier-2 end with a stack; the sweep that
+derives the end once after the scan must return the same triple.
 """
 
 from __future__ import annotations
@@ -91,6 +93,56 @@ def numpy_sweep(r1, v1, r2, v2, rank1, pos2) -> tuple[float, int, int]:
             step = head + ((crv2[p + 1] - rem_rv) / (1.0 + (cv2[p + 1] - rem_v))) / denom
             if step < value:
                 break
+            kept.append(p)
+            p += 1
+            value = step
+            if value > best_value:
+                best_value, best_a, best_e = value, a, p
+    return best_value, best_a, best_e
+
+
+def stack_sweep(r1, w1, r2, w2, rank1, pos2) -> tuple[float, int, int]:
+    """``optimizer._sweep`` as it was written with a stack of the tier-2
+    positions kept below the end pointer, popped while tier 1 takes their
+    products, so e is read off the stack at every new maximum."""
+    n1, n2 = len(r1), len(r2)
+    best_value = -math.inf
+    best_a = best_e = 0
+    p = 0
+    cv1 = crv1 = cv2 = crv2 = rem_v = rem_rv = 0.0
+    kept: list[int] = []  # positive-weight tier-2 positions below p, ascending
+    for a in range(n1 + 1):
+        if a:
+            r = r1[a - 1]
+            if r <= best_value:
+                break
+            w = w1[a - 1]
+            cv1, crv1 = cv1 + w, crv1 + r * w
+            j = pos2[a - 1]
+            if j < p:
+                rem_v, rem_rv = rem_v + w2[j], rem_rv + r2[j] * w2[j]
+                while kept and rank1[kept[-1]] < a:
+                    kept.pop()
+        denom = 1.0 + cv1
+        head = crv1 / denom
+        value = head + ((crv2 - rem_rv) / (1.0 + (cv2 - rem_v))) / denom
+        if value > best_value:
+            best_value, best_a, best_e = value, a, kept[-1] + 1 if kept else 0
+        while True:
+            while p < n2 and (rank1[p] < a or w2[p] == 0.0):
+                w = w2[p]
+                rw = r2[p] * w
+                cv2, crv2 = cv2 + w, crv2 + rw
+                if rank1[p] < a:
+                    rem_v, rem_rv = rem_v + w, rem_rv + rw
+                p += 1
+            if p == n2:
+                break
+            next_v, next_rv = cv2 + w2[p], crv2 + r2[p] * w2[p]
+            step = head + ((next_rv - rem_rv) / (1.0 + (next_v - rem_v))) / denom
+            if step < value:
+                break
+            cv2, crv2 = next_v, next_rv
             kept.append(p)
             p += 1
             value = step

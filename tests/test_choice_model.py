@@ -258,6 +258,16 @@ class TestProductValidation:
         assert catalog.visible_at(6) is catalog.visible_at(7)
 
 
+class _Uniform:
+    """rng stub yielding one fixed value forever."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
 class TestSampling:
     def test_empirical_frequencies_match_closed_form(self):
         """200k seeded draws agree with the marginal law within 4 sigma."""
@@ -294,6 +304,55 @@ class TestSampling:
         rng = BufferedRandom(np.random.default_rng(41))
         sampler = ChoiceSampler(offer, catalog)
         assert all(sampler.sample(rng).product != "a" for _ in range(5000))
+
+    @staticmethod
+    def linear_scan(sampler, rng):
+        """The sampler's walk before bisection: the first cumulative edge
+        above u - 1, else the tier's last product."""
+        for k, (ids, cum, denom) in enumerate(sampler._tiers):
+            u = rng.random() * denom
+            if u < 1.0:
+                continue
+            x = u - 1.0
+            for j, edge in enumerate(cum):
+                if x < edge:
+                    return ChoiceOutcome(ids[j], k)
+            return ChoiceOutcome(ids[-1], k)
+        return NO_PURCHASE
+
+    def test_bisection_matches_the_linear_scan(self):
+        """Random offers with zero-weight products, 2,000 draws each, the
+        two samplers fed the same uniforms."""
+        rng = np.random.default_rng(20191019)
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            weights = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 1, n))
+            catalog = Catalog(
+                tuple(Product(f"p{k}", 1.0, float(weights[k])) for k in range(n))
+            )
+            offer = random_offer(catalog, rng)
+            sampler = ChoiceSampler(offer, catalog)
+            seed = int(rng.integers(1 << 30))
+            mine, scan = (BufferedRandom(np.random.default_rng(seed)) for _ in range(2))
+            for _ in range(2000):
+                assert sampler.sample(mine) == self.linear_scan(sampler, scan)
+
+    def test_draws_on_a_cumulative_edge(self):
+        """Dyadic weights put u - 1 exactly on each edge (a zero-weight
+        product repeats one); both walks take the product above it."""
+        catalog = Catalog(
+            (Product("a", 1.0, 0.25), Product("b", 1.0, 0.0), Product("c", 1.0, 0.5),
+             Product("d", 1.0, 0.25))
+        )
+        sampler = ChoiceSampler(TieredOffer.two_tier(["a", "b", "c", "d"], []), catalog)
+        assert sampler._tiers[0][1] == [0.25, 0.25, 0.75, 1.0]
+        for x, want in ((0.0, "a"), (0.25, "c"), (0.75, "d"), (1.0 - 2**-53, "d")):
+            coin = _Uniform((1.0 + x) / 2.0)  # denom 2.0, so u - 1 == x exactly
+            got = sampler.sample(coin)
+            assert got == self.linear_scan(sampler, coin) == ChoiceOutcome(want, 0)
+        # u == denom, which rounding of random() * denom can give, takes the last product
+        assert sampler.sample(_Uniform(1.0)) == self.linear_scan(sampler, _Uniform(1.0))
+        assert sampler.sample(_Uniform(1.0)) == ChoiceOutcome("d", 0)
 
     def test_outcome_fields(self):
         assert not NO_PURCHASE.is_purchase

@@ -80,6 +80,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "product 1" in err
 
+    def test_profit_beyond_the_float_range_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        huge = "1" + "0" * 400
+        path.write_text(
+            '{"products": [{"id": 1, "profit": %s, "valuation": 0.5}]}' % huge, encoding="utf-8"
+        )
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "product 1" in err and "finite" in err
+        assert "Traceback" not in err
+
     def test_coercible_catalog_number_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(
@@ -268,6 +279,8 @@ class TestMalformedConfig:
             ("policy", "options", {"min_epochs": True}),
             ("policy", "options", {"confidence_scale": float("inf")}),
             ("policy", "options", {"confidence_scale": -1.0}),
+            ("policy", "options", {"confidence_scale": 10**400}),
+            ("group", "profit", [0, 10**400]),
             ("policy", "options", {"known_valuations": {}}),
             ("top", "known_products", 5),
             ("group", "valuation_known", "no"),

@@ -472,6 +472,32 @@ class TestVectorIndex:
             assert [ledger.valuation_ucb(i, epoch, len(ids)) for i in ids] == want
 
 
+    def test_cached_rows_follow_the_index_after_growth(self):
+        """The rows kept per offered set stay equal to the products' ledger
+        indices after the totals arrays grow past their initial 16 rows,
+        and a set closed before the growth reuses them afterwards."""
+        ledger = EpochLedger()
+        first = TieredOffer.two_tier(["s0", "s1"], ["s2"])
+        ledger.record_step(first, NO_PURCHASE)  # closes both tiers
+        kept = ledger._set_rows[first.tiers[0]]
+        for j in range(40):
+            ledger.record_step(TieredOffer.two_tier([f"n{j:02d}"], [f"m{j:02d}"]), NO_PURCHASE)
+        assert len(ledger._epochs_total) >= 83 > 16
+        again = TieredOffer.two_tier(["s1", "s0"], ["s2"])  # equal sets, new objects
+        ledger.record_step(again, ChoiceOutcome("s2", 1))
+        ledger.record_step(again, NO_PURCHASE)
+        assert ledger._set_rows[again.tiers[0]] is kept
+        assert len(ledger._set_rows) == 82
+        for other in (ledger, random_ledger(7)):
+            assert set(other._set_rows) == {r.offered for k in (0, 1) for r in other.epochs(k)}
+            for offered, rows in other._set_rows.items():
+                assert rows.tolist() == [other._index[i] for i in offered]
+            for i, (epochs, purchases, launch) in reference_totals(other).items():
+                assert other.times_offered(i) == epochs
+                assert other.purchase_total(i) == purchases
+                assert other.launch_epoch(i) == launch
+
+
 class TestGeometricEpochCounts:
     def sample_counts(self, offer, catalog, product, tier_index, n_epochs, seed):
         sampler = ChoiceSampler(offer, catalog)

@@ -1,7 +1,8 @@
 """Fuzzing of the input boundaries: catalog and config documents.
 
 Number slots draw the values that trip naive parsers — bools, strings,
-NaN, ±inf, negatives and 10**30 — next to ordinary numbers.  Only a
+NaN, ±inf, negatives, 10**30 and 10**400 (beyond the float range) — next
+to ordinary numbers.  Only a
 ``TieredMnlError`` may escape the library, and ``tieredmnl simulate``
 exits 0 or 1.  A config that parses is simulated only when it is small
 (horizon <= 200, at most 20 products), so the whole module runs in a few
@@ -30,7 +31,7 @@ FUZZ = settings(
 )
 
 ODD_NUMBERS = st.sampled_from(
-    [True, False, "1", "x", math.nan, math.inf, -math.inf, -1, -0.5, 10**30, None]
+    [True, False, "1", "x", math.nan, math.inf, -math.inf, -1, -0.5, 10**30, 10**400, None]
 )
 
 

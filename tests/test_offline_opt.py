@@ -19,6 +19,7 @@ from reference_solvers import (
     numpy_tier_value,
     seed_reference,
     solve_two_tier_naive,
+    stack_sweep,
 )
 
 from tieredmnl import optimizer
@@ -33,6 +34,7 @@ from tieredmnl.model import (
 )
 from tieredmnl.optimizer import (
     TierPlacement,
+    _gather,
     _PairFrame,
     _sweep,
     _tier1_prefix,
@@ -209,8 +211,8 @@ class TestPrefixPairSweep:
         """(value, tier 1, tier 2) through a frame on the catalog's candidates."""
         frame = _PairFrame(catalog, catalog.candidates_tier1, catalog.candidates_tier2)
         w = _weight_vector(catalog, valuations, frame.ids1, frame.ids2)
-        value, _, tier1, tier2 = frame.solve(w)
-        return value, tier1, tier2
+        value, a, e = frame.solve(w)
+        return (value, *frame.tiers(a, e))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_same_offers_as_reference_cores(self, shape):
@@ -439,6 +441,43 @@ class TestNonFiniteOverrides:
             expected_profit(offer, self.CATALOG, {"a": 0.5, "b": bad})
 
 
+class TestGatherCheck:
+    """``_gather`` tests the gathered floats with one sum and one min, and
+    scans them only to name the first bad weight."""
+
+    IDS = ["a", "b", "c", "d", "e"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_names_the_first_bad_weight(self, bad, at):
+        w = np.array([0.5, 1e308, 0.0, 0.25, 1e308])
+        w[at] = bad
+        w[(at + 3) % 5] = math.nan  # a later bad weight is not named
+        first = min(at, (at + 3) % 5)
+        with pytest.raises(InvalidOfferError) as info:
+            _gather(w, np.arange(5), self.IDS)
+        got = w[first].item()
+        assert str(info.value) == (
+            f"valuation for {self.IDS[first]!r} must be finite and >= 0, got {got!r}"
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_one_bad_weight(self, bad, at):
+        w = np.full(5, 0.5)
+        w[at] = bad
+        with pytest.raises(InvalidOfferError) as info:
+            _gather(w, np.arange(5), self.IDS)
+        assert str(info.value) == (
+            f"valuation for {self.IDS[at]!r} must be finite and >= 0, got {bad!r}"
+        )
+
+    def test_overflowing_sum_of_finite_weights_passes(self):
+        w = np.array([1e308, 1e308, 0.0, -0.0])
+        assert _gather(w, np.array([1, 0, 3]), ["b", "a", "d"]) == [1e308, 1e308, -0.0]
+        assert _gather(w, np.zeros(0, dtype=np.intp), []) == []
+
+
 class TestSequentialTierValue:
     def test_equals_expected_profit_bit_for_bit(self):
         """Left-to-right sums in id order, as expected_profit adds them; a
@@ -555,6 +594,20 @@ class TestRunningSumCores:
             for n_forced in (0, 1):
                 args = (arr_r, arr_w, n_forced, empty, empty)
                 assert self.new_tier1(*args) == numpy_tier1_prefix(*args)
+
+    @pytest.mark.parametrize("tick", [None, 0.125])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_derived_end_matches_the_stack(self, shape, tick):
+        """The end e derived once after the sweep is the one the stack of
+        kept tier-2 positions gave, with zero weights (30%) and, on the 1/8
+        profit grid, tied profits."""
+        rng = np.random.default_rng(20191101 + self.SHAPES.index(shape) + (tick is not None) * 7)
+        for _ in range(2000):
+            sweep, _ = self.random_case(rng, shape, tick)
+            r1, v1, r2, v2, rank1, pos2 = sweep
+            p1, w1 = r1.tolist(), v1.tolist()
+            p2, w2 = (p1, w1) if v2 is v1 else (r2.tolist(), v2.tolist())
+            assert _sweep(p1, w1, p2, w2, rank1, pos2) == stack_sweep(p1, w1, p2, w2, rank1, pos2)
 
     def test_tier1_scan_stops_at_a_profit_equal_to_the_best_value(self):
         """Taking 2.0 at weight 1 makes the value exactly 1.0; a free

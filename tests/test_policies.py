@@ -75,6 +75,18 @@ class _ScriptedCoin:
         return self.value
 
 
+class _CountingRandom:
+    """rng wrapper counting the uniforms drawn through it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.inner.random()
+
+
 class TestOraclePolicy:
     def test_serves_offline_optimum(self):
         catalog = small_catalog()
@@ -455,6 +467,76 @@ class TestArrayDecisionPath:
                 kept += 1
             policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
         assert kept > 100
+
+    @pytest.mark.parametrize("policy_cls", [UcbTieredPolicy, RandomTierLearningPolicy])
+    @pytest.mark.parametrize("shape", ["shared", "disjoint", "overlapping"])
+    def test_full_resolve_serves_the_offer_built_from_scratch(self, policy_cls, shape):
+        """At every full re-solve the served offer is the pair frame's tiers
+        for the sweep's (a, e) plus the forced split of H, rebuilt from
+        scratch, and the offer in force comes back as the same object
+        exactly when it equals that offer with the same forced tier-1 part.
+        The shared and overlapping catalogs launch products as they run."""
+        rng = np.random.default_rng(["shared", "disjoint", "overlapping"].index(shape) + 97)
+        catalog, known = shaped_catalog(shape, rng)
+        policy = policy_cls(
+            catalog,
+            BufferedRandom(np.random.default_rng(5)),
+            min_epochs=15,
+            known_valuations=known,
+            confidence_scale=4.8,
+        )
+        splits = []
+        assign = policy._assign_forced
+
+        def record(under):
+            splits.append((under, assign(under)))
+            return splits[-1][1]
+
+        policy._assign_forced = record
+        customers = BufferedRandom(np.random.default_rng(6))
+        kept = built = 0
+        previous = None
+        for t in range(1, 1201):
+            full = policy._need_full or policy._current is None
+            forced_before = policy._forced_tier1
+            learning = [
+                i for i in sorted_ids(catalog.visible_at(t))
+                if i not in known and policy.ledger.times_offered(i) < 15
+            ]
+            offer = policy.offer(t)
+            if full:
+                pair = policy._view.pair
+                _, a, e = pair.solve(policy._w)
+                tier1, tier2 = pair.tiers(a, e)
+                under, (forced1, forced2) = splits[-1]
+                assert under == tuple(i for i in learning if i not in {*tier1, *tier2})
+                want = TieredOffer.two_tier({*tier1, *forced1}, {*tier2, *forced2})
+                assert offer == want
+                same = want == previous and frozenset(forced1) == forced_before
+                assert (offer is previous) == same
+                kept += same
+                built += not same
+            previous = offer
+            policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
+        assert len(splits) == policy.full_resolves == kept + built
+        assert kept > 100 and built > 10
+
+    @pytest.mark.parametrize(
+        "shape, full, tier1, draws",
+        [("shared", 502, 363, 193), ("disjoint", 512, 386, 57), ("overlapping", 513, 394, 196)],
+    )
+    def test_random_tier_coin_count_is_pinned(self, shape, full, tier1, draws):
+        """``random_tier`` flips its coins at every full re-solve, the kept
+        ones included, so its policy stream sits where it sat when every
+        re-solve rebuilt the offer (counts recorded from that code)."""
+        rng = np.random.default_rng(["shared", "disjoint", "overlapping"].index(shape) + 97)
+        catalog, known = shaped_catalog(shape, rng)
+        coins = _CountingRandom(BufferedRandom(np.random.default_rng(5)))
+        policy = RandomTierLearningPolicy(
+            catalog, coins, min_epochs=15, known_valuations=known, confidence_scale=4.8
+        )
+        run_policy(policy, catalog, 1200, 6)
+        assert (policy.full_resolves, policy.tier1_resolves, coins.draws) == (full, tier1, draws)
 
     def test_kept_offer_rebuilds_the_frame_after_a_launch(self):
         """An offer kept across a launch keeps its tiers, but its tier-1

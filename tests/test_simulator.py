@@ -5,6 +5,7 @@ must be exactly zero, the seed scheme by stream-sharing and byte-identical
 replays, and the config/CSV formats by round-trips and strict-key checks.
 """
 
+import csv
 import hashlib
 import json
 
@@ -509,6 +510,29 @@ class TestCsvOutput:
             write_trace_csv(trace, path)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+    def test_regret_cells_formatted_once_keep_the_sign_of_zero(self, tmp_path):
+        """A trace whose instantaneous column holds 0.0 and -0.0 (and other
+        repeats, a NaN and an infinity) writes the bytes that formatting
+        every cell gives."""
+        config = oracle_config(policies=(PolicySpec("ucb_tiered"),), horizon=60)
+        trace = run(config, config.policies[0])
+        values = [0.0, -0.0, 0.125, -0.0, 1e-300, 0.0, float("nan"), -5e-324, float("inf"), 0.125]
+        trace.instantaneous[:] = np.resize(np.array(values), len(trace))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(path.read_text(encoding="utf-8").splitlines()[0].split(","))
+            for t, (regret, cumulative, offer) in enumerate(
+                zip(trace.instantaneous.tolist(), trace.cumulative().tolist(), trace.offers), 1
+            ):
+                cells = ["|".join(str(i) for i in sorted(offer.tier(k), key=str)) for k in (0, 1)]
+                writer.writerow([t, regret, cumulative, *cells])
+        written = path.read_bytes()
+        assert written == reference.read_bytes()
+        assert b",-0.0," in written and b",0.0," in written
 
     def test_mean_curve_csv(self, tmp_path):
         config = oracle_config(policies=(PolicySpec("ucb_tiered"),), horizon=30)
