@@ -215,26 +215,13 @@ class EpochLedger:
 
     # --- estimates -------------------------------------------------------
 
-    def valuation_estimate(self, product_id, *, upto: int | None = None) -> float:
+    def valuation_estimate(self, product_id) -> float:
         """Mean purchases per completed epoch offering the product, pooled
-        across both tiers.  With ``upto``, only epochs labeled < upto count."""
+        across both tiers."""
         j = self._index.get(product_id)
-        if j is None:
+        if j is None or not self._epochs_total[j]:
             raise NeverOfferedError(product_id)
-        if upto is None:
-            epochs = int(self._epochs_total[j])
-            purchases = int(self._purchases_total[j])
-        else:
-            counts = [
-                record.purchases_of(product_id)
-                for k in (0, 1)
-                for record in self._closed[k]
-                if record.label < upto and product_id in record.offered
-            ]
-            epochs, purchases = len(counts), sum(counts)
-        if epochs == 0:
-            raise NeverOfferedError(product_id)
-        return purchases / epochs
+        return int(self._purchases_total[j]) / int(self._epochs_total[j])
 
     def _means(self, rows: np.ndarray) -> np.ndarray:
         """``valuation_estimate`` of the products at ledger ``rows``: int64
@@ -324,15 +311,6 @@ class EpochLedger:
 
     def labels(self, tier_index: int) -> tuple[int, ...]:
         return tuple(record.label for record in self._closed[tier_index])
-
-    def product_epochs(self, product_id, tier_index: int) -> tuple[tuple[int, int], ...]:
-        """(label, purchases) per completed epoch of one tier offering the
-        product, in completion order."""
-        return tuple(
-            (record.label, record.purchases_of(product_id))
-            for record in self._closed[tier_index]
-            if product_id in record.offered
-        )
 
     def open_labels(self) -> tuple[int, int]:
         return (self._open[0].label, self._open[1].label)

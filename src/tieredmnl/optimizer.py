@@ -38,10 +38,13 @@ The search walks a structured family of offers instead of all subsets:
   tier 1, so prefix pairs alone can leave a gap.  What survives of the
   prefix structure: tier 2 is still a prefix of its available candidates,
   the tier-1 exclusives are still a prefix of X1\\X2, and every tier-1
-  product earns at least the optimal value.  The completion therefore
-  enumerates every subset of F = {shared products with profit above the
-  seed maximum} as the shared part of tier 1 — exact, but exponential in
-  |F|, so it is guarded by a work cap and skippable via ``exact=False``.
+  product earns at least the optimal value.  ``_completion`` reads the
+  frame and weight lists the sweep read: the exclusives are the positions j
+  of ``ids1`` with ``pos2[j] == n2``, F the shared ones (``pos2[j] < n2``)
+  whose profit is above the seed value, and the subset P of F put in tier 1
+  is a flag list over tier-2 positions.  It enumerates every P — exact, but
+  exponential in |F|, so it is guarded by a work cap of 2^|F| (|exclusives|
+  + 1 + n2) steps and skippable via ``exact=False``.
 
 ``brute_force_optimal`` enumerates every assignment outright with one
 recursive search for any number of tiers, and serves as the reference
@@ -230,10 +233,15 @@ class _PairFrame:
             self.profits2 = catalog._profits[self.ranks2].tolist()
         self.rank1, self.pos2 = _tier_maps(self.ids1, self.ids2)
 
+    def weights(self, w: np.ndarray) -> tuple[list, list]:
+        """``_gather`` of ``w`` at the tier-1 and at the tier-2 candidates
+        (one list when the tiers share their candidates)."""
+        w1 = _gather(w, self.ranks1, self.ids1)
+        return w1, w1 if self.ids2 is self.ids1 else _gather(w, self.ranks2, self.ids2)
+
     def solve(self, w: np.ndarray) -> tuple[float, int, int]:
         """``_sweep``'s (value, a, e) of the best prefix pair."""
-        w1 = _gather(w, self.ranks1, self.ids1)
-        w2 = w1 if self.ids2 is self.ids1 else _gather(w, self.ranks2, self.ids2)
+        w1, w2 = self.weights(w)
         return _sweep(self.profits1, w1, self.profits2, w2, self.rank1, self.pos2)
 
     def tiers(self, a: int, e: int) -> tuple[list, list]:
@@ -316,86 +324,77 @@ def _resolve_candidates(catalog, candidates, default):
     return cand
 
 
-def _free_shared(shared, catalog, lower_bound):
-    """Shared candidates that could strictly improve on ``lower_bound`` as
-    tier-1 members.  Every tier-1 product at an optimum earns at least the
-    optimal value, so anything at or below the bound can be dropped from the
-    subset enumeration (zero-profit products never help)."""
-    cutoff = max(lower_bound - 1e-9, 0.0)
-    return [i for i in shared if catalog.profit_of(i) > cutoff]
-
-
-def _completion_work(n_free: int, n_exc1: int, n_tier2: int) -> int:
-    return (1 << n_free) * (n_exc1 + 1 + n_tier2)
-
-
-def _completion(order2, exc1, free, catalog, valuations, seed_value):
-    """Enumerate tier-1 = (exclusive prefix) + (subset P of ``free``) with
-    tier 2 a prefix of order2 minus P.  Subsets step in Gray-code order so
-    each differs from the last by one product; for a fixed P the best tier-2
+def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
+    """The exact completion on ``frame``'s lists and the weights the sweep
+    read (see the module docstring): tier 1 is a prefix of the exclusives
+    plus a subset P of the free shared candidates, tier 2 a prefix of the
+    tier-2 candidates outside P.  Subsets step in Gray-code order so each
+    differs from the last by one product; for a fixed P the best tier-2
     prefix does not depend on the exclusive prefix, so each subset costs one
     tier-2 walk plus one exclusive walk.
 
-    Returns (value, tier1, tier2) when some offer beats ``seed_value``.
+    Raises InstanceTooLargeError when that would exceed ``_MAX_EXACT_WORK``
+    steps.  Returns (value, tier1 ids, tier2 ids) when some offer beats
+    ``seed_value``, else None.
     """
-    items2 = [
-        (i, catalog.profit_of(i), _weight(catalog, valuations, i)) for i in order2
-    ]
+    r1, r2, pos2 = frame.profits1, frame.profits2, frame.pos2
+    n2 = len(r2)
+    cutoff = max(seed_value - 1e-9, 0.0)
+    exc = [j for j, k in enumerate(pos2) if k == n2]
+    free = [j for j, k in enumerate(pos2) if k < n2 and r1[j] > cutoff]
+    work = (1 << len(free)) * (len(exc) + 1 + n2)
+    if work > _MAX_EXACT_WORK:
+        raise InstanceTooLargeError(
+            f"exact completion would take ~{work} steps over {len(free)} "
+            f"candidate splits (cap {_MAX_EXACT_WORK}); restrict the "
+            "candidate sets or pass exact=False"
+        )
     cum_v = [0.0]
     cum_rv = [0.0]
-    for i in exc1:
-        w = _weight(catalog, valuations, i)
-        cum_v.append(cum_v[-1] + w)
-        cum_rv.append(cum_rv[-1] + catalog.profit_of(i) * w)
-    free_items = [
-        (i, catalog.profit_of(i), _weight(catalog, valuations, i)) for i in free
-    ]
-    in_p = [False] * len(free)
-    pset: set = set()
+    for j in exc:
+        cum_v.append(cum_v[-1] + w1[j])
+        cum_rv.append(cum_rv[-1] + r1[j] * w1[j])
+    in_p = [False] * n2
     sum_vp = 0.0
     sum_rvp = 0.0
     best_value = seed_value
     best = None
     for g in range(1 << len(free)):
         if g:
-            j = (g & -g).bit_length() - 1
-            i, r, w = free_items[j]
-            if in_p[j]:
-                in_p[j] = False
-                pset.discard(i)
+            j = free[(g & -g).bit_length() - 1]
+            r, w, k = r1[j], w1[j], pos2[j]
+            if in_p[k]:
                 sum_vp -= w
                 sum_rvp -= r * w
             else:
-                in_p[j] = True
-                pset.add(i)
                 sum_vp += w
                 sum_rvp += r * w
+            in_p[k] = not in_p[k]
         tail_best = 0.0
-        b_best = 0
+        e_best = 0
         sv = 0.0
         srv = 0.0
-        b = 0
-        for i, r, w in items2:
-            if i in pset:
+        for k in range(n2):
+            if in_p[k]:
                 continue
+            w = w2[k]
             sv += w
-            srv += r * w
-            b += 1
+            srv += r2[k] * w
             tail = srv / (1.0 + sv)
             if tail > tail_best:
                 tail_best = tail
-                b_best = b
-        for a in range(len(exc1) + 1):
+                e_best = k + 1
+        for a in range(len(exc) + 1):
             value = (sum_rvp + cum_rv[a] + tail_best) / (1.0 + sum_vp + cum_v[a])
             if value > best_value:
                 best_value = value
-                best = (frozenset(pset), a, b_best)
+                best = (in_p.copy(), a, e_best)
     if best is None:
         return None
-    pset, a, b = best
-    tier1 = tuple(exc1[:a]) + tuple(i for i in free if i in pset)
-    tier2 = tuple(i for i in order2 if i not in pset)[:b]
-    return best_value, tier1, tier2
+    in_p, a, e = best
+    ids1, ids2 = frame.ids1, frame.ids2
+    tier1 = [ids1[j] for j in exc[:a]] + [ids1[j] for j in free if in_p[pos2[j]]]
+    return best_value, tier1, [ids2[k] for k in range(e) if not in_p[k]]
 
 
 def solve_two_tier(
@@ -424,22 +423,13 @@ def solve_two_tier(
     x1 = _resolve_candidates(catalog, candidates_tier1, catalog.candidates_tier1)
     x2 = _resolve_candidates(catalog, candidates_tier2, catalog.candidates_tier2)
     frame = _PairFrame(catalog, x1, x2)
-    w = _weight_vector(catalog, valuations, frame.ids1, frame.ids2)
-    value, a, e = frame.solve(w)
+    w1, w2 = frame.weights(_weight_vector(catalog, valuations, frame.ids1, frame.ids2))
+    value, a, e = _sweep(frame.profits1, w1, frame.profits2, w2, frame.rank1, frame.pos2)
     tier1, tier2 = frame.tiers(a, e)
     if exact and not x1.isdisjoint(x2):
-        exc1 = profit_order(x1 - x2, catalog)
-        free = _free_shared(profit_order(x1 & x2, catalog), catalog, value)
-        work = _completion_work(len(free), len(exc1), len(frame.ids2))
-        if work > _MAX_EXACT_WORK:
-            raise InstanceTooLargeError(
-                f"exact completion would take ~{work} steps over {len(free)} "
-                f"candidate splits (cap {_MAX_EXACT_WORK}); restrict the "
-                "candidate sets or pass exact=False"
-            )
-        refined = _completion(frame.ids2, exc1, free, catalog, valuations, value)
+        refined = _completion(frame, w1, w2, value)
         if refined is not None:
-            value, tier1, tier2 = refined
+            _, tier1, tier2 = refined
     offer = TieredOffer.two_tier(tier1, tier2)
     value = expected_profit(offer, catalog, valuations)
     return SolveResult(offer, value, _thresholds(offer, catalog))
@@ -568,22 +558,18 @@ def brute_force_optimal(
 
 
 def enumerate_prefix_pair_offers(catalog: Catalog) -> list[TieredOffer]:
-    """All two-tier prefix-pair offers, in (tier-1 prefix, tier-2 prefix)
-    order with duplicates removed.  This is the candidate family the
-    optimum provably lives in."""
-    order1 = profit_order(catalog.candidates_tier1, catalog)
-    order2 = profit_order(catalog.candidates_tier2, catalog)
-    offers = []
-    seen = set()
-    for a in range(len(order1) + 1):
-        taken = frozenset(order1[:a])
-        rest = [i for i in order2 if i not in taken]
-        for b in range(len(rest) + 1):
-            offer = TieredOffer((taken, frozenset(rest[:b])))
-            if offer not in seen:
-                seen.add(offer)
-                offers.append(offer)
-    return offers
+    """All two-tier prefix-pair offers ``_PairFrame.tiers(a, e)`` over the
+    catalog's candidate sets, once each, in (a, e) order.  With disjoint
+    candidate sets this family contains an optimum; with shared ones it can
+    miss it (the exact completion closes that gap)."""
+    frame = _PairFrame(catalog, catalog.candidates_tier1, catalog.candidates_tier2)
+    rank1 = frame.rank1
+    return [
+        TieredOffer.two_tier(*frame.tiers(a, e))
+        for a in range(len(frame.ids1) + 1)
+        for e in range(len(frame.ids2) + 1)
+        if e == 0 or rank1[e - 1] >= a  # else tier 2 is the same as at e - 1
+    ]
 
 
 # --- offer structure predicates -----------------------------------------------

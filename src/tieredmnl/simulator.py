@@ -561,7 +561,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         ),
         replications=_int(data.get("replications", 1), "replications"),
         base_seed=_int(data.get("base_seed", 0), "base_seed"),
-        benchmark=str(data.get("benchmark", "launched")),
+        benchmark=_str(data.get("benchmark", "launched"), "benchmark"),
     )
 
 

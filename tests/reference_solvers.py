@@ -13,6 +13,9 @@ adds left to right from 0.0, ``argmax`` keeps the first maximum); the
 running-sum cores must return the same floats.  ``stack_sweep`` is the
 running-sum sweep as it tracked the tier-2 end with a stack; the sweep that
 derives the end once after the scan must return the same triple.
+``id_completion`` is the exact completion as it was written on product ids,
+reading profits and weights one id at a time; the completion on the pair
+frame must pick the same tiers at the same value.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from tieredmnl.errors import InstanceTooLargeError
 from tieredmnl.model import TieredOffer, _weight, expected_profit
 from tieredmnl.optimizer import (
     SolveResult,
-    _completion_work,
-    _free_shared,
     _resolve_candidates,
     _thresholds,
     _weight_vector,
@@ -246,6 +247,71 @@ def seed_reference(order1, order2, catalog, valuations=None):
     return _solve_general(order1, order2, catalog, valuations)
 
 
+def id_completion(order2, exc1, free, catalog, valuations, seed_value):
+    """The exact completion on ids: tier 1 = (exclusive prefix) + (subset P
+    of ``free``) with tier 2 a prefix of order2 minus P, subsets in
+    Gray-code order.  Returns (value, tier1, tier2) when some offer beats
+    ``seed_value``, else None."""
+    items2 = [
+        (i, catalog.profit_of(i), _weight(catalog, valuations, i)) for i in order2
+    ]
+    cum_v = [0.0]
+    cum_rv = [0.0]
+    for i in exc1:
+        w = _weight(catalog, valuations, i)
+        cum_v.append(cum_v[-1] + w)
+        cum_rv.append(cum_rv[-1] + catalog.profit_of(i) * w)
+    free_items = [
+        (i, catalog.profit_of(i), _weight(catalog, valuations, i)) for i in free
+    ]
+    in_p = [False] * len(free)
+    pset: set = set()
+    sum_vp = 0.0
+    sum_rvp = 0.0
+    best_value = seed_value
+    best = None
+    for g in range(1 << len(free)):
+        if g:
+            j = (g & -g).bit_length() - 1
+            i, r, w = free_items[j]
+            if in_p[j]:
+                in_p[j] = False
+                pset.discard(i)
+                sum_vp -= w
+                sum_rvp -= r * w
+            else:
+                in_p[j] = True
+                pset.add(i)
+                sum_vp += w
+                sum_rvp += r * w
+        tail_best = 0.0
+        b_best = 0
+        sv = 0.0
+        srv = 0.0
+        b = 0
+        for i, r, w in items2:
+            if i in pset:
+                continue
+            sv += w
+            srv += r * w
+            b += 1
+            tail = srv / (1.0 + sv)
+            if tail > tail_best:
+                tail_best = tail
+                b_best = b
+        for a in range(len(exc1) + 1):
+            value = (sum_rvp + cum_rv[a] + tail_best) / (1.0 + sum_vp + cum_v[a])
+            if value > best_value:
+                best_value = value
+                best = (frozenset(pset), a, b_best)
+    if best is None:
+        return None
+    pset, a, b = best
+    tier1 = tuple(exc1[:a]) + tuple(i for i in free if i in pset)
+    tier2 = tuple(i for i in order2 if i not in pset)[:b]
+    return best_value, tier1, tier2
+
+
 def solve_two_tier_naive(
     catalog,
     *,
@@ -279,9 +345,11 @@ def solve_two_tier_naive(
         for b in range(len(rest) + 1):
             consider(order1[:a], rest[:b])
     if exact and not x1.isdisjoint(x2):
-        exc1 = profit_order(x1 - x2, catalog)
-        free = _free_shared(profit_order(x1 & x2, catalog), catalog, best_value)
-        work = _completion_work(len(free), len(exc1), len(order2))
+        exc1 = [i for i in order1 if i not in x2]
+        # every tier-1 product at an optimum earns at least the optimal value
+        cutoff = max(best_value - 1e-9, 0.0)
+        free = [i for i in order1 if i in x2 and catalog.profit_of(i) > cutoff]
+        work = 2 ** len(free) * (len(exc1) + 1 + len(order2))
         if work > max_exact_work:
             raise InstanceTooLargeError(
                 f"exact completion would take ~{work} steps over {len(free)} "

@@ -26,7 +26,7 @@ from tieredmnl.simulator import (
     replicate,
     save_config,
 )
-from tieredmnl.verify import CheckResult, run_checks
+from tieredmnl.verify import CheckResult, _chi2_sf_5, run_checks
 
 
 @pytest.fixture()
@@ -144,15 +144,15 @@ class TestUsage:
 
 class TestImport:
     def test_package_import_leaves_scipy_unloaded(self):
-        """Only the chi-square diagnostic needs scipy; importing the
-        package must not pay for it."""
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, tieredmnl; print('scipy' in sys.modules)"],
-            capture_output=True,
-            text=True,
+        """scipy is a test dependency only: neither importing the package
+        nor running every diagnostic loads it."""
+        script = (
+            "import sys, tieredmnl; print('scipy' in sys.modules); "
+            "tieredmnl.run_checks(); print('scipy' in sys.modules)"
         )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.split() == ["False", "False"]
 
     def test_public_names(self):
         import tieredmnl
@@ -464,6 +464,13 @@ class TestVerifyCommand:
 
 
 class TestDiagnosticsHooks:
+    def test_chi_square_tail_matches_scipy(self):
+        """The closed-form 5-df tail the count check uses, against scipy."""
+        from scipy.stats import chi2
+
+        for x in [0.0, 1e-12, 0.5, 3.0, 11.07, 25.0, *range(1, 201, 7), 200.0]:
+            assert _chi2_sf_5(x) == pytest.approx(float(chi2.sf(x, 5)), rel=1e-12, abs=0)
+
     def test_tampered_confidence_scale_is_detected(self):
         """Re-running the diagnostics as if the ledger had been queried with
         a smaller confidence scale trips exactly the optimism check."""

@@ -90,9 +90,6 @@ class TestScriptedTrace:
         ledger = scripted_ledger()
         assert [r.purchases_of("a") for r in ledger.epochs(0)] == [1, 2, 0, 2]
         assert [r.purchases_of("b") for r in ledger.epochs(1)] == [1, 1]
-        assert ledger.product_epochs("a", 0) == ((0, 1), (1, 2), (3, 0), (4, 2))
-        assert ledger.product_epochs("b", 1) == ((0, 1), (3, 1))
-        assert ledger.product_epochs("a", 1) == ()
 
     def test_purchase_window_reconstruction(self):
         """Each completed epoch's purchase count equals the number of its
@@ -143,16 +140,6 @@ class TestScriptedTrace:
         assert ledger.purchase_total("a") == 5
         assert ledger.launch_epoch("a") == 0 and ledger.launch_epoch("b") == 0
         assert ledger.has_estimate("a") and not ledger.has_estimate("z")
-
-    def test_historical_estimates(self):
-        """upto=k pools only completed epochs labeled strictly below k."""
-        ledger = scripted_ledger()
-        assert ledger.valuation_estimate("a", upto=1) == pytest.approx(1.0)
-        assert ledger.valuation_estimate("a", upto=2) == pytest.approx(1.5)
-        assert ledger.valuation_estimate("a", upto=4) == pytest.approx(1.0)
-        assert ledger.valuation_estimate("b", upto=3) == pytest.approx(1.0)
-        with pytest.raises(NeverOfferedError):
-            ledger.valuation_estimate("a", upto=0)
 
 
 class TestRecordingGuards:

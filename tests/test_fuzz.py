@@ -3,8 +3,9 @@
 Number slots draw the values that trip naive parsers — bools, strings,
 NaN, ±inf, negatives, 10**30 and 10**400 (beyond the float range) — next
 to ordinary numbers.  Only a
-``TieredMnlError`` may escape the library, and ``tieredmnl simulate``
-exits 0 or 1.  A config that parses is simulated only when it is small
+``TieredMnlError`` may escape the library, a catalog that parses solves
+exactly to the oracle's value, and ``tieredmnl solve`` and ``tieredmnl
+simulate`` exit 0 or 1.  A config that parses is simulated only when it is small
 (horizon <= 200, at most 20 products), so the whole module runs in a few
 seconds.  Examples are derandomized so every run draws the same cases.
 """
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from tieredmnl.cli import main
 from tieredmnl.errors import TieredMnlError
 from tieredmnl.model import catalog_from_dict
-from tieredmnl.optimizer import solve_two_tier
+from tieredmnl.optimizer import brute_force_optimal, solve_two_tier
 from tieredmnl.simulator import config_from_dict
 
 FUZZ = settings(
@@ -75,11 +76,21 @@ def catalog_docs(draw):
 @given(doc=catalog_docs())
 @settings(FUZZ, max_examples=200)
 def test_catalog_documents_fail_only_with_package_errors(doc):
+    """A document that parses is also solved exactly, to the oracle's value
+    (at most 6 products, within ``brute_force_optimal``'s cap), and
+    ``tieredmnl solve`` on it exits 0 or 1."""
     try:
         catalog = catalog_from_dict(doc)
         solve_two_tier(catalog, exact=False)
+        exact = solve_two_tier(catalog).expected_profit
+        oracle = brute_force_optimal(catalog).expected_profit
+        assert math.isclose(exact, oracle, rel_tol=1e-9, abs_tol=1e-9), (exact, oracle)
     except TieredMnlError:
         pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "catalog.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["solve", str(path)]) in (0, 1)
 
 
 def _support(lo, hi):

@@ -8,12 +8,14 @@ profit-ordering predicates and threshold reporting.
 
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from reference_solvers import (
     gathered,
+    id_completion,
     numpy_sweep,
     numpy_tier1_prefix,
     numpy_tier_value,
@@ -34,6 +36,7 @@ from tieredmnl.model import (
 )
 from tieredmnl.optimizer import (
     TierPlacement,
+    _completion,
     _gather,
     _PairFrame,
     _sweep,
@@ -662,6 +665,109 @@ class TestWorkCap:
         catalog = random_instance(np.random.default_rng(1), n_max=5)
         monkeypatch.setattr(optimizer, "_MAX_EXACT_WORK", 200_000)
         solve_two_tier(catalog)
+
+
+class TestFrameCompletion:
+    """The completion on the pair frame's lists against ``id_completion``,
+    the same search written on product ids: the same value (``==``) and the
+    same tier sets, on shared and overlapping catalogs with profits on a
+    tick (ties), about 30% zero weights and float or int overrides."""
+
+    @staticmethod
+    def random_case(rng, shape):
+        n = int(rng.integers(1, 13))
+        profits = np.round(rng.uniform(0, 5, n) * 4) / 4
+        weights = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0, 1, n))
+        products = tuple(
+            Product(f"p{k}", float(profits[k]), float(weights[k])) for k in range(n)
+        )
+        ids = [p.id for p in products]
+        if shape == "shared":
+            x1 = x2 = frozenset(ids)
+        else:
+            x1 = frozenset(i for i in ids if rng.random() < 0.75)
+            x2 = frozenset(i for i in ids if rng.random() < 0.75)
+        draw = rng.random()
+        if draw < 1 / 3:
+            valuations = None
+        elif draw < 2 / 3:
+            valuations = {i: 0.0 if rng.random() < 0.3 else float(rng.uniform(0, 2)) for i in ids}
+        else:
+            valuations = {i: int(rng.integers(0, 3)) for i in ids}
+        return Catalog(products, x1, x2), valuations
+
+    @staticmethod
+    def seeded_frame(catalog, valuations):
+        frame = _PairFrame(catalog, catalog.candidates_tier1, catalog.candidates_tier2)
+        w1, w2 = frame.weights(_weight_vector(catalog, valuations, frame.ids1, frame.ids2))
+        value = _sweep(frame.profits1, w1, frame.profits2, w2, frame.rank1, frame.pos2)[0]
+        return frame, w1, w2, value
+
+    @staticmethod
+    def id_lists(catalog, seed_value):
+        """The exclusives and free shared candidates on ids, in profit order."""
+        x1, x2 = catalog.candidates_tier1, catalog.candidates_tier2
+        cutoff = max(seed_value - 1e-9, 0.0)
+        free = [i for i in profit_order(x1 & x2, catalog) if catalog.profit_of(i) > cutoff]
+        return profit_order(x1 - x2, catalog), free
+
+    @pytest.mark.parametrize("shape", ["shared", "overlapping"])
+    def test_same_value_and_tiers_as_the_id_search(self, shape):
+        rng = np.random.default_rng(20190512 + (shape == "shared"))
+        refined = 0
+        for _ in range(1500):
+            catalog, valuations = self.random_case(rng, shape)
+            frame, w1, w2, seed_value = self.seeded_frame(catalog, valuations)
+            got = _completion(frame, w1, w2, seed_value)
+            exc1, free = self.id_lists(catalog, seed_value)
+            want = id_completion(frame.ids2, exc1, free, catalog, valuations, seed_value)
+            if want is None:
+                assert got is None
+                continue
+            refined += 1
+            assert got[0] == want[0]
+            assert (frozenset(got[1]), frozenset(got[2])) == (
+                frozenset(want[1]),
+                frozenset(want[2]),
+            )
+        assert refined >= 20  # the cases reach past the seed family
+
+    CAP_CASES = {
+        # close profits: six shared products outearn the seed, two exclusives
+        "close": (
+            Catalog(
+                tuple(Product(f"p{k:02d}", 5.0 + 0.001 * k, 0.5) for k in range(10)),
+                candidates_tier1=[f"p{k:02d}" for k in range(8)],
+                candidates_tier2=[f"p{k:02d}" for k in range(2, 10)],
+            ),
+            6,
+        ),
+        # the seed is worth exactly 1.0: "b" clears the cutoff 1 - 1e-9 and
+        # "c", at the cutoff itself, does not
+        "cutoff": (
+            Catalog(
+                (Product("a", 2.0, 1.0), Product("b", 1.0, 0.0), Product("c", 1.0 - 1e-9, 0.0))
+            ),
+            2,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CAP_CASES))
+    def test_cap_boundary(self, monkeypatch, case):
+        catalog, n_free = self.CAP_CASES[case]
+        seed_value = self.seeded_frame(catalog, None)[3]
+        exc1, free = self.id_lists(catalog, seed_value)
+        assert len(free) == n_free
+        work = 2 ** len(free) * (len(exc1) + 1 + len(catalog.candidates_tier2))
+        monkeypatch.setattr(optimizer, "_MAX_EXACT_WORK", work)
+        solve_two_tier(catalog)
+        monkeypatch.setattr(optimizer, "_MAX_EXACT_WORK", work - 1)
+        message = (
+            f"exact completion would take ~{work} steps over {n_free} candidate "
+            f"splits (cap {work - 1}); restrict the candidate sets or pass exact=False"
+        )
+        with pytest.raises(InstanceTooLargeError, match=f"^{re.escape(message)}$"):
+            solve_two_tier(catalog)
 
 
 class TestPrefixPairEnumeration:

@@ -8,6 +8,7 @@ replays, and the config/CSV formats by round-trips and strict-key checks.
 import csv
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -475,6 +476,16 @@ class TestConfigSerialization:
         del bad["policies"][0]["name"]
         with pytest.raises(ConfigError, match="name"):
             config_from_dict(bad)
+
+    @pytest.mark.parametrize("value", [None, 5, ["full"], True])
+    def test_benchmark_must_be_a_string(self, value):
+        """A non-string ``benchmark`` is reported as such, not coerced with
+        ``str`` and then rejected as the wrong word."""
+        data = config_to_dict(oracle_config())
+        data["benchmark"] = value
+        message = f"benchmark must be a string, got {value!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_dict(data)
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
