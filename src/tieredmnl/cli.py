@@ -15,7 +15,6 @@ check failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -23,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import TieredMnlError
-from .model import load_catalog, sorted_ids
+from .model import _write_json, load_catalog, sorted_ids
 from .optimizer import solve_two_tier
 from .simulator import (
     ExperimentConfig,
@@ -62,12 +61,6 @@ def _resolve_out(flag_value) -> Path:
         return Path(flag_value)
     env = os.environ.get(OUT_ENV_VAR)
     return Path(env) if env else Path("tieredmnl-out")
-
-
-def _write_json(path: Path, document: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _manifest(subcommand: str, config: ExperimentConfig, **extra) -> dict:
@@ -109,10 +102,8 @@ def _cmd_simulate(args) -> int:
             f"{config.label} [{spec.display_label}] seed {args.seed}: "
             f"cumulative regret {trace.final_regret:.4f}"
         )
-    _write_json(
-        out / "manifest.json",
-        _manifest("simulate", config, seed=args.seed, trace_files=csv_names),
-    )
+    manifest = _manifest("simulate", config, seed=args.seed, trace_files=csv_names)
+    _write_json(manifest, out / "manifest.json")
     print(f"wrote {out}")
     return 0
 
@@ -156,11 +147,8 @@ def _cmd_experiment(args) -> int:
                 f"mean final regret {summary.mean_final_regret:.2f} "
                 f"(sd {summary.std_final_regret:.2f})"
             )
-        _write_json(out / "summary.json", summary_doc)
-        _write_json(
-            out / "manifest.json",
-            _manifest("experiment", config, replications=n_reps),
-        )
+        _write_json(summary_doc, out / "summary.json")
+        _write_json(_manifest("experiment", config, replications=n_reps), out / "manifest.json")
     chart = line_chart(
         series,
         title="mean cumulative regret",
@@ -214,10 +202,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TieredMnlError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (TieredMnlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -330,4 +330,7 @@ def min_learning_epochs(epsilon: float, alpha: float) -> int:
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"confidence alpha must lie in (0, 1), got {alpha!r}")
     root = -1.0 + math.sqrt(1.0 + 4.0 * epsilon)
-    return math.ceil(192.0 * math.log(2.0 / alpha + 1.0) / root**2)
+    epochs = 192.0 * math.log(2.0 / alpha + 1.0) / root**2 if root > 0.0 else math.inf
+    if not math.isfinite(epochs):
+        raise ConfigError(f"epsilon={epsilon!r}, alpha={alpha!r} need more epochs than a float holds")
+    return math.ceil(epochs)

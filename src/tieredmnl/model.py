@@ -27,7 +27,7 @@ import bisect
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -373,23 +373,46 @@ class ChoiceSampler:
         return NO_PURCHASE
 
 
-# --- catalog (de)serialization ------------------------------------------------
+# --- documents: catalog (de)serialization and the shared JSON helpers --------
+# A document object's keys are the init fields of the dataclass it builds.
 
-_PRODUCT_KEYS = {"id", "profit", "valuation", "launch_time"}
-_CATALOG_KEYS = {"products", "candidates_tier1", "candidates_tier2"}
+
+def _check_document(entry, cls, what: str, error: type[TieredMnlError], defaults=()) -> None:
+    """Reject a document object ``entry`` for a ``cls`` that is not an
+    object, has a key that is not an init field of ``cls``, or lacks a field
+    that has no default (nor a document default named in ``defaults``)."""
+    if not isinstance(entry, dict):
+        raise error(f"{what} must be a JSON object, got {type(entry).__name__}")
+    names = [f for f in fields(cls) if f.init]
+    unknown = set(entry) - {f.name for f in names}
+    if unknown:
+        raise error(f"unknown {what} key {min(unknown, key=str)!r}")
+    for f in names:
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and f.name not in entry and f.name not in defaults:
+            raise error(f"{what} is missing {f.name!r}")
+
+
+def _read_json(path, error: type[TieredMnlError]):
+    """The JSON document in the UTF-8 file ``path``; ``error`` naming the
+    path for a file that is not UTF-8, not JSON or nested too deeply."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _write_json(document, path) -> None:
+    """Write ``document`` to ``path`` as indented JSON with sorted keys."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def catalog_to_dict(catalog: Catalog) -> dict:
     return {
-        "products": [
-            {
-                "id": p.id,
-                "profit": p.profit,
-                "valuation": p.valuation,
-                "launch_time": p.launch_time,
-            }
-            for p in catalog.products
-        ],
+        "products": [{f.name: getattr(p, f.name) for f in fields(p)} for p in catalog.products],
         "candidates_tier1": sorted_ids(catalog.candidates_tier1),
         "candidates_tier2": sorted_ids(catalog.candidates_tier2),
     }
@@ -406,50 +429,21 @@ def _id_list(data: dict, key: str) -> list | None:
 
 
 def catalog_from_dict(data: dict) -> Catalog:
-    if not isinstance(data, dict):
-        raise InvalidCatalogError("catalog document must be a JSON object")
-    unknown = set(data) - _CATALOG_KEYS
-    if unknown:
-        raise InvalidCatalogError(f"unknown catalog key {sorted(unknown)[0]!r}")
-    if "products" not in data:
-        raise InvalidCatalogError("catalog document is missing 'products'")
+    _check_document(data, Catalog, "catalog", InvalidCatalogError)
     if not isinstance(data["products"], list):
         raise InvalidCatalogError("catalog 'products' must be a list")
-    products = []
     for entry in data["products"]:
-        if not isinstance(entry, dict):
-            raise InvalidCatalogError("each product must be a JSON object")
-        bad = set(entry) - _PRODUCT_KEYS
-        if bad:
-            raise InvalidCatalogError(f"unknown product key {sorted(bad)[0]!r}")
-        missing = {"id", "profit", "valuation"} - set(entry)
-        if missing:
-            raise InvalidCatalogError(
-                f"product entry is missing {sorted(missing)[0]!r}"
-            )
-        products.append(
-            Product(
-                id=entry["id"],
-                profit=entry["profit"],
-                valuation=entry["valuation"],
-                launch_time=entry.get("launch_time", 0),
-            )
-        )
+        _check_document(entry, Product, "product", InvalidCatalogError)
     return Catalog(
-        tuple(products), _id_list(data, "candidates_tier1"), _id_list(data, "candidates_tier2")
+        tuple(Product(**entry) for entry in data["products"]),
+        _id_list(data, "candidates_tier1"),
+        _id_list(data, "candidates_tier2"),
     )
 
 
 def load_catalog(path) -> Catalog:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidCatalogError(f"{path}: not valid JSON ({exc})") from exc
-    return catalog_from_dict(data)
+    return catalog_from_dict(_read_json(path, InvalidCatalogError))
 
 
 def save_catalog(catalog: Catalog, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(catalog_to_dict(catalog), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(catalog_to_dict(catalog), path)

@@ -21,8 +21,7 @@ stream-for-stream (the experiment-1 scenarios share profits this way).
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from itertools import count
 from typing import Iterable, Mapping
 
@@ -34,7 +33,10 @@ from .model import (
     ChoiceSampler,
     Product,
     TieredOffer,
+    _check_document,
     _finite,
+    _read_json,
+    _write_json,
     catalog_from_dict,
     catalog_to_dict,
     expected_profit,
@@ -141,6 +143,11 @@ class ExperimentConfig:
             raise ConfigError("config needs at least one policy")
         if (self.catalog is None) == (not self.groups):
             raise ConfigError("provide exactly one of groups / explicit catalog")
+        if self.known_products and self.catalog is None:
+            raise ConfigError("known_products needs an explicit catalog; groups use valuation_known")
+        for i in self.known_products:
+            if i not in self.catalog:
+                raise ConfigError(f"known product {i!r} is not in the catalog")
         for g in self.groups:
             last = g.launch_time + (g.count - 1) * g.launch_spacing
             if last > self.horizon:
@@ -410,29 +417,8 @@ def experiment_preset(which: int) -> list[ExperimentConfig]:
 
 
 # --- config (de)serialization ---------------------------------------------------
-
-_CONFIG_KEYS = {
-    "schema",
-    "label",
-    "horizon",
-    "replications",
-    "base_seed",
-    "benchmark",
-    "groups",
-    "catalog",
-    "known_products",
-    "policies",
-}
-_GROUP_KEYS = {
-    "count",
-    "profit",
-    "valuation",
-    "launch_time",
-    "launch_spacing",
-    "tiers",
-    "valuation_known",
-}
-_POLICY_KEYS = {"name", "options", "label"}
+# One table per level (``ExperimentConfig``, ``ProductGroup``, ``PolicySpec``)
+# maps its keys, the dataclass's fields, to the checkers of their values.
 
 
 def _require(condition: bool, message: str) -> None:
@@ -463,9 +449,9 @@ def _bool(value, name: str) -> bool:
     return value
 
 
-def _list(value, name: str) -> list:
-    _require(isinstance(value, list), f"{name} must be a list, got {value!r}")
-    return value
+def _object(value, name: str) -> dict:
+    _require(isinstance(value, dict), f"{name} must be an object, got {value!r}")
+    return dict(value)
 
 
 def _support(value, name: str) -> tuple[float, float]:
@@ -476,108 +462,97 @@ def _support(value, name: str) -> tuple[float, float]:
     return tuple(_finite(x, ConfigError, f"{name} bound") for x in value)
 
 
+def _tuple_of(check, item: str):
+    """Checker of a list whose entries ``check`` reads, each named ``item``."""
+
+    def read(value, name: str) -> tuple:
+        _require(isinstance(value, list), f"{name} must be a list, got {value!r}")
+        return tuple(check(x, item) for x in value)
+
+    return read
+
+
+def _build(cls, keys: dict, what: str, defaults=None):
+    """Checker of a ``what`` object that builds a ``cls``: ``keys`` maps each
+    key to the checker of its value, named "<what> <key>", and ``defaults``
+    fills keys the document may omit though ``cls`` has no default for them."""
+    defaults = defaults or {}
+    prefix = "" if what == "config" else f"{what} "
+
+    def build(raw, name: str = what):
+        _check_document(raw, cls, what, ConfigError, defaults)
+        return cls(**{k: keys[k](v, prefix + k) for k, v in {**defaults, **raw}.items()})
+
+    return build
+
+
+_policy = _build(
+    PolicySpec,
+    {"name": _str, "options": _object, "label": lambda v, n: None if v is None else _str(v, n)},
+    "policy",
+)
+_group = _build(
+    ProductGroup,
+    {
+        "count": _int,
+        "profit": _support,
+        "valuation": _support,
+        "launch_time": _int,
+        "launch_spacing": _int,
+        "tiers": _tuple_of(_int, "group tier"),
+        "valuation_known": _bool,
+    },
+    "group",
+)
+_config = _build(
+    ExperimentConfig,
+    {
+        "label": _str,
+        "horizon": _int,
+        "policies": _tuple_of(_policy, "policy"),
+        "groups": _tuple_of(_group, "group"),
+        "catalog": lambda value, name: catalog_from_dict(value),
+        "known_products": _tuple_of(_id, "known product"),
+        "replications": _int,
+        "base_seed": _int,
+        "benchmark": _str,
+    },
+    "config",
+    {"label": "experiment", "horizon": 0, "policies": []},  # horizon 0 fails its range check
+)
+
+
+def _document(value):
+    """``value`` as JSON data: a dataclass as the dict of its fields, a tuple
+    as a list, a mapping copied with ``dict``."""
+    if isinstance(value, Catalog):
+        return catalog_to_dict(value)
+    if is_dataclass(value):
+        return {f.name: _document(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_document(x) for x in value]
+    return dict(value) if isinstance(value, Mapping) else value
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
-    out: dict = {
-        "schema": 1,
-        "label": config.label,
-        "horizon": config.horizon,
-        "replications": config.replications,
-        "base_seed": config.base_seed,
-        "benchmark": config.benchmark,
-        "policies": [
-            {"name": p.name, "options": dict(p.options), "label": p.display_label}
-            for p in config.policies
-        ],
-    }
-    if config.catalog is not None:
-        out["catalog"] = catalog_to_dict(config.catalog)
-        out["known_products"] = list(config.known_products)
-    else:
-        out["groups"] = [
-            {
-                "count": g.count,
-                "profit": list(g.profit),
-                "valuation": list(g.valuation),
-                "launch_time": g.launch_time,
-                "launch_spacing": g.launch_spacing,
-                "tiers": list(g.tiers),
-                "valuation_known": g.valuation_known,
-            }
-            for g in config.groups
-        ]
+    out = {"schema": 1, **_document(config)}
+    for key in ("groups",) if config.catalog is not None else ("catalog", "known_products"):
+        del out[key]
     return out
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     _require(isinstance(data, dict), "config document must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    _require(not unknown, f"unknown config key {sorted(unknown)[0]!r}" if unknown else "")
     _require(data.get("schema") == 1, f"unsupported config schema {data.get('schema')!r}")
-    groups = []
-    for raw in _list(data.get("groups", []), "groups"):
-        _require(isinstance(raw, dict), f"each group must be an object, got {raw!r}")
-        bad = set(raw) - _GROUP_KEYS
-        _require(not bad, f"unknown group key {sorted(bad)[0]!r}" if bad else "")
-        _require("count" in raw and "profit" in raw and "valuation" in raw,
-                 "each group needs count, profit, valuation")
-        groups.append(
-            ProductGroup(
-                _int(raw["count"], "group count"),
-                _support(raw["profit"], "group profit"),
-                _support(raw["valuation"], "group valuation"),
-                _int(raw.get("launch_time", 0), "group launch_time"),
-                _int(raw.get("launch_spacing", 0), "group launch_spacing"),
-                tuple(
-                    _int(k, "group tier") for k in _list(raw.get("tiers", [1, 2]), "group tiers")
-                ),
-                _bool(raw.get("valuation_known", False), "group valuation_known"),
-            )
-        )
-    policies = []
-    for raw in _list(data.get("policies", []), "policies"):
-        _require(isinstance(raw, dict), f"each policy must be an object, got {raw!r}")
-        bad = set(raw) - _POLICY_KEYS
-        _require(not bad, f"unknown policy key {sorted(bad)[0]!r}" if bad else "")
-        _require("name" in raw, "each policy needs a name")
-        options = raw.get("options", {})
-        _require(isinstance(options, dict), f"policy options must be an object, got {options!r}")
-        label = raw.get("label")
-        policies.append(
-            PolicySpec(
-                _str(raw["name"], "policy name"),
-                dict(options),
-                None if label is None else _str(label, "policy label"),
-            )
-        )
-    catalog = catalog_from_dict(data["catalog"]) if "catalog" in data else None
-    return ExperimentConfig(
-        label=_str(data.get("label", "experiment"), "label"),
-        horizon=_int(data.get("horizon", 0), "horizon"),
-        policies=tuple(policies),
-        groups=tuple(groups),
-        catalog=catalog,
-        known_products=tuple(
-            _id(i, "known product") for i in _list(data.get("known_products", []), "known_products")
-        ),
-        replications=_int(data.get("replications", 1), "replications"),
-        base_seed=_int(data.get("base_seed", 0), "base_seed"),
-        benchmark=_str(data.get("benchmark", "launched"), "benchmark"),
-    )
+    return _config({key: value for key, value in data.items() if key != "schema"})
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(_read_json(path, ConfigError))
 
 
 def save_config(config: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(config_to_dict(config), path)
 
 
 # --- CSV output -----------------------------------------------------------------

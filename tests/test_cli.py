@@ -311,6 +311,23 @@ class TestMalformedConfig:
         assert "'bogus'" in err and "min_epochs" in err and "confidence_scale" in err
 
 
+class TestMalformedFiles:
+    """A file that is not UTF-8, or JSON nested past the parser's recursion
+    limit, ends as exit code 1 with one ``error:`` line naming the path."""
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "experiment"])
+    @pytest.mark.parametrize(
+        "content", [b"\xff\xfe\x00junk", b"[" * 100_000], ids=["not-utf8", "deep-nesting"]
+    )
+    def test_exit_code_1(self, tmp_path, capsys, command, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        argv = [command, str(path)] + ([] if command == "solve" else ["--out", str(tmp_path)])
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(path) in err[0]
+
+
 class TestNegativeSeeds:
     def test_simulate_seed(self, tmp_path, capsys):
         _, path = small_config(tmp_path)

@@ -553,3 +553,10 @@ class TestMinimumLearningSizing:
             min_learning_epochs(0.2, 0.0)
         with pytest.raises(ConfigError):
             min_learning_epochs(0.2, 1.0)
+
+    @pytest.mark.parametrize("epsilon, alpha", [(1e-17, 0.05), (0.1, 1e-320)])
+    def test_rejects_targets_beyond_float_range(self, epsilon, alpha):
+        """sqrt(1 + 4*epsilon) rounds to 1 for epsilon=1e-17, and 2/alpha is
+        inf for alpha=1e-320; neither count is a finite number."""
+        with pytest.raises(ConfigError, match="epochs"):
+            min_learning_epochs(epsilon, alpha)

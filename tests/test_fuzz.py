@@ -2,12 +2,14 @@
 
 Number slots draw the values that trip naive parsers — bools, strings,
 NaN, ±inf, negatives, 10**30 and 10**400 (beyond the float range) — next
-to ordinary numbers.  Only a
-``TieredMnlError`` may escape the library, a catalog that parses solves
-exactly to the oracle's value, and ``tieredmnl solve`` and ``tieredmnl
-simulate`` exit 0 or 1.  A config that parses is simulated only when it is small
-(horizon <= 200, at most 20 products), so the whole module runs in a few
-seconds.  Examples are derandomized so every run draws the same cases.
+to ordinary numbers, and now and then every document level gains an
+unknown key.  Only a ``TieredMnlError`` may escape the library, a catalog
+that parses solves exactly to the oracle's value, a config that parses
+survives ``config_to_dict`` unchanged, and ``tieredmnl solve``, ``tieredmnl
+simulate`` and ``tieredmnl experiment`` exit 0 or 1.  A config that parses
+is run only when it is small (horizon <= 200, at most 20 products), so the
+whole module runs in a few seconds.  Examples are derandomized so every run
+draws the same cases.
 """
 
 import json
@@ -22,7 +24,7 @@ from tieredmnl.cli import main
 from tieredmnl.errors import TieredMnlError
 from tieredmnl.model import catalog_from_dict
 from tieredmnl.optimizer import brute_force_optimal, solve_two_tier
-from tieredmnl.simulator import config_from_dict
+from tieredmnl.simulator import config_from_dict, config_to_dict
 
 FUZZ = settings(
     derandomize=True,
@@ -50,6 +52,18 @@ def reals(lo, hi):
     return slot(st.floats(lo, hi))
 
 
+def text(*ordinary):
+    return slot(st.sampled_from(ordinary))
+
+
+def with_unknown_key(doc_strategy):
+    """Documents from ``doc_strategy``, one in sixteen with a key no level
+    accepts."""
+    return st.tuples(doc_strategy, st.sampled_from([False] * 15 + [True])).map(
+        lambda pair: {**pair[0], "bogus": 1} if pair[1] else pair[0]
+    )
+
+
 IDS = st.one_of(st.integers(0, 6), st.sampled_from(["a", "b", "c", "d"]))
 
 
@@ -57,15 +71,17 @@ IDS = st.one_of(st.integers(0, 6), st.sampled_from(["a", "b", "c", "d"]))
 def catalog_docs(draw):
     products = draw(
         st.lists(
-            st.fixed_dictionaries(
-                {"id": slot(IDS), "profit": reals(0, 5), "valuation": reals(0, 1)},
-                optional={"launch_time": ints(0, 3)},
+            with_unknown_key(
+                st.fixed_dictionaries(
+                    {"id": slot(IDS), "profit": reals(0, 5), "valuation": reals(0, 1)},
+                    optional={"launch_time": ints(0, 3)},
+                )
             ),
             max_size=6,
             unique_by=lambda p: repr(p["id"]),
         )
     )
-    doc = {"products": products}
+    doc = draw(with_unknown_key(st.just({"products": products})))
     ids = st.sampled_from([p["id"] for p in products] or ["a"])
     for key in ("candidates_tier1", "candidates_tier2"):
         if draw(st.booleans()):
@@ -104,7 +120,7 @@ def sorted_if_numbers(pair):
 POLICY_OPTIONS = {
     "oracle": {},
     "ucb_tiered": {"min_epochs": ints(0, 5), "confidence_scale": reals(0, 5)},
-    "random_tier": {"min_epochs": ints(0, 5)},
+    "random_tier": {"min_epochs": ints(0, 5), "confidence_scale": reals(0, 5)},
     "explore_then_exploit": {"gamma": reals(0, 40)},
 }
 
@@ -113,42 +129,50 @@ POLICY_OPTIONS = {
 def policy_docs(draw):
     name = draw(st.sampled_from(sorted(POLICY_OPTIONS)))
     options = draw(st.fixed_dictionaries({}, optional=POLICY_OPTIONS[name]))
-    return {"name": name, "options": options}
+    doc = {"name": name, "options": options}
+    if draw(st.booleans()):
+        doc["label"] = draw(text("learner", "a b/c", ""))
+    return draw(with_unknown_key(st.just(doc)))
 
 
 @st.composite
 def config_docs(draw):
     doc = {
         "schema": 1,
-        "label": "fuzz",
+        "label": draw(text("fuzz", "a b/c", "")),
         "horizon": draw(ints(1, 200)),
         "policies": draw(st.lists(policy_docs(), min_size=1, max_size=2)),
         "replications": draw(ints(1, 3)),
         "base_seed": draw(ints(0, 1000)),
+        "benchmark": draw(text("launched", "full", "static")),
     }
-    if draw(st.booleans()):
+    if draw(st.sampled_from(["catalog", "groups"])) == "groups":
         doc["groups"] = draw(
             st.lists(
-                st.fixed_dictionaries(
-                    {"count": ints(1, 8), "profit": _support(0, 5),
-                     "valuation": _support(0, 1)},
-                    optional={
-                        "launch_time": ints(0, 50),
-                        "launch_spacing": ints(0, 20),
-                        "tiers": st.lists(ints(1, 2), min_size=1, max_size=2, unique=True),
-                        "valuation_known": slot(st.booleans()),
-                    },
+                with_unknown_key(
+                    st.fixed_dictionaries(
+                        {"count": ints(1, 8), "profit": _support(0, 5),
+                         "valuation": _support(0, 1)},
+                        optional={
+                            "launch_time": ints(0, 50),
+                            "launch_spacing": ints(0, 20),
+                            "tiers": st.lists(ints(1, 2), min_size=1, max_size=2, unique=True),
+                            "valuation_known": slot(st.booleans()),
+                        },
+                    )
                 ),
                 min_size=1,
                 max_size=3,
             )
         )
+        ids = ["p000", "p001", "nope"]
     else:
         catalog = draw(catalog_docs())
         doc["catalog"] = catalog
-        ids = [p["id"] for p in catalog["products"]]
-        doc["known_products"] = draw(st.lists(slot(st.sampled_from(ids or ["a"])), max_size=2))
-    return doc
+        ids = [p["id"] for p in catalog["products"]] or ["a"]
+    if draw(st.sampled_from([False, True])):
+        doc["known_products"] = draw(st.lists(slot(st.sampled_from(ids)), min_size=1, max_size=2))
+    return draw(with_unknown_key(st.just(doc)))
 
 
 def _small(config) -> bool:
@@ -160,15 +184,22 @@ def _small(config) -> bool:
 
 
 @given(doc=config_docs())
-@settings(FUZZ, max_examples=120)
+@settings(FUZZ, max_examples=200)
 def test_config_documents_exit_0_or_1(doc):
+    """A config that parses is written back unchanged, and ``tieredmnl
+    simulate`` and ``tieredmnl experiment`` on it exit 0 or 1."""
     try:
-        runnable = _small(config_from_dict(doc))
+        config = config_from_dict(doc)
     except TieredMnlError:
         runnable = True  # the CLI must report the same error as exit code 1
+    else:
+        assert config_from_dict(config_to_dict(config)) == config
+        runnable = _small(config)
     if not runnable:
         return
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["simulate", str(path), "--out", str(Path(tmp) / "out")]) in (0, 1)
+        out = str(Path(tmp) / "out")
+        assert main(["simulate", str(path), "--out", out]) in (0, 1)
+        assert main(["experiment", str(path), "--reps", "1", "--out", out]) in (0, 1)

@@ -389,6 +389,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ProductGroup(1, (0.0, 1.0), (0.0, 1.0), tiers=())
 
+    def test_known_products_need_an_explicit_catalog(self):
+        """Group configs mark known products with ``valuation_known``; a
+        ``known_products`` list next to groups would be silently ignored."""
+        groups = (ProductGroup(2, (0, 1), (0, 1)),)
+        with pytest.raises(ConfigError, match="explicit catalog"):
+            ExperimentConfig(
+                label="x", horizon=10, policies=(ORACLE,), groups=groups, known_products=("p000",)
+            )
+        data = config_to_dict(
+            ExperimentConfig(label="x", horizon=10, policies=(ORACLE,), groups=groups)
+        )
+        for ids in (["p000"], ["nope"]):
+            with pytest.raises(ConfigError, match="explicit catalog"):
+                config_from_dict({**data, "known_products": ids})
+
+    def test_known_products_must_be_in_the_catalog(self):
+        with pytest.raises(ConfigError, match="'nope' is not in the catalog"):
+            oracle_config(known_products=("a", "nope"))
+        data = config_to_dict(oracle_config())
+        with pytest.raises(ConfigError, match="'nope' is not in the catalog"):
+            config_from_dict({**data, "known_products": ["nope"]})
+
     def test_policy_spec_label_defaults_to_name(self):
         assert PolicySpec("oracle").display_label == "oracle"
         assert PolicySpec("oracle", label="S1").display_label == "S1"
