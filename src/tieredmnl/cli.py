@@ -53,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _slug(label: str) -> str:
     slug = re.sub(r"[^A-Za-z0-9._-]+", "-", label).strip("-")
-    return slug or "unnamed"
+    return slug if slug.strip(".") else "unnamed"  # "." and ".." are not names
 
 
 def _resolve_out(flag_value) -> Path:

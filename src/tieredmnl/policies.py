@@ -13,7 +13,7 @@ nothing.
 
 The UCB family decides in the catalog's canonical order: one valuation
 vector indexed by catalog rank, solved through the optimizer's candidate
-frames — a ``_PairFrame`` cached per visible set (with the estimated
+frames — a ``_PairFrame`` for the visible set in force (with the estimated
 products' ledger rows) and a ``_Tier1Frame`` per tier-2 epoch.  The public
 solvers solve through the same frames, so the offers equal theirs for the
 same valuations.  A re-solve whose answer equals the offer in force returns
@@ -112,7 +112,7 @@ class OraclePolicy(Policy):
 
     def offer(self, t: int) -> TieredOffer:
         visible = self._catalog.visible_at(t)
-        if visible != self._visible:
+        if visible is not self._visible:  # one set object per launch count
             self._visible = visible
             result = solve_two_tier(
                 self._catalog,
@@ -218,9 +218,8 @@ class UcbTieredPolicy(Policy):
         self._w[catalog._indices(self._known)] = np.fromiter(
             self._known.values(), dtype=float, count=len(self._known)
         )
-        self._visible: frozenset = frozenset()
-        self._views: dict[frozenset, _VisibleView] = {}
-        self._view: _VisibleView | None = None
+        self._visible: frozenset | None = None
+        self._view: _VisibleView | None = None  # of self._visible
         self._frame: _Tier1Frame | None = None  # built from self._view
         self._forced_tier1: frozenset = frozenset()
         self._current: TieredOffer | None = None
@@ -249,12 +248,12 @@ class UcbTieredPolicy(Policy):
             )
 
     def _start_epoch(self, t: int) -> None:
-        self._visible = visible = self._catalog.visible_at(t)
-        view = self._views.get(visible)
-        if view is None:
-            view = self._views[visible] = _VisibleView(self._catalog, visible, self._known)
-        if view is not self._view:  # the tier-1 frame belongs to the old view
-            self._view, self._frame = view, None
+        visible = self._catalog.visible_at(t)
+        if visible is not self._visible:  # one set object per launch count
+            # visible sets only grow, so an earlier view is never needed again
+            self._visible, self._frame = visible, None
+            self._view = _VisibleView(self._catalog, visible, self._known)
+        view = self._view
         self._update_valuations(self.ledger.completed)
         _, a, e = view.pair.solve(self._w)
         self.full_resolves += 1

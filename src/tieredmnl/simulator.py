@@ -5,11 +5,13 @@ ask for an offer, sample one customer from the true valuations, feed the
 outcome back, and score the step's pseudo-regret E[R(S*_t)] - E[R(offer)]
 analytically so the headline metric carries no sampling noise (realized
 revenue is logged alongside as a diagnostic).  The benchmark S*_t is the
-prefix-pair optimum over the products launched by t, re-solved at launch
-times — the same family every policy prices offers with, so no policy is
-judged against a search space it could not use.  The unlaunched-product
-check, the price and the sampler are worked out once per distinct offer,
-and the trace CSV formats each offer object's id cells once.
+prefix-pair optimum over the products launched by t, re-solved whenever
+``Catalog.visible_at`` hands back a new launched set — the same family
+every policy prices offers with, so no policy is judged against a search
+space it could not use.  Each distinct offer takes a slot when first
+served: its unlaunched-product check, price and sampler are worked out
+then, the trace keeps one int32 slot per step, and the trace CSV formats
+each offer's id cells once.
 
 Replication seeds fan out of one base seed via numpy's SeedSequence spawn
 keys: (rep, 0) draws the catalog, (rep, 1) the customers, (rep, 2) the
@@ -195,12 +197,17 @@ def materialize_catalog(config: ExperimentConfig, rep: int) -> tuple[Catalog, di
 
 @dataclass(frozen=True)
 class RegretTrace:
-    """One run's per-step pseudo-regret, realized revenue, and offers."""
+    """One run's per-step pseudo-regret, realized revenue, and offers.
+
+    ``offers`` holds each distinct offer once, in the order first served,
+    and ``offer_index[t - 1]`` (int32) is the slot of step t's offer.
+    """
 
     policy_label: str
     instantaneous: np.ndarray
     realized_revenue: np.ndarray
     offers: tuple[TieredOffer, ...]
+    offer_index: np.ndarray
 
     def cumulative(self) -> np.ndarray:
         return np.cumsum(self.instantaneous)
@@ -211,17 +218,6 @@ class RegretTrace:
 
     def __len__(self) -> int:
         return len(self.instantaneous)
-
-
-def _benchmark_times(catalog: Catalog, horizon: int, mode: str) -> list[int]:
-    if mode == "full":
-        return [1]
-    times = {1}
-    for i in sorted_ids(catalog.ids):
-        t = catalog.product(i).launch_time
-        if 1 < t <= horizon:
-            times.add(t)
-    return sorted(times)
 
 
 def run(config: ExperimentConfig, policy_spec: PolicySpec, seed: int = 0) -> RegretTrace:
@@ -242,20 +238,18 @@ def run(config: ExperimentConfig, policy_spec: PolicySpec, seed: int = 0) -> Reg
     customer_rng = BufferedRandom(
         np.random.default_rng(np.random.SeedSequence(config.base_seed, spawn_key=(seed, 1)))
     )
-    resolve_at = _benchmark_times(catalog, config.horizon, config.benchmark)
-    next_resolve = 0
-    benchmark_value = 0.0
+    full = frozenset(catalog.ids) if config.benchmark == "full" else None
+    solved_on = None  # the product set benchmark_value was solved on
     instantaneous = np.zeros(config.horizon)
     revenue = np.zeros(config.horizon)
+    offer_index = np.zeros(config.horizon, dtype=np.int32)
     offers = []
-    cache: dict[TieredOffer, tuple[float, ChoiceSampler]] = {}
+    cache: dict[TieredOffer, tuple[int, float, ChoiceSampler]] = {}  # by equality
     for t in range(1, config.horizon + 1):
-        if next_resolve < len(resolve_at) and t == resolve_at[next_resolve]:
-            next_resolve += 1
-            if config.benchmark == "full":
-                visible = frozenset(catalog.ids)
-            else:
-                visible = catalog.visible_at(t)
+        launched = catalog.visible_at(t)  # one set object per launch count
+        visible = launched if full is None else full
+        if visible is not solved_on:
+            solved_on = visible
             benchmark_value = solve_two_tier(
                 catalog,
                 candidates_tier1=catalog.candidates_tier1 & visible,
@@ -267,26 +261,28 @@ def run(config: ExperimentConfig, policy_spec: PolicySpec, seed: int = 0) -> Reg
         if cached is None:
             # visible sets only grow, so an offer valid when first served
             # stays valid
-            launched = catalog.visible_at(t)
             if not offer.all_ids <= launched:
                 missing = sorted_ids(offer.all_ids - launched)
                 raise InvalidOfferError(
                     f"policy {policy_spec.display_label!r} offered unlaunched "
                     f"product {missing[0]!r} at t={t}"
                 )
-            cached = (
+            cached = cache[offer] = (
+                len(offers),
                 expected_profit(offer, catalog),
                 ChoiceSampler(offer, catalog, None),
             )
-            cache[offer] = cached
-        value, sampler = cached
+            offers.append(offer)
+        slot, value, sampler = cached
         outcome = sampler.sample(customer_rng)
         policy.observe(t, offer, outcome)
         instantaneous[t - 1] = benchmark_value - value
+        offer_index[t - 1] = slot
         if outcome.is_purchase:
             revenue[t - 1] = catalog.profit_of(outcome.product)
-        offers.append(offer)
-    return RegretTrace(policy_spec.display_label, instantaneous, revenue, tuple(offers))
+    return RegretTrace(
+        policy_spec.display_label, instantaneous, revenue, tuple(offers), offer_index
+    )
 
 
 @dataclass(frozen=True)
@@ -564,26 +560,20 @@ def _id_cell(ids: Iterable) -> str:
 
 def write_trace_csv(trace: RegretTrace, path) -> None:
     """Per-step trace; csv writes floats via repr, so replays are
-    byte-identical.  Each distinct offer object's id cells, and each
-    distinct instantaneous regret (told apart by its bits, so ``-0.0``
-    keeps its sign), are formatted once."""
-    keys = list(map(id, trace.offers))  # the trace keeps every offer alive
-    cells = {}
-    for key, offer in zip(keys, trace.offers):
-        if key not in cells:
-            cells[key] = (_id_cell(offer.tier(0)), _id_cell(offer.tier(1)))
-    bits, slots = np.unique(trace.instantaneous.view(np.int64), return_inverse=True)
-    texts = [repr(x) for x in bits.view(np.float64).tolist()]
-    regrets = [texts[k] for k in slots.tolist()]
+    byte-identical.  Each distinct offer's id cells are formatted once."""
+    cells = [(_id_cell(offer.tier(0)), _id_cell(offer.tier(1))) for offer in trace.offers]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["t", "instantaneous_regret", "cumulative_regret", "offered_tier1", "offered_tier2"]
         )
         writer.writerows(
-            (t, regret, cumulative, *cells[key])
-            for t, regret, cumulative, key in zip(
-                count(1), regrets, trace.cumulative().tolist(), keys
+            (t, regret, cumulative, *cells[slot])
+            for t, regret, cumulative, slot in zip(
+                count(1),
+                trace.instantaneous.tolist(),
+                trace.cumulative().tolist(),
+                trace.offer_index.tolist(),
             )
         )
 

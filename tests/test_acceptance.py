@@ -186,7 +186,8 @@ class TestAcceptance:
                         example = (
                             f"trial {trial}: r_m={r_m:.6f} < "
                             f"E[R(S*_3)]={suffix[-1]:.6f} yet m placed in "
-                            f"{new.offer.tiers!r}, improving profit by "
+                            f"{[sorted(tier, key=str) for tier in new.offer.tiers]!r}, "
+                            f"improving profit by "
                             f"{new.expected_profit - old.expected_profit:.2e}"
                         )
             for j in (2, 3):

@@ -239,6 +239,39 @@ class TestSimulate:
         assert not (tmp_path / "ignored").exists()
 
 
+def written_files(root) -> set:
+    return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+
+class TestDotLabels:
+    """A config label made only of dots names no directory: its artifacts
+    land in ``--out/unnamed/``, not in ``--out`` itself or its parent."""
+
+    @pytest.mark.parametrize("label", [".", ".."])
+    def test_simulate(self, tmp_path, label):
+        _, path = small_config(tmp_path, label=label)
+        out = tmp_path / "nest" / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == 0
+        assert written_files(tmp_path / "nest") == {
+            "out/unnamed/manifest.json",
+            "out/unnamed/trace_oracle_seed0.csv",
+            "out/unnamed/trace_learner_seed0.csv",
+        }
+
+    @pytest.mark.parametrize("label", [".", ".."])
+    def test_experiment(self, tmp_path, label):
+        _, path = small_config(tmp_path, label=label, policies=(PolicySpec("oracle"),))
+        out = tmp_path / "nest" / "out"
+        assert main(["experiment", str(path), "--reps", "1", "--out", str(out)]) == 0
+        assert written_files(tmp_path / "nest") == {
+            "out/unnamed_regret.svg",
+            "out/unnamed/manifest.json",
+            "out/unnamed/summary.json",
+            "out/unnamed/mean_oracle.csv",
+            "out/unnamed/trace_oracle_rep000.csv",
+        }
+
+
 class TestMalformedConfig:
     """Malformed numbers and policy options end as exit code 1 with an
     ``error:`` line, never a traceback or a silent coercion."""

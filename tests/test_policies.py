@@ -286,7 +286,7 @@ class TestOptimisticValuations:
 
     def test_rows_follow_a_view_gaining_estimates(self):
         """With every product launched at t=0 the policy keeps one visible
-        view, whose estimated products (and their cached ledger rows) grow
+        view object, whose estimated products (and their cached ledger rows) grow
         as epochs close; every re-solve writes the scalar loop's values."""
         rng = np.random.default_rng(32)
         catalog = Catalog(
@@ -303,10 +303,11 @@ class TestOptimisticValuations:
             confidence_scale=4.8,
         )
         customers = BufferedRandom(np.random.default_rng(8))
-        sizes = []
+        sizes, views = [], []
         for t in range(1, 401):
             resolves = policy.full_resolves + policy.tier1_resolves
             offer = policy.offer(t)
+            views.append(policy._view)
             if policy.full_resolves + policy.tier1_resolves != resolves:
                 got = {i: float(policy._w[catalog._rank[i]]) for i in policy._visible}
                 assert got == reference_optimistic_valuations(policy, policy.ledger.completed)
@@ -316,7 +317,7 @@ class TestOptimisticValuations:
                 ]
                 sizes.append(len(view.estimated))
             policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
-        assert len(policy._views) == 1
+        assert all(view is views[0] for view in views)
         assert len(set(sizes) - {0}) >= 2
 
 

@@ -6,6 +6,7 @@ replays, and the config/CSV formats by round-trips and strict-key checks.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import re
@@ -160,11 +161,100 @@ class TestUnlaunchedOffers:
             self._run(monkeypatch, policy)
 
     def test_equal_valid_offer_served_again_runs(self, monkeypatch):
+        """Fresh but equal copies of a valid offer share one slot."""
         policy = _ScriptedPolicy((["a"], ["b"]), (["a", "c"], ["b"]), switch=5)
         trace = self._run(monkeypatch, policy)
         assert len(trace) == 20
-        assert trace.offers[4] == trace.offers[19] == TieredOffer.two_tier(["a", "c"], ["b"])
-        assert trace.offers[4] is not trace.offers[19]
+        assert trace.offer_index[4] == trace.offer_index[19] == 1
+        assert trace.offers == (
+            TieredOffer.two_tier(["a"], ["b"]),
+            TieredOffer.two_tier(["a", "c"], ["b"]),
+        )
+
+
+class _Recording:
+    """Passes a policy through and keeps the offer it served at each step."""
+
+    def __init__(self, inner):
+        self.inner, self.served = inner, []
+
+    def offer(self, t):
+        self.served.append(self.inner.offer(t))
+        return self.served[-1]
+
+    def observe(self, t, offer, outcome):
+        self.inner.observe(t, offer, outcome)
+
+
+class TestOfferIndex:
+    """The trace keeps each distinct offer once, in first-served order, and
+    one int32 slot per step into them."""
+
+    @pytest.mark.parametrize(
+        "spec, launches",
+        [
+            (ORACLE, True),
+            (PolicySpec("ucb_tiered", {"min_epochs": 3}), True),
+            (PolicySpec("explore_then_exploit", {"gamma": 2.0}), False),  # needs t=0
+        ],
+        ids=["oracle", "ucb_tiered", "explore_then_exploit"],
+    )
+    def test_slots_name_the_served_offers(self, spec, launches, monkeypatch):
+        recorded = []
+
+        def record(*args, **kwargs):
+            recorded.append(_Recording(make_policy(*args, **kwargs)))
+            return recorded[-1]
+
+        monkeypatch.setattr(simulator, "make_policy", record)
+        catalog = Catalog(
+            (
+                Product("a", 3.0, 0.5),
+                Product("b", 2.0, 0.4, launch_time=50 if launches else 0),
+                Product("c", 2.5, 0.6, launch_time=120 if launches else 0),
+                Product("d", 1.0, 0.3),
+            )
+        )
+        config = oracle_config(catalog=catalog, horizon=300, policies=(spec,))
+        trace = run(config, spec, seed=0)
+        served = recorded[0].served
+        assert trace.offer_index.dtype == np.int32
+        assert trace.offer_index.shape == (300,)
+        assert [trace.offers[k] for k in trace.offer_index.tolist()] == served
+        assert trace.offers == tuple(dict.fromkeys(served))  # distinct, first-served order
+        assert len(trace.offers) > 1
+
+
+class TestBenchmarkSchedule:
+    """The regret benchmark is solved once per launched set the run sees:
+    at t=1 and at each distinct launch time in (1, T], or once against the
+    full catalog."""
+
+    def _solved_sizes(self, config, monkeypatch):
+        sizes = []
+        solve = simulator.solve_two_tier
+
+        def count(catalog, **kwargs):
+            sizes.append(len(kwargs["candidates_tier1"] | kwargs["candidates_tier2"]))
+            return solve(catalog, **kwargs)
+
+        monkeypatch.setattr(simulator, "solve_two_tier", count)
+        run(config, config.policies[0], seed=0)
+        return sizes
+
+    def test_launched_benchmark_solves_at_launch_times(self, monkeypatch):
+        config = TestPinnedLaunchRun.CONFIG
+        catalog, _ = materialize_catalog(config, 0)
+        launches = {
+            p.launch_time for p in catalog.products if 1 < p.launch_time <= config.horizon
+        }
+        sizes = self._solved_sizes(config, monkeypatch)
+        assert len(sizes) == 1 + len(launches) == 5
+        assert sizes == [16, 17, 18, 19, 20]
+
+    def test_full_benchmark_solves_once(self, monkeypatch):
+        config = dataclasses.replace(TestPinnedLaunchRun.CONFIG, benchmark="full")
+        assert self._solved_sizes(config, monkeypatch) == [20]
 
 
 class TestSeedScheme:
@@ -175,6 +265,7 @@ class TestSeedScheme:
         assert np.array_equal(a.instantaneous, b.instantaneous)
         assert np.array_equal(a.realized_revenue, b.realized_revenue)
         assert a.offers == b.offers
+        assert np.array_equal(a.offer_index, b.offer_index)
 
     def test_replications_differ(self):
         config = oracle_config(policies=(PolicySpec("ucb_tiered"),))
@@ -192,6 +283,7 @@ class TestSeedScheme:
         b = run(config, config.policies[1], seed=0)
         assert np.array_equal(a.realized_revenue, b.realized_revenue)
         assert a.offers == b.offers
+        assert np.array_equal(a.offer_index, b.offer_index)
         assert b.policy_label == "oracle-twin"
 
     def test_group_catalogs_are_fresh_per_replication(self):
@@ -544,10 +636,11 @@ class TestCsvOutput:
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
-    def test_regret_cells_formatted_once_keep_the_sign_of_zero(self, tmp_path):
-        """A trace whose instantaneous column holds 0.0 and -0.0 (and other
-        repeats, a NaN and an infinity) writes the bytes that formatting
-        every cell gives."""
+    def test_rows_read_offers_by_slot_and_keep_the_sign_of_zero(self, tmp_path):
+        """Each row names the offer its step's slot points at, and a trace
+        whose instantaneous column holds 0.0 and -0.0 (and other repeats, a
+        NaN and an infinity) writes the bytes that formatting every cell
+        gives."""
         config = oracle_config(policies=(PolicySpec("ucb_tiered"),), horizon=60)
         trace = run(config, config.policies[0])
         values = [0.0, -0.0, 0.125, -0.0, 1e-300, 0.0, float("nan"), -5e-324, float("inf"), 0.125]
@@ -558,9 +651,11 @@ class TestCsvOutput:
         with open(reference, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(path.read_text(encoding="utf-8").splitlines()[0].split(","))
-            for t, (regret, cumulative, offer) in enumerate(
-                zip(trace.instantaneous.tolist(), trace.cumulative().tolist(), trace.offers), 1
+            for t, (regret, cumulative, slot) in enumerate(
+                zip(trace.instantaneous.tolist(), trace.cumulative().tolist(), trace.offer_index),
+                1,
             ):
+                offer = trace.offers[slot]
                 cells = ["|".join(str(i) for i in sorted(offer.tier(k), key=str)) for k in (0, 1)]
                 writer.writerow([t, regret, cumulative, *cells])
         written = path.read_bytes()
