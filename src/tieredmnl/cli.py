@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .errors import TieredMnlError
+from .errors import ConfigError, TieredMnlError
 from .model import _write_json, load_catalog, sorted_ids
 from .optimizer import solve_two_tier
 from .simulator import (
@@ -54,6 +54,16 @@ class _Parser(argparse.ArgumentParser):
 def _slug(label: str) -> str:
     slug = re.sub(r"[^A-Za-z0-9._-]+", "-", label).strip("-")
     return slug if slug.strip(".") else "unnamed"  # "." and ".." are not names
+
+
+def _check_slugs(config: ExperimentConfig) -> None:
+    """Refuse policies whose labels slug alike: their files would collide."""
+    seen: dict[str, str] = {}
+    for label in (spec.display_label for spec in config.policies):
+        slug = _slug(label)
+        if slug in seen:
+            raise ConfigError(f"policy labels {seen[slug]!r} and {label!r} both write files as {slug!r}")
+        seen[slug] = label
 
 
 def _resolve_out(flag_value) -> Path:
@@ -90,6 +100,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
+    _check_slugs(config)
     out = _resolve_out(args.out) / _slug(config.label)
     traces = [(spec, run(config, spec, args.seed)) for spec in config.policies]
     out.mkdir(parents=True, exist_ok=True)
@@ -115,6 +126,8 @@ def _cmd_experiment(args) -> int:
     else:
         configs = [load_config(args.experiment)]
         chart_name = f"{_slug(configs[0].label)}_regret.svg"
+    for config in configs:
+        _check_slugs(config)
     out_base = _resolve_out(args.out)
     series = []
     for config in configs:

@@ -21,10 +21,12 @@ geometric-count argument above.
 
 ``EpochLedger.record_step`` returns the epochs a step closed, one slot per
 tier.  The ledger keeps the completed epoch records and, per product, the
-pooled epoch and purchase totals; it keeps no per-step log.  Policies keep
-an offer object while its answer stands, so the epoch lock compares a
-tier's set by identity first; the close looks its set's rows up in a dict
-keyed by every offered set closed so far.
+pooled epoch and purchase totals; it keeps no per-step log.  Its rows are
+the catalog's ranks (``Catalog._rank``), the order the optimizer's frames
+and the policies' valuation vectors use.  Policies keep an offer object
+while its answer stands, so the epoch lock compares a tier's set by
+identity first; the close looks its set's ranks up in a dict keyed by
+every offered set closed so far.
 
 Averaging a product's per-epoch purchase counts over every completed epoch
 that offered it (either tier) estimates its preference weight.
@@ -43,7 +45,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InvalidOfferError, NeverOfferedError, OutcomeMismatchError
-from .model import ChoiceOutcome, ProductId, TieredOffer, sorted_ids
+from .model import Catalog, ChoiceOutcome, ProductId, TieredOffer, sorted_ids
 
 # Multiplier on ln(K * rounds + 1) / T_i inside the optimism margin.  The
 # analysis behind the regret guarantee fixes this at 48; it is a module
@@ -90,30 +92,30 @@ class EpochLedger:
     of steps seen.  Only completed epochs contribute to estimates — an open
     epoch is invisible until it closes.
 
-    A product gets a dense index, its row, when the first epoch offering it
-    closes, and keeps it.  Its pooled totals (epochs, purchases, launch
-    epoch) live in arrays under that row, so the optimistic index of many
-    products is one vector expression.  ``_ucb`` reads rows alone: a caller
-    that asks for the same products again keeps their ``_rows`` (the UCB
-    policy does, per visible set), and a closing epoch reuses the rows of
-    any offered set closed before.
+    Its rows are the ranks of ``catalog``: a product's pooled totals
+    (epochs, purchases, launch epoch) sit in arrays under its rank, so the
+    optimistic index of many products is one vector expression.  ``_ucb``
+    and ``_means`` read ranks alone, and a closing epoch reuses the ranks
+    of any offered set closed before.  An offer holding an id outside the
+    catalog is refused before anything is tallied.
     """
 
-    def __init__(self):
+    def __init__(self, catalog: Catalog):
         self.completed = 0
         self.steps_recorded = 0
+        self._catalog = catalog
         self._open = [_Open(0), _Open(0)]
         self._closed: tuple[list[EpochRecord], list[EpochRecord]] = ([], [])
-        self._index: dict[ProductId, int] = {}
-        self._epochs_total = np.zeros(16, dtype=np.int64)
-        self._purchases_total = np.zeros(16, dtype=np.int64)
-        self._launch_epoch = np.zeros(16, dtype=np.int64)
-        # distinct launch epochs and each row's position among them, rebuilt
-        # only after new rows arrive
-        self._launch_values: list[int] = []
-        self._launch_slot = np.zeros(0, dtype=np.intp)
+        n = len(catalog.products)
+        self._epochs_total = np.zeros(n, dtype=np.int64)
+        self._purchases_total = np.zeros(n, dtype=np.int64)
+        self._launch_epoch = np.zeros(n, dtype=np.int64)
+        # distinct launch epochs and each rank's position among them, rebuilt
+        # only after a product's first epoch closes
+        self._launch_values: list[int] = [0]
+        self._launch_slot = np.zeros(n, dtype=np.intp)
         self._launch_stale = False
-        # every offered set closed so far, mapped to its products' rows
+        # every offered set closed so far, mapped to its products' ranks
         self._set_rows: dict[frozenset, np.ndarray] = {}
 
     # --- recording -------------------------------------------------------
@@ -123,10 +125,11 @@ class EpochLedger:
     ) -> tuple[EpochRecord | None, EpochRecord | None]:
         """Tally one customer's outcome under ``offer``.
 
-        The offer must have exactly two tiers and, within each open epoch,
-        the same tier contents as when the epoch first showed them.  Returns
-        the records of the epochs the step closed, indexed by tier: the
-        tier-1 record or None, then the tier-2 record or None.
+        The offer must have exactly two tiers of catalog ids and, within
+        each open epoch, the same tier contents as when the epoch first
+        showed them.  Returns the records of the epochs the step closed,
+        indexed by tier: the tier-1 record or None, then the tier-2 record
+        or None.
         """
         tiers = offer.tiers
         if len(tiers) != 2:
@@ -143,6 +146,9 @@ class EpochLedger:
                 raise OutcomeMismatchError(
                     f"product {product!r} was not offered in tier {tier + 1}"
                 )
+        for offered in tiers:  # an id outside the catalog raises before any tally
+            if offered not in self._set_rows:
+                self._catalog._indices(offered)
         self.steps_recorded += 1
         t = self.steps_recorded
         tier2_viewed = tier != 0
@@ -178,55 +184,38 @@ class EpochLedger:
         record = EpochRecord(k, open_.label, open_.offered, open_.purchases, tuple(open_.steps))
         self._closed[k].append(record)
         self.completed += 1
-        index = self._index
         offered = record.offered
         rows = self._set_rows.get(offered)
-        if rows is None:  # a set closed before has every product indexed
-            new = [i for i in offered if i not in index]
-            if new:
-                for i in sorted_ids(new):
-                    index[i] = len(index)
-                if len(index) > len(self._epochs_total):
-                    self._grow()
-                # one product's epochs complete in label order (its tiers are
-                # disjoint and locked while open), so the first closure that
-                # offers it carries its launch epoch
-                self._launch_epoch[[index[i] for i in new]] = record.label
+        if rows is None:  # the set's first close
+            rows = self._set_rows[offered] = self._catalog._indices(offered)
+            # one product's epochs complete in label order (its tiers are
+            # disjoint and locked while open), so the first closure that
+            # offers it carries its launch epoch
+            new = rows[self._epochs_total[rows] == 0]
+            if len(new):
+                self._launch_epoch[new] = record.label
                 self._launch_stale = True
-            rows = np.fromiter(map(index.__getitem__, offered), dtype=np.intp, count=len(offered))
-            self._set_rows[offered] = rows
         self._epochs_total[rows] += 1
+        rank = self._catalog._rank
         for i, n in record.purchases.items():
-            self._purchases_total[index[i]] += n
+            self._purchases_total[rank[i]] += n
         return record
-
-    def _grow(self) -> None:
-        size = len(self._epochs_total)
-        zeros = np.zeros(max(len(self._index) - size, size), dtype=np.int64)  # at least double
-        self._epochs_total = np.concatenate((self._epochs_total, zeros))
-        self._purchases_total = np.concatenate((self._purchases_total, zeros))
-        self._launch_epoch = np.concatenate((self._launch_epoch, zeros))
-
-    def _rows(self, product_ids: Iterable) -> np.ndarray:
-        try:
-            return np.fromiter(map(self._index.__getitem__, product_ids), dtype=np.intp)
-        except KeyError as exc:
-            raise NeverOfferedError(exc.args[0]) from None
 
     # --- estimates -------------------------------------------------------
 
     def valuation_estimate(self, product_id) -> float:
         """Mean purchases per completed epoch offering the product, pooled
         across both tiers."""
-        j = self._index.get(product_id)
-        if j is None or not self._epochs_total[j]:
+        epochs = self.times_offered(product_id)
+        if not epochs:
             raise NeverOfferedError(product_id)
-        return int(self._purchases_total[j]) / int(self._epochs_total[j])
+        return self.purchase_total(product_id) / epochs
 
-    def _means(self, rows: np.ndarray) -> np.ndarray:
-        """``valuation_estimate`` of the products at ledger ``rows``: int64
-        over int64 rounds like Python's int / int below 2**53."""
-        return self._purchases_total[rows] / self._epochs_total[rows]
+    def _means(self, ranks: np.ndarray) -> np.ndarray:
+        """``valuation_estimate`` of the products at catalog ``ranks``, 0.0
+        for a product never offered (its purchases are 0 too): int64 over
+        int64 rounds like Python's int / int below 2**53."""
+        return self._purchases_total[ranks] / np.maximum(self._epochs_total[ranks], 1)
 
     def valuation_ucb(
         self,
@@ -260,15 +249,17 @@ class EpochLedger:
         once per distinct launch epoch, so every value equals the scalar
         formula's bit for bit (``np.log`` may differ in the last place).
         """
-        return self._ucb(self._rows(product_ids), epoch, n_products, confidence_scale)
+        product_ids = tuple(product_ids)
+        for i in product_ids:
+            if not self.has_estimate(i):
+                raise NeverOfferedError(i)
+        return self._ucb(self._catalog._indices(product_ids), epoch, n_products, confidence_scale)
 
-    def _ucb(self, rows: np.ndarray, epoch: int, n_products: int, confidence_scale) -> np.ndarray:
-        """``valuation_ucb_many`` of the products at ledger ``rows``."""
+    def _ucb(self, ranks: np.ndarray, epoch: int, n_products: int, confidence_scale) -> np.ndarray:
+        """``valuation_ucb_many`` of the estimated products at catalog ``ranks``."""
         scale = UCB_CONFIDENCE_SCALE if confidence_scale is None else confidence_scale
         if self._launch_stale:
-            values, self._launch_slot = np.unique(
-                self._launch_epoch[: len(self._index)], return_inverse=True
-            )
+            values, self._launch_slot = np.unique(self._launch_epoch, return_inverse=True)
             self._launch_values = values.tolist()
             self._launch_stale = False
         # ln(n * 0 + 1) is exactly 0.0, which covers the clamped gaps
@@ -278,33 +269,34 @@ class EpochLedger:
                 for start in self._launch_values
             ]
         )
-        epochs = self._epochs_total[rows]
-        mean = self._purchases_total[rows] / epochs
-        pad = scale * logs[self._launch_slot[rows]] / epochs
+        epochs = self._epochs_total[ranks]
+        mean = self._purchases_total[ranks] / epochs
+        pad = scale * logs[self._launch_slot[ranks]] / epochs
         return mean + np.sqrt(mean * pad) + pad
 
     # --- accessors -------------------------------------------------------
 
     def has_estimate(self, product_id) -> bool:
-        return product_id in self._index
+        return self.times_offered(product_id) > 0
 
     def times_offered(self, product_id) -> int:
         """Completed epochs (both tiers) whose offer included the product."""
-        j = self._index.get(product_id)
+        j = self._catalog._rank.get(product_id)
         return 0 if j is None else int(self._epochs_total[j])
 
     def times_offered_many(self, product_ids: Iterable) -> np.ndarray:
         """``times_offered`` of each product, as one array."""
-        rows = np.fromiter(map(self._index.get, product_ids, repeat(-1)), dtype=np.intp)
-        return np.where(rows >= 0, self._epochs_total[rows], 0)
+        ranks = np.fromiter(map(self._catalog._rank.get, product_ids, repeat(-1)), dtype=np.intp)
+        return np.where(ranks >= 0, self._epochs_total[ranks], 0)
 
     def purchase_total(self, product_id) -> int:
-        j = self._index.get(product_id)
+        j = self._catalog._rank.get(product_id)
         return 0 if j is None else int(self._purchases_total[j])
 
     def launch_epoch(self, product_id) -> int | None:
-        j = self._index.get(product_id)
-        return None if j is None else int(self._launch_epoch[j])
+        if not self.has_estimate(product_id):
+            return None
+        return int(self._launch_epoch[self._catalog._rank[product_id]])
 
     def epochs(self, tier_index: int) -> tuple[EpochRecord, ...]:
         return tuple(self._closed[tier_index])

@@ -598,14 +598,7 @@ def is_profit_ordered_by_tier(offer: TieredOffer, catalog: Catalog) -> bool:
     tier 1 is not an available tier-2 candidate, since tiers are disjoint.
     """
     s1 = offer.tier(0)
-    if not s1:
-        return True
-    outside = catalog.candidates_tier2 - offer.tier(1) - s1
-    if not outside:
-        return True
-    lowest_in = min(catalog.profit_of(i) for i in s1)
-    highest_out = max(catalog.profit_of(i) for i in outside)
-    return lowest_in >= highest_out
+    return is_profit_ordered_set(s1, s1 | (catalog.candidates_tier2 - offer.tier(1)), catalog)
 
 
 # --- new-product placement ----------------------------------------------------

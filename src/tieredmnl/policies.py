@@ -13,13 +13,14 @@ nothing.
 
 The UCB family decides in the catalog's canonical order: one valuation
 vector indexed by catalog rank, solved through the optimizer's candidate
-frames — a ``_PairFrame`` for the visible set in force (with the estimated
-products' ledger rows) and a ``_Tier1Frame`` per tier-2 epoch.  The public
+frames — a ``_PairFrame`` for the visible set in force and a
+``_Tier1Frame`` per tier-2 epoch.  The ledger counts by the same ranks, so
+the policies hand it ranks and never translate them.  The public
 solvers solve through the same frames, so the offers equal theirs for the
 same valuations.  A re-solve whose answer equals the offer in force returns
 that offer object; a full re-solve repeating the one that built it returns
 it without building a set.  Explore-then-exploit reads its estimates from
-the ledger's rows as one vector.
+the ledger as one vector.
 
 Every policy, the oracle included, prices offers with the prefix-pair
 family (``exact=False``), the same family the simulator's regret benchmark
@@ -38,8 +39,8 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from itertools import compress, filterfalse
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Mapping
 
 import numpy as np
 
@@ -128,34 +129,27 @@ class _VisibleView:
     """What the UCB policies derive from one visible product set.
 
     ``unknown`` lists the visible ids whose weights are learned, in
-    ``str(id)`` order, split into ``estimated`` (some completed epoch
-    offered them; ``estimated_ranks`` and ``estimated_rows`` hold their
-    catalog ranks and ledger rows) and ``cold`` (none yet).  ``learning``
-    keeps those still short of the minimum-learning target.  Ledger counts
-    only grow, so a product only ever moves from cold to estimated and out
-    of learning.  ``pair`` is the optimizer's frame over the visible tier-1
-    and tier-2 candidates.
+    ``str(id)`` order, and ``ranks`` their catalog ranks, which are also
+    their ledger rows.  ``estimated_ranks`` keeps the ranks of those some
+    completed epoch offered, and ``learning`` the ids still short of the
+    minimum-learning target.  Ledger counts only grow, so a product only
+    ever joins the estimated and leaves learning.  ``pair`` is the
+    optimizer's frame over the visible tier-1 and tier-2 candidates.
     """
 
-    __slots__ = (
-        "unknown", "estimated", "estimated_ranks", "estimated_rows", "cold", "learning", "pair",
-    )
+    __slots__ = ("unknown", "ranks", "estimated_ranks", "learning", "pair")
 
     def __init__(self, catalog: Catalog, visible: frozenset, known: Mapping):
-        self.unknown = tuple(i for i in sorted_ids(visible) if i not in known)
-        self.estimated: tuple = ()
-        self.estimated_ranks = self.estimated_rows = catalog._indices(())
-        self.cold = self.learning = self.unknown
+        self.unknown = self.learning = tuple(i for i in sorted_ids(visible) if i not in known)
+        self.ranks = catalog._indices(self.unknown)
+        self.estimated_ranks = self.ranks[:0]
         self.pair = _PairFrame(
             catalog, catalog.candidates_tier1 & visible, catalog.candidates_tier2 & visible
         )
 
-    def update_estimated(self, catalog: Catalog, ledger: EpochLedger) -> None:
-        if any(map(ledger.has_estimate, self.cold)):
-            self.estimated = tuple(filter(ledger.has_estimate, self.unknown))
-            self.estimated_ranks = catalog._indices(self.estimated)
-            self.estimated_rows = ledger._rows(self.estimated)
-            self.cold = tuple(filterfalse(ledger.has_estimate, self.unknown))
+    def update_estimated(self, ledger: EpochLedger) -> None:
+        if len(self.estimated_ranks) < len(self.ranks):  # some product has no epoch yet
+            self.estimated_ranks = self.ranks[ledger._epochs_total[self.ranks] > 0]
 
     def update_learning(self, ledger: EpochLedger, min_epochs: int) -> None:
         if not self.learning:
@@ -210,7 +204,7 @@ class UcbTieredPolicy(Policy):
         if scale is not None and _finite(scale, ConfigError, "confidence_scale") < 0.0:
             raise ConfigError(f"confidence_scale must be >= 0, got {scale!r}")
         self.min_epochs = int(min_epochs)
-        self.ledger = EpochLedger()
+        self.ledger = EpochLedger(catalog)
         self.full_resolves = 0
         self.tier1_resolves = 0
         self._confidence_scale = confidence_scale
@@ -240,12 +234,10 @@ class UcbTieredPolicy(Policy):
     def _update_valuations(self, epoch: int) -> None:
         """Write the visible estimated products' UCBs at ``epoch`` into the
         valuation vector."""
-        view = self._view
-        view.update_estimated(self._catalog, self.ledger)
-        if view.estimated:
-            self._w[view.estimated_ranks] = self.ledger._ucb(
-                view.estimated_rows, epoch, len(self._visible), self._confidence_scale
-            )
+        self._view.update_estimated(self.ledger)
+        ranks = self._view.estimated_ranks
+        if len(ranks):
+            self._w[ranks] = self.ledger._ucb(ranks, epoch, len(self._visible), self._confidence_scale)
 
     def _start_epoch(self, t: int) -> None:
         visible = self._catalog.visible_at(t)
@@ -363,8 +355,9 @@ class ExploreThenExploitPolicy(Policy):
                 f"explore_then_exploit needs every product at launch_time 0; "
                 f"{late[0]!r} launches later"
             )
-        self.ledger = EpochLedger()
+        self.ledger = EpochLedger(catalog)
         self._products = sorted_ids(catalog.ids)
+        self._ranks = catalog._indices(self._products)
         self._profits = np.array([catalog.profit_of(i) for i in self._products])
 
         def cycle_key(offer):
@@ -389,23 +382,13 @@ class ExploreThenExploitPolicy(Policy):
         self._sizes = self._member1.sum(axis=1) + self._member2.sum(axis=1)
         self._tier1_sizes = self._member1.sum(axis=1)
         self._counts = np.zeros(len(self._offers))
-        # never-offered products; the others' positions and ledger rows
-        self._cold = tuple(self._products)
-        self._cols = self._rows = np.zeros(0, dtype=np.intp)
         self._incumbent: int | None = None
         self._cursor = 0
         self._current: int | None = None
         self._at_boundary = False
 
     def _candidate_values(self) -> np.ndarray:
-        ledger = self.ledger
-        if any(map(ledger.has_estimate, self._cold)):
-            self._cold = tuple(filterfalse(ledger.has_estimate, self._products))
-            cols = [j for j, i in enumerate(self._products) if ledger.has_estimate(i)]
-            self._cols = np.array(cols, dtype=np.intp)
-            self._rows = ledger._rows(self._products[j] for j in cols)
-        v = np.zeros(len(self._products))
-        v[self._cols] = ledger._means(self._rows)
+        v = self.ledger._means(self._ranks)
         rv = self._profits * v
         denom1 = 1.0 + self._member1 @ v
         denom2 = 1.0 + self._member2 @ v

@@ -58,12 +58,7 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def _fixture(path) -> Path:
-    return EXAMPLE_CATALOG if path is None else Path(path)
-
-
-def _check_fixture_files(fixture_path) -> CheckResult:
-    path = _fixture(fixture_path)
+def _check_fixture_files(path: Path) -> CheckResult:
     if not path.is_file():
         return CheckResult("fixture-files", False, f"fixture missing: {path}")
     try:
@@ -75,8 +70,7 @@ def _check_fixture_files(fixture_path) -> CheckResult:
     )
 
 
-def _check_worked_example(fixture_path) -> CheckResult:
-    path = _fixture(fixture_path)
+def _check_worked_example(path: Path) -> CheckResult:
     if not path.is_file():
         return CheckResult("worked-example-values", False, f"fixture missing: {path}")
     catalog = load_catalog(path)
@@ -107,11 +101,11 @@ def _check_worked_example(fixture_path) -> CheckResult:
     )
 
 
-def _check_epoch_bookkeeping(fixture_path) -> CheckResult:
+def _check_epoch_bookkeeping() -> CheckResult:
     offer = TieredOffer.two_tier(["a"], ["b"])
     buy1 = ChoiceOutcome("a", 0)
     buy2 = ChoiceOutcome("b", 1)
-    ledger = EpochLedger()
+    ledger = EpochLedger(Catalog((Product("a", 1.0, 0.5), Product("b", 1.0, 0.5))))
     for outcome in (buy1, buy2, buy1, buy1, NO_PURCHASE, buy2, buy1, buy1, NO_PURCHASE):
         ledger.record_step(offer, outcome)
     got = (
@@ -143,7 +137,7 @@ def _random_catalog(rng: np.random.Generator) -> Catalog:
     return Catalog(products, x1, x2)
 
 
-def _check_solver_brute_force(fixture_path) -> CheckResult:
+def _check_solver_brute_force() -> CheckResult:
     rng = np.random.default_rng(_CHECK_SEED)
     worst = 0.0
     for trial in range(25):
@@ -174,13 +168,13 @@ def _chi2_sf_5(x: float) -> float:
     return math.erfc(math.sqrt(x / 2.0)) + tail
 
 
-def _check_geometric_counts(fixture_path) -> CheckResult:
+def _check_geometric_counts() -> CheckResult:
     v = 0.4
     catalog = Catalog((Product("g", 1.0, v),))
     offer = TieredOffer.two_tier(["g"], [])
     sampler = ChoiceSampler(offer, catalog)
     rand = BufferedRandom(np.random.default_rng(_CHECK_SEED))
-    ledger = EpochLedger()
+    ledger = EpochLedger(catalog)
     n_epochs = 20_000
     counts = []
     while len(counts) < n_epochs:
@@ -219,7 +213,7 @@ def _check_geometric_counts(fixture_path) -> CheckResult:
     )
 
 
-def _check_closed_form_gap(fixture_path) -> CheckResult:
+def _check_closed_form_gap() -> CheckResult:
     products = (
         Product("a", 6.0, 0.3),
         Product("b", 2.5, 0.8),
@@ -241,14 +235,14 @@ def _check_closed_form_gap(fixture_path) -> CheckResult:
     )
 
 
-def _check_ucb_optimism(fixture_path, confidence_scale) -> CheckResult:
+def _check_ucb_optimism(confidence_scale) -> CheckResult:
     rng = np.random.default_rng(_CHECK_SEED)
     v_true = 0.5
     catalog = Catalog((Product("u", 1.0, v_true),))
     offer = TieredOffer.two_tier(["u"], [])
     sampler = ChoiceSampler(offer, catalog)
     rand = BufferedRandom(rng)
-    ledger = EpochLedger()
+    ledger = EpochLedger(catalog)
     n_products, n_epochs = 12, 60
     purchases = 0
     while len(ledger.epochs(0)) < n_epochs:
@@ -294,17 +288,15 @@ def run_checks(
     ledger with (mutation hook); ``fixture_path`` overrides the packaged
     example catalog (missing-file hook).
     """
+    path = EXAMPLE_CATALOG if fixture_path is None else Path(fixture_path)
     checks: list[tuple[str, Callable[[], CheckResult]]] = [
-        ("fixture-files", lambda: _check_fixture_files(fixture_path)),
-        ("worked-example-values", lambda: _check_worked_example(fixture_path)),
-        ("epoch-bookkeeping", lambda: _check_epoch_bookkeeping(fixture_path)),
-        ("solver-brute-force", lambda: _check_solver_brute_force(fixture_path)),
-        ("geometric-purchase-counts", lambda: _check_geometric_counts(fixture_path)),
-        ("per-epoch-gap-closed-form", lambda: _check_closed_form_gap(fixture_path)),
-        (
-            "ucb-optimism-coverage",
-            lambda: _check_ucb_optimism(fixture_path, confidence_scale),
-        ),
+        ("fixture-files", lambda: _check_fixture_files(path)),
+        ("worked-example-values", lambda: _check_worked_example(path)),
+        ("epoch-bookkeeping", _check_epoch_bookkeeping),
+        ("solver-brute-force", _check_solver_brute_force),
+        ("geometric-purchase-counts", _check_geometric_counts),
+        ("per-epoch-gap-closed-form", _check_closed_form_gap),
+        ("ucb-optimism-coverage", lambda: _check_ucb_optimism(confidence_scale)),
     ]
     results = []
     for name, check in checks:

@@ -90,7 +90,7 @@ class TestAcceptance:
             ChoiceOutcome("a", 0),
             NO_PURCHASE,
         )
-        ledger = EpochLedger()
+        ledger = EpochLedger(Catalog((Product("a", 1.0, 0.5), Product("b", 1.0, 0.5))))
         for outcome in script:
             ledger.record_step(offer, outcome)
         got = (
@@ -228,7 +228,7 @@ class TestAcceptance:
             catalog = Catalog((Product("o", 1.0, 0.5), Product("x", 1.0, v)))
             sampler = ChoiceSampler(offer, catalog)
             rng = BufferedRandom(np.random.default_rng(seed))
-            ledger = EpochLedger()
+            ledger = EpochLedger(catalog)
             while ledger.times_offered("x") < n_epochs:
                 ledger.record_step(offer, sampler.sample(rng))
             return np.array(
@@ -315,8 +315,9 @@ class TestAcceptance:
                 if not example:
                     example = (
                         f"trial {trial}: G2 at optimum {g2_star:.6f} but "
-                        f"min {min_g2:.6f} at {argmin_g2.tiers!r} "
-                        f"(optimum {best.tiers!r})"
+                        f"min {min_g2:.6f} at "
+                        f"{[sorted(tier, key=str) for tier in argmin_g2.tiers]!r} "
+                        f"(optimum {[sorted(tier, key=str) for tier in best.tiers]!r})"
                     )
         report(
             "criterion 6 (one-epoch regret properties)",

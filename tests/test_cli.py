@@ -272,6 +272,30 @@ class TestDotLabels:
         }
 
 
+class TestCollidingLabels:
+    """Policy labels that slug to one file name would overwrite each other's
+    files; the config is refused before anything runs or is written."""
+
+    CASES = [("x y", "x-y"), (None, None)]  # None: the label is the policy name
+
+    def check_refused(self, tmp_path, capsys, argv, labels):
+        policies = tuple(PolicySpec("oracle", label=label) for label in labels)
+        _, path = small_config(tmp_path, policies=policies)
+        out = tmp_path / "out"
+        assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 1
+        assert not out.exists()
+        first, second = (spec.display_label for spec in policies)
+        assert f"policy labels {first!r} and {second!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("labels", CASES)
+    def test_simulate(self, tmp_path, capsys, labels):
+        self.check_refused(tmp_path, capsys, ["simulate"], labels)
+
+    @pytest.mark.parametrize("labels", CASES)
+    def test_experiment(self, tmp_path, capsys, labels):
+        self.check_refused(tmp_path, capsys, ["experiment", "--reps", "1"], labels)
+
+
 class TestMalformedConfig:
     """Malformed numbers and policy options end as exit code 1 with an
     ``error:`` line, never a traceback or a silent coercion."""

@@ -18,6 +18,7 @@ from tieredmnl.errors import (
     InvalidOfferError,
     NeverOfferedError,
     OutcomeMismatchError,
+    UnknownProductError,
 )
 from tieredmnl.estimation import (
     UCB_CONFIDENCE_SCALE,
@@ -36,6 +37,12 @@ from tieredmnl.model import (
 from tieredmnl.rng import BufferedRandom
 
 OFFER = TieredOffer.two_tier(["a"], ["b"])
+IDS = ("a", "b", "c", "d", "e", "x")
+
+
+def new_ledger(ids=IDS) -> EpochLedger:
+    """A ledger over a small catalog of ``ids``: profit 1, weight 0.5 each."""
+    return EpochLedger(Catalog(tuple(Product(i, 1.0, 0.5) for i in ids)))
 
 # nine customers under the fixed offer ({a}, {b}):
 #   buy a, buy b, buy a, buy a, leave, buy b, buy a, buy a, leave
@@ -53,7 +60,7 @@ SCRIPT = (
 
 
 def scripted_ledger() -> EpochLedger:
-    ledger = EpochLedger()
+    ledger = new_ledger()
     for outcome in SCRIPT:
         ledger.record_step(OFFER, outcome)
     return ledger
@@ -110,7 +117,7 @@ class TestScriptedTrace:
         assert seen["b"] == [{2}, {6}]
 
     def test_step_events(self):
-        ledger = EpochLedger()
+        ledger = new_ledger()
         closed, reopened = [], []
         for outcome in SCRIPT:
             closed.append(ledger.record_step(OFFER, outcome))
@@ -144,7 +151,7 @@ class TestScriptedTrace:
 
 class TestRecordingGuards:
     def test_tier1_set_locked_within_epoch(self):
-        ledger = EpochLedger()
+        ledger = new_ledger()
         ledger.record_step(OFFER, ChoiceOutcome("a", 0))  # epoch still open
         with pytest.raises(InvalidOfferError, match="tier 1 changed"):
             ledger.record_step(
@@ -152,7 +159,7 @@ class TestRecordingGuards:
             )
 
     def test_tier2_set_locked_within_epoch(self):
-        ledger = EpochLedger()
+        ledger = new_ledger()
         # a tier-2 purchase closes tier 1 but leaves tier 2's epoch open
         ledger.record_step(OFFER, ChoiceOutcome("b", 1))
         with pytest.raises(InvalidOfferError, match="tier 2 changed"):
@@ -161,7 +168,7 @@ class TestRecordingGuards:
             )
 
     def test_sets_may_change_at_epoch_boundaries(self):
-        ledger = EpochLedger()
+        ledger = new_ledger()
         ledger.record_step(OFFER, NO_PURCHASE)  # closes both epochs
         ledger.record_step(
             TieredOffer.two_tier(["c"], ["d"]), ChoiceOutcome("d", 1)
@@ -171,7 +178,7 @@ class TestRecordingGuards:
     def test_tier1_rotation_under_open_tier2_epoch(self):
         """Every tier-2 view closes the tier-1 epoch, so tier 1 may rotate
         on each such step while tier 2's epoch persists with its locked set."""
-        ledger = EpochLedger()
+        ledger = new_ledger()
         ledger.record_step(TieredOffer.two_tier(["a"], ["b"]), ChoiceOutcome("b", 1))
         ledger.record_step(TieredOffer.two_tier(["c"], ["b"]), ChoiceOutcome("b", 1))
         ledger.record_step(TieredOffer.two_tier(["e"], ["b"]), NO_PURCHASE)
@@ -184,7 +191,7 @@ class TestRecordingGuards:
     def test_equal_but_distinct_sets_pass_the_lock(self):
         """The lock compares by identity first and by value after it: a
         rebuilt, equal set passes; a changed one still raises."""
-        ledger = EpochLedger()
+        ledger = new_ledger()
         ledger.record_step(OFFER, ChoiceOutcome("b", 1))  # tier 2 stays open
         ledger.record_step(OFFER, ChoiceOutcome("a", 0))  # tier 1 stays open
         rebuilt = TieredOffer.two_tier(frozenset(["a"]), frozenset(["b"]))
@@ -193,7 +200,7 @@ class TestRecordingGuards:
         assert ledger.labels(1) == ()
         with pytest.raises(InvalidOfferError, match="tier 2 changed"):
             ledger.record_step(TieredOffer.two_tier(["c"], ["b", "d"]), NO_PURCHASE)
-        ledger = EpochLedger()
+        ledger = new_ledger()
         ledger.record_step(OFFER, ChoiceOutcome("a", 0))
         with pytest.raises(InvalidOfferError, match="tier 1 changed"):
             ledger.record_step(TieredOffer.two_tier(["c"], ["b"]), ChoiceOutcome("c", 0))
@@ -201,7 +208,7 @@ class TestRecordingGuards:
     def test_same_size_close_with_a_new_product_indexes_it(self):
         """A tier's close whose set has the size of its last closed set but
         one new product still indexes that product, at its own label."""
-        ledger = EpochLedger()
+        ledger = new_ledger()
         ledger.record_step(TieredOffer.two_tier(["a", "b"], ["x"]), NO_PURCHASE)
         ledger.record_step(TieredOffer.two_tier(["a", "c"], ["x"]), ChoiceOutcome("x", 1))
         assert ledger.labels(0) == (0, 2)
@@ -215,7 +222,7 @@ class TestRecordingGuards:
         ]
 
     def test_outcome_must_match_offer(self):
-        ledger = EpochLedger()
+        ledger = new_ledger()
         with pytest.raises(OutcomeMismatchError):
             ledger.record_step(OFFER, ChoiceOutcome("z", 0))
         with pytest.raises(OutcomeMismatchError):
@@ -224,7 +231,7 @@ class TestRecordingGuards:
             ledger.record_step(OFFER, ChoiceOutcome("a", 2))
 
     def test_two_tier_offers_only(self):
-        ledger = EpochLedger()
+        ledger = new_ledger()
         with pytest.raises(InvalidOfferError):
             ledger.record_step(
                 TieredOffer((frozenset("a"), frozenset("b"), frozenset("c"))),
@@ -232,7 +239,7 @@ class TestRecordingGuards:
             )
 
     def test_open_epoch_contributes_nothing(self):
-        ledger = EpochLedger()
+        ledger = new_ledger()
         ledger.record_step(OFFER, ChoiceOutcome("a", 0))
         assert not ledger.has_estimate("a")
         assert ledger.times_offered("a") == 0
@@ -273,7 +280,7 @@ class TestOptimisticIndex:
     def test_rounds_count_from_launch(self):
         """The exploration age is epoch - launch_epoch, clamped at zero, so
         a product first completed at label L has no margin at epoch L."""
-        ledger = EpochLedger()
+        ledger = new_ledger()
         for _ in range(3):
             ledger.record_step(OFFER, NO_PURCHASE)  # six quick epochs
         late = TieredOffer.two_tier(["c"], ["b"])
@@ -299,7 +306,7 @@ class TestOptimisticIndex:
         offer = TieredOffer.two_tier(["x"], [])
         sampler = ChoiceSampler(offer, catalog)
         rng = BufferedRandom(np.random.default_rng(20260814))
-        ledger = EpochLedger()
+        ledger = EpochLedger(catalog)
         while ledger.completed < 2 * 2000:  # tier-2 epochs close in lockstep
             ledger.record_step(offer, sampler.sample(rng))
             if ledger.has_estimate("x"):
@@ -339,7 +346,7 @@ def random_ledger(seed, n_products=40, n_steps=4000):
     closure."""
     rng = np.random.default_rng(seed)
     ids = [f"q{j:02d}" for j in range(n_products)]
-    ledger = EpochLedger()
+    ledger = new_ledger(ids)
     tiers = [frozenset(), frozenset()]
     for t in range(n_steps):
         available = ids[: 2 + t * (n_products - 2) // n_steps]
@@ -428,7 +435,7 @@ class TestVectorIndex:
             (["r0", "r1", "r2"], ["r3", "r4"]),
             (["r1", "r5"], ["r0", "r3", "r6"]),
         )
-        ledger = EpochLedger()
+        ledger = new_ledger([f"r{j}" for j in range(7)])
         chosen = [0, 0]
         for t in range(3000):
             tiers = [frozenset(list(sets[chosen[k]][k])) for k in (0, 1)]
@@ -458,18 +465,18 @@ class TestVectorIndex:
             assert got.tolist() == want
             assert [ledger.valuation_ucb(i, epoch, len(ids)) for i in ids] == want
 
-
-    def test_cached_rows_follow_the_index_after_growth(self):
-        """The rows kept per offered set stay equal to the products' ledger
-        indices after the totals arrays grow past their initial 16 rows,
-        and a set closed before the growth reuses them afterwards."""
-        ledger = EpochLedger()
+    def test_cached_rows_are_catalog_ranks(self):
+        """The rows kept per offered set are the products' catalog ranks,
+        the totals are sized to the catalog, and a set closed before is
+        reused by an equal set closed later."""
+        ids = ["s0", "s1", "s2"] + [f"{c}{j:02d}" for c in "nm" for j in range(40)]
+        ledger = new_ledger(ids)
         first = TieredOffer.two_tier(["s0", "s1"], ["s2"])
         ledger.record_step(first, NO_PURCHASE)  # closes both tiers
         kept = ledger._set_rows[first.tiers[0]]
         for j in range(40):
             ledger.record_step(TieredOffer.two_tier([f"n{j:02d}"], [f"m{j:02d}"]), NO_PURCHASE)
-        assert len(ledger._epochs_total) >= 83 > 16
+        assert len(ledger._epochs_total) == 83
         again = TieredOffer.two_tier(["s1", "s0"], ["s2"])  # equal sets, new objects
         ledger.record_step(again, ChoiceOutcome("s2", 1))
         ledger.record_step(again, NO_PURCHASE)
@@ -478,18 +485,50 @@ class TestVectorIndex:
         for other in (ledger, random_ledger(7)):
             assert set(other._set_rows) == {r.offered for k in (0, 1) for r in other.epochs(k)}
             for offered, rows in other._set_rows.items():
-                assert rows.tolist() == [other._index[i] for i in offered]
+                assert rows.tolist() == [other._catalog._rank[i] for i in offered]
             for i, (epochs, purchases, launch) in reference_totals(other).items():
                 assert other.times_offered(i) == epochs
                 assert other.purchase_total(i) == purchases
                 assert other.launch_epoch(i) == launch
 
 
+class TestCatalogRanks:
+    """The ledger counts by catalog rank and refuses ids outside its catalog."""
+
+    @pytest.mark.parametrize(
+        "tiers, outcome",
+        [
+            ((["a", "zz"], ["b"]), ChoiceOutcome("a", 0)),
+            ((["a"], ["b", "zz"]), NO_PURCHASE),
+            ((["a"], ["zz"]), ChoiceOutcome("a", 0)),  # tier 2 unviewed
+        ],
+    )
+    def test_unknown_id_leaves_the_ledger_as_it_was(self, tiers, outcome):
+        ledger = scripted_ledger()
+        totals = (ledger._epochs_total, ledger._purchases_total, ledger._launch_epoch)
+        before = (ledger.completed, ledger.steps_recorded, [t.tolist() for t in totals])
+        with pytest.raises(UnknownProductError):
+            ledger.record_step(TieredOffer.two_tier(*tiers), outcome)
+        assert (ledger.completed, ledger.steps_recorded, [t.tolist() for t in totals]) == before
+        assert ledger.open_labels() == (6, 6)
+        ledger.record_step(OFFER, NO_PURCHASE)
+        assert (ledger.completed, ledger.steps_recorded) == (8, 10)
+
+    def test_means_read_zero_for_never_offered(self):
+        for ledger in (scripted_ledger(), random_ledger(8, n_steps=400)):
+            ids = list(ledger._catalog._rank)
+            assert not all(map(ledger.has_estimate, ids))
+            got = ledger._means(ledger._catalog._indices(ids)).tolist()
+            assert got == [
+                ledger.valuation_estimate(i) if ledger.has_estimate(i) else 0.0 for i in ids
+            ]
+
+
 class TestGeometricEpochCounts:
     def sample_counts(self, offer, catalog, product, tier_index, n_epochs, seed):
         sampler = ChoiceSampler(offer, catalog)
         rng = BufferedRandom(np.random.default_rng(seed))
-        ledger = EpochLedger()
+        ledger = EpochLedger(catalog)
         while ledger.times_offered(product) < n_epochs:
             ledger.record_step(offer, sampler.sample(rng))
         return np.array(

@@ -286,8 +286,8 @@ class TestOptimisticValuations:
 
     def test_rows_follow_a_view_gaining_estimates(self):
         """With every product launched at t=0 the policy keeps one visible
-        view object, whose estimated products (and their cached ledger rows) grow
-        as epochs close; every re-solve writes the scalar loop's values."""
+        view object, whose estimated products' ranks grow as epochs close;
+        every re-solve writes the scalar loop's values."""
         rng = np.random.default_rng(32)
         catalog = Catalog(
             tuple(
@@ -312,10 +312,10 @@ class TestOptimisticValuations:
                 got = {i: float(policy._w[catalog._rank[i]]) for i in policy._visible}
                 assert got == reference_optimistic_valuations(policy, policy.ledger.completed)
                 view = policy._view
-                assert view.estimated_rows.tolist() == [
-                    policy.ledger._index[i] for i in view.estimated
+                assert view.estimated_ranks.tolist() == [
+                    catalog._rank[i] for i in view.unknown if policy.ledger.has_estimate(i)
                 ]
-                sizes.append(len(view.estimated))
+                sizes.append(len(view.estimated_ranks))
             policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
         assert all(view is views[0] for view in views)
         assert len(set(sizes) - {0}) >= 2
