@@ -149,24 +149,23 @@ class EpochLedger:
         for offered in tiers:  # an id outside the catalog raises before any tally
             if offered not in self._set_rows:
                 self._catalog._indices(offered)
-        self.steps_recorded += 1
-        t = self.steps_recorded
-        tier2_viewed = tier != 0
-        for k in (0, 1) if tier2_viewed else (0,):
-            open_ = self._open[k]
-            locked = open_.offered
-            if locked is None:
-                open_.offered = tiers[k]
-            elif locked is not tiers[k] and locked != tiers[k]:  # mostly the same object
+        viewed, opens = (0, 1) if tier != 0 else (0,), self._open
+        for k in viewed:  # both locks hold before anything changes
+            locked = opens[k].offered
+            if locked is not None and locked is not tiers[k] and locked != tiers[k]:
                 raise InvalidOfferError(
-                    f"tier {k + 1} changed during epoch {open_.label}: locked "
+                    f"tier {k + 1} changed during epoch {opens[k].label}: locked "
                     f"{sorted_ids(locked)}, got {sorted_ids(tiers[k])}"
                 )
-            open_.steps.append(t)
+        t = self.steps_recorded = self.steps_recorded + 1
+        for k in viewed:
+            if opens[k].offered is None:
+                opens[k].offered = tiers[k]
+            opens[k].steps.append(t)
         if product is not None:
             purchases = self._open[tier].purchases
             purchases[product] = purchases.get(product, 0) + 1
-        if not tier2_viewed:
+        if tier == 0:
             return None, None
         # tier 1 closes exactly when the customer moves past it, tier 2 when
         # the customer walks away entirely; both reopen only after every

@@ -27,6 +27,7 @@ import bisect
 import json
 import math
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -73,6 +74,8 @@ class Product:
     def __post_init__(self):
         if not isinstance(self.id, (int, str)) or isinstance(self.id, bool):
             raise InvalidCatalogError(f"product id must be int or str, got {self.id!r}")
+        if type(self.id) is str:  # catalogs rebuilt from the same ids share one string each
+            object.__setattr__(self, "id", sys.intern(self.id))
         if type(self.profit) is not float or type(self.valuation) is not float:
             for name in ("profit", "valuation"):
                 what = f"product {self.id!r}: {name}"

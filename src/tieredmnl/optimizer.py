@@ -34,17 +34,23 @@ The search walks a structured family of offers instead of all subsets:
   - ``_tier1_prefix`` scans the free tier-1 candidates alike and stops at
     the first whose profit is at or below the best value so far.
 * Completion: when the candidate sets overlap, a shared product can be
-  worth *demoting* to tier 2 even though a lower-profit product stays in
-  tier 1, so prefix pairs alone can leave a gap.  What survives of the
-  prefix structure: tier 2 is still a prefix of its available candidates,
-  the tier-1 exclusives are still a prefix of X1\\X2, and every tier-1
-  product earns at least the optimal value.  ``_completion`` reads the
-  frame and weight lists the sweep read: the exclusives are the positions j
-  of ``ids1`` with ``pos2[j] == n2``, F the shared ones (``pos2[j] < n2``)
-  whose profit is above the seed value, and the subset P of F put in tier 1
-  is a flag list over tier-2 positions.  It enumerates every P — exact, but
-  exponential in |F|, so it is guarded by a work cap of 2^|F| (|exclusives|
-  + 1 + n2) steps and skippable via ``exact=False``.
+  worth *demoting* to tier 2 while a cheaper product stays in tier 1, so
+  prefix pairs alone can leave a gap.  Tier 2 is still a prefix of its
+  available candidates and the tier-1 exclusives a prefix of X1\\X2.  At
+  the optimal value L, let A be the shared positive-weight products above
+  L that sit in tier 2 (the others sit in tier 1), x = sum_A v and
+  c = sum_A (r - L) v.  With the rest B of tier 2 fixed, N - L*D =
+  const - c + (L*x + c + R_B) / (1 + x + V_B) falls in c and is monotone
+  in x, so A = {} or any A' with sum v >= x and sum rv <= sum_A rv does as
+  well: some optimum demotes a set on the Pareto frontier (max sum v,
+  min sum rv).  ``_completion`` builds it with the Nemhauser-Ullmann walk
+  over the shared positive-weight candidates in profit order; at some step
+  the walked products are those above L, and it stops at the first earning
+  no more than the best value so far.  Polynomial time is shown only for
+  disjoint candidate sets: with equal profits sum rv = r * sum v, so on
+  subset-sum-like shared catalogs every distinct weight sum is on the
+  frontier and it can grow exponentially.  So the walk is capped at
+  ``_MAX_EXACT_WORK`` steps, and ``exact=False`` skips it.
 
 ``brute_force_optimal`` enumerates every assignment outright with one
 recursive search for any number of tiers, and serves as the reference
@@ -64,7 +70,7 @@ from .model import Catalog, TieredOffer, _weight, expected_profit, sorted_ids
 
 # Largest enumeration ``brute_force_optimal`` starts, in assignments.
 _BRUTE_FORCE_CAP = 2_000_000
-# Largest subset enumeration the exact completion starts, in steps.
+# Largest work the exact completion's frontier walk does, in steps.
 _MAX_EXACT_WORK = 20_000_000
 
 
@@ -93,18 +99,13 @@ class SolveResult:
 
 
 def _thresholds(offer: TieredOffer, catalog: Catalog) -> tuple[float, ...]:
-    out = []
+    # each tier's minimum profit, kept non-increasing across non-empty tiers;
+    # lowering a cutoff below the tier's minimum keeps it a valid cutoff
+    out, prev = [], math.inf
     for tier in offer.tiers:
-        out.append(min((catalog.profit_of(i) for i in tier), default=math.inf))
-    # keep cutoffs non-increasing across non-empty tiers; lowering a cutoff
-    # below the tier's minimum profit keeps it a valid cutoff
-    prev = None
-    for k, tier in enumerate(offer.tiers):
-        if not tier:
-            continue
-        if prev is not None and out[k] > prev:
-            out[k] = prev
-        prev = out[k]
+        if tier:
+            prev = min(prev, min(catalog.profit_of(i) for i in tier))
+        out.append(prev if tier else math.inf)
     return tuple(out)
 
 
@@ -325,76 +326,73 @@ def _resolve_candidates(catalog, candidates, default):
 
 
 def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
-    """The exact completion on ``frame``'s lists and the weights the sweep
-    read (see the module docstring): tier 1 is a prefix of the exclusives
-    plus a subset P of the free shared candidates, tier 2 a prefix of the
-    tier-2 candidates outside P.  Subsets step in Gray-code order so each
-    differs from the last by one product; for a fixed P the best tier-2
-    prefix does not depend on the exclusive prefix, so each subset costs one
-    tier-2 walk plus one exclusive walk.
-
-    Raises InstanceTooLargeError when that would exceed ``_MAX_EXACT_WORK``
-    steps.  Returns (value, tier1 ids, tier2 ids) when some offer beats
-    ``seed_value``, else None.
-    """
+    """The exact completion on ``frame``'s lists and the sweep's weights (see
+    the module docstring).  A frontier point is a demoted set A as (sum rv,
+    -sum v, tier-2 position bits).  Walking product f merges the frontier
+    with a copy that also demotes f, sorts it and keeps each point whose
+    sum v strictly rises.  A point's offer has the walked products outside A
+    and the best exclusive prefix in tier 1, the best prefix of the tier-2
+    candidates left in tier 2; points holding f repeat their parent's offer
+    and are not priced again.  Raises InstanceTooLargeError once the work,
+    frontier points summed over the steps times |exclusives| + 1 + n2,
+    exceeds ``_MAX_EXACT_WORK``.  Returns (value, tier1 ids, tier2 ids) when
+    some offer beats ``seed_value``, else None."""
     r1, r2, pos2 = frame.profits1, frame.profits2, frame.pos2
     n2 = len(r2)
-    cutoff = max(seed_value - 1e-9, 0.0)
     exc = [j for j, k in enumerate(pos2) if k == n2]
-    free = [j for j, k in enumerate(pos2) if k < n2 and r1[j] > cutoff]
-    work = (1 << len(free)) * (len(exc) + 1 + n2)
-    if work > _MAX_EXACT_WORK:
-        raise InstanceTooLargeError(
-            f"exact completion would take ~{work} steps over {len(free)} "
-            f"candidate splits (cap {_MAX_EXACT_WORK}); restrict the "
-            "candidate sets or pass exact=False"
-        )
-    cum_v = [0.0]
-    cum_rv = [0.0]
-    for j in exc:
-        cum_v.append(cum_v[-1] + w1[j])
-        cum_rv.append(cum_rv[-1] + r1[j] * w1[j])
-    in_p = [False] * n2
-    sum_vp = 0.0
-    sum_rvp = 0.0
-    best_value = seed_value
-    best = None
-    for g in range(1 << len(free)):
-        if g:
-            j = free[(g & -g).bit_length() - 1]
-            r, w, k = r1[j], w1[j], pos2[j]
-            if in_p[k]:
-                sum_vp -= w
-                sum_rvp -= r * w
-            else:
-                sum_vp += w
-                sum_rvp += r * w
-            in_p[k] = not in_p[k]
-        tail_best = 0.0
-        e_best = 0
-        sv = 0.0
-        srv = 0.0
-        for k in range(n2):
-            if in_p[k]:
-                continue
-            w = w2[k]
-            sv += w
-            srv += r2[k] * w
-            tail = srv / (1.0 + sv)
-            if tail > tail_best:
-                tail_best = tail
-                e_best = k + 1
-        for a in range(len(exc) + 1):
-            value = (sum_rvp + cum_rv[a] + tail_best) / (1.0 + sum_vp + cum_v[a])
-            if value > best_value:
-                best_value = value
-                best = (in_p.copy(), a, e_best)
+    shared = [j for j, k in enumerate(pos2) if k < n2 and w1[j] > 0.0]
+    work = walk = len(exc) + 1 + n2
+    frontier = fresh = [(0.0, -0.0, 0)]
+    walked, sum_v, sum_rv = 0, 0.0, 0.0  # the walked products' tier-2 bits and sums
+    best_value, best = seed_value, None
+    for step in range(len(shared) + 1):
+        if work > _MAX_EXACT_WORK:
+            raise InstanceTooLargeError(
+                f"exact completion reached {work} steps on {len(frontier)} demoted "
+                f"sets (cap {_MAX_EXACT_WORK}); restrict the candidate sets or pass exact=False"
+            )
+        for rv_a, nv_a, bits in fresh:
+            tier1 = walked & ~bits
+            e, tail, sv, srv = 0, 0.0, 0.0, 0.0
+            for k in range(n2):
+                if tier1 >> k & 1:
+                    continue
+                r = r2[k]
+                if r <= tail:  # from here on no product raises tier 2's value
+                    break
+                sv += w2[k]
+                srv += r * w2[k]
+                if srv / (1.0 + sv) > tail:
+                    tail, e = srv / (1.0 + sv), k + 1
+            v, rv, a = 1.0 + sum_v + nv_a, sum_rv - rv_a + tail, 0
+            while True:
+                if rv / v > best_value:
+                    best_value, best = rv / v, (tier1, a, e)
+                if a == len(exc) or r1[exc[a]] <= best_value:
+                    break
+                v += w1[exc[a]]
+                rv += r1[exc[a]] * w1[exc[a]]
+                a += 1
+        if step == len(shared) or r1[shared[step]] <= max(best_value - 1e-9, 0.0):
+            break
+        j = shared[step]
+        w, rw, bit = w1[j], r1[j] * w1[j], 1 << pos2[j]
+        merged = sorted(frontier + [(rv_a + rw, nv_a - w, bits | bit) for rv_a, nv_a, bits in frontier])
+        frontier, top = [], math.inf
+        for point in merged:
+            if point[1] < top:
+                top = point[1]
+                frontier.append(point)
+        fresh = [point for point in frontier if not point[2] & bit]
+        walked |= bit
+        sum_v, sum_rv = sum_v + w, sum_rv + rw
+        work += len(frontier) * walk
     if best is None:
         return None
-    in_p, a, e = best
+    tier1, a, e = best
     ids1, ids2 = frame.ids1, frame.ids2
-    tier1 = [ids1[j] for j in exc[:a]] + [ids1[j] for j in free if in_p[pos2[j]]]
-    return best_value, tier1, [ids2[k] for k in range(e) if not in_p[k]]
+    shown1 = [ids1[j] for j in exc[:a]] + [ids2[k] for k in range(n2) if tier1 >> k & 1]
+    return best_value, shown1, [ids2[k] for k in range(e) if not tier1 >> k & 1]
 
 
 def solve_two_tier(
@@ -405,20 +403,20 @@ def solve_two_tier(
     candidates_tier2: Iterable | None = None,
     exact: bool = True,
 ) -> SolveResult:
-    """Two-tier optimum: prefix-pair seed plus the shared-subset completion.
+    """Two-tier optimum: prefix-pair seed plus the demoted-set frontier.
 
     ``valuations`` substitutes the catalog's preference weights (it may
     contain optimistic values above 1); candidate overrides restrict the
     catalog's candidate sets, e.g. to the currently launched products.
 
     With ``exact`` (the default) the returned maximum equals the global
-    maximum; the completion raises InstanceTooLargeError when its subset
-    enumeration would exceed ``_MAX_EXACT_WORK`` steps, which happens once
-    many shared products outearn the seed value.  ``exact=False`` returns
-    the best prefix-pair offer — already optimal for disjoint candidate
-    sets, and in the rare overlap corners short by at most a sliver; the
-    simulation loop runs with it so policies and their regret benchmark
-    price offers on one family.
+    maximum.  Polynomial time is shown only for disjoint candidate sets;
+    on shared ones the frontier walk can grow exponentially (equal profits
+    make it subset sum), so it raises InstanceTooLargeError past
+    ``_MAX_EXACT_WORK`` steps.  ``exact=False`` returns the best prefix-pair
+    offer — already optimal for disjoint candidate sets, and in the rare
+    overlap corners short by at most a sliver; the simulation loop runs with
+    it so policies and their regret benchmark price offers on one family.
     """
     x1 = _resolve_candidates(catalog, candidates_tier1, catalog.candidates_tier1)
     x2 = _resolve_candidates(catalog, candidates_tier2, catalog.candidates_tier2)

@@ -25,8 +25,8 @@ the ledger as one vector.
 Every policy, the oracle included, prices offers with the prefix-pair
 family (``exact=False``), the same family the simulator's regret benchmark
 maximizes over, so a policy is never judged against an optimum it was not
-allowed to search — and at the catalog sizes the experiments run, the exact
-completion would be intractable inside the decision loop anyway.
+allowed to search; the exact completion, which may hit its work cap, stays
+out of the decision loop.
 
 ``epoch_regret_closed_form`` / ``epoch_regret_monte_carlo`` price the
 per-epoch cost of carrying one under-learned product in either tier of a

@@ -143,6 +143,10 @@ class ExperimentConfig:
             )
         if not self.policies:
             raise ConfigError("config needs at least one policy")
+        labels = [spec.display_label for spec in self.policies]
+        for k, label in enumerate(labels):
+            if label in labels[:k]:
+                raise ConfigError(f"policy labels {label!r} and {label!r} are duplicates")
         if (self.catalog is None) == (not self.groups):
             raise ConfigError("provide exactly one of groups / explicit catalog")
         if self.known_products and self.catalog is None:
@@ -327,12 +331,7 @@ def replicate(
 
 def run_experiment(config: ExperimentConfig, n_reps: int | None = None) -> dict:
     """Replicate every policy in the config; label -> ReplicationSummary."""
-    results = {}
-    for spec in config.policies:
-        if spec.display_label in results:
-            raise ConfigError(f"duplicate policy label {spec.display_label!r}")
-        results[spec.display_label] = replicate(config, spec, n_reps)
-    return results
+    return {spec.display_label: replicate(config, spec, n_reps) for spec in config.policies}
 
 
 # --- benchmark experiment presets ------------------------------------------------

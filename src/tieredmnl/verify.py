@@ -106,13 +106,14 @@ def _check_epoch_bookkeeping() -> CheckResult:
     buy1 = ChoiceOutcome("a", 0)
     buy2 = ChoiceOutcome("b", 1)
     ledger = EpochLedger(Catalog((Product("a", 1.0, 0.5), Product("b", 1.0, 0.5))))
-    for outcome in (buy1, buy2, buy1, buy1, NO_PURCHASE, buy2, buy1, buy1, NO_PURCHASE):
-        ledger.record_step(offer, outcome)
+    stream = (buy1, buy2, buy1, buy1, NO_PURCHASE, buy2, buy1, buy1, NO_PURCHASE)
+    steps = [ledger.record_step(offer, outcome) for outcome in stream]
+    closed = [[step[k] for step in steps if step[k] is not None] for k in (0, 1)]
     got = (
-        ledger.labels(0),
-        tuple(r.purchases_of("a") for r in ledger.epochs(0)),
-        ledger.labels(1),
-        tuple(r.purchases_of("b") for r in ledger.epochs(1)),
+        tuple(r.label for r in closed[0]),
+        tuple(r.purchases_of("a") for r in closed[0]),
+        tuple(r.label for r in closed[1]),
+        tuple(r.purchases_of("b") for r in closed[1]),
         ledger.valuation_estimate("a"),
         ledger.valuation_estimate("b"),
         ledger.completed,
@@ -244,13 +245,13 @@ def _check_ucb_optimism(confidence_scale) -> CheckResult:
     rand = BufferedRandom(rng)
     ledger = EpochLedger(catalog)
     n_products, n_epochs = 12, 60
-    purchases = 0
-    while len(ledger.epochs(0)) < n_epochs:
+    purchases = epochs_done = 0
+    while epochs_done < n_epochs:
         record = ledger.record_step(offer, sampler.sample(rand))[0]
         if record is None:
             continue
         purchases += record.purchases_of("u")
-        epochs_done = len(ledger.epochs(0))
+        epochs_done += 1
         implemented = ledger.valuation_ucb(
             "u", ledger.completed, n_products, confidence_scale
         )

@@ -14,12 +14,14 @@ running-sum cores must return the same floats.  ``stack_sweep`` is the
 running-sum sweep as it tracked the tier-2 end with a stack; the sweep that
 derives the end once after the scan must return the same triple.
 ``id_completion`` is the exact completion as it was written on product ids,
-reading profits and weights one id at a time; the completion on the pair
-frame must pick the same tiers at the same value.
+a Gray-code enumeration of every split of the shared products that outearn
+the seed; the frontier completion must reach the same value.
+``frontier_sizes`` counts the completion's frontiers from all subsets.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -310,6 +312,27 @@ def id_completion(order2, exc1, free, catalog, valuations, seed_value):
     tier1 = tuple(exc1[:a]) + tuple(i for i in free if i in pset)
     tier2 = tuple(i for i in order2 if i not in pset)[:b]
     return best_value, tier1, tier2
+
+
+def frontier_sizes(items) -> list[int]:
+    """Sizes of the demoted-set frontiers over items[:k], k = 0..len(items),
+    each counted from all 2^k subsets: sort the (sum rv, -sum v) pairs and
+    count the points whose sum v strictly rises.  ``items`` are (profit,
+    weight) pairs whose sums are exact in floats or far apart, so the order
+    the sums are added in does not matter."""
+    sizes = []
+    for k in range(len(items) + 1):
+        points = sorted(
+            (sum(r * v for r, v in subset), -sum(v for _, v in subset))
+            for m in range(k + 1)
+            for subset in itertools.combinations(items[:k], m)
+        )
+        top, size = math.inf, 0
+        for _, neg_v in points:
+            if neg_v < top:
+                top, size = neg_v, size + 1
+        sizes.append(size)
+    return sizes
 
 
 def solve_two_tier_naive(

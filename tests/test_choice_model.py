@@ -221,6 +221,13 @@ class TestProductValidation:
         with pytest.raises(InvalidCatalogError, match="launch_time"):
             Product("x", 1.0, 0.5, launch_time=False)
 
+    def test_equal_string_ids_share_one_object(self):
+        """Catalogs rebuilt from the same ids (a replication, a re-read
+        file) hold one string per id, however each id string was built."""
+        first, second = (Product("".join(["p", str(k)]), 1.0, 0.5) for k in (7, 7))
+        assert first.id == "p7" and first.id is second.id
+        assert Product(7, 1.0, 0.5).id == 7
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InvalidCatalogError):
             Catalog((Product("a", 1.0, 0.5), Product("a", 2.0, 0.5)))

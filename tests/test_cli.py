@@ -11,11 +11,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tieredmnl import __version__
 from tieredmnl.cli import OUT_ENV_VAR, main
-from tieredmnl.model import Catalog, Product, save_catalog
+from tieredmnl.model import Catalog, Product, save_catalog, sorted_ids
+from tieredmnl.optimizer import solve_two_tier
 from tieredmnl.simulator import (
     ExperimentConfig,
     PolicySpec,
@@ -65,6 +67,26 @@ class TestSolve:
             "profit thresholds: 10, 1",
             "expected profit: 1.363636",
         ]
+
+    def test_large_shared_catalog_is_solved_exactly(self, tmp_path, capsys):
+        """100 products shared by both tiers with weights up to 0.1: the
+        demoted-set frontier stays small where all 2^|F| splits did not."""
+        rng = np.random.default_rng(20190429)
+        catalog = Catalog(
+            tuple(
+                Product(f"p{k:03d}", float(rng.uniform(0, 1)), float(rng.uniform(0, 0.1)))
+                for k in range(100)
+            )
+        )
+        path = tmp_path / "shared100.json"
+        save_catalog(catalog, path)
+        assert main(["solve", str(path)]) == 0
+        result = solve_two_tier(catalog)
+        assert capsys.readouterr().out.splitlines()[:2] == [
+            f"tier 1: {', '.join(sorted_ids(result.offer.tier(0)))}",
+            f"tier 2: {', '.join(sorted_ids(result.offer.tier(1)))}",
+        ]
+        assert result.offer.tier(1) and result.expected_profit > 0.0
 
     def test_missing_file_is_input_error(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
@@ -279,12 +301,18 @@ class TestCollidingLabels:
     CASES = [("x y", "x-y"), (None, None)]  # None: the label is the policy name
 
     def check_refused(self, tmp_path, capsys, argv, labels):
-        policies = tuple(PolicySpec("oracle", label=label) for label in labels)
-        _, path = small_config(tmp_path, policies=policies)
+        # written as a document: a config with equal labels cannot be built
+        _, path = small_config(tmp_path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for policy, label in zip(doc["policies"], labels):
+            policy.update(name="oracle", label=label)
+            if label is None:
+                del policy["label"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "out"
         assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == 1
         assert not out.exists()
-        first, second = (spec.display_label for spec in policies)
+        first, second = (label or "oracle" for label in labels)
         assert f"policy labels {first!r} and {second!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("labels", CASES)

@@ -167,6 +167,18 @@ class TestRecordingGuards:
                 TieredOffer.two_tier(["a"], ["b", "d"]), NO_PURCHASE
             )
 
+    def test_refused_step_changes_nothing(self):
+        """A step that tier 2's lock refuses neither counts nor binds tier 1's
+        fresh epoch: the next tier-1 epoch starts at the next accepted step."""
+        ledger = new_ledger()
+        ledger.record_step(OFFER, ChoiceOutcome("b", 1))  # tier 1 closes, tier 2 stays open
+        with pytest.raises(InvalidOfferError, match="tier 2 changed"):
+            ledger.record_step(TieredOffer.two_tier(["c"], ["b", "d"]), NO_PURCHASE)
+        assert ledger.steps_recorded == 1
+        closed1, closed2 = ledger.record_step(OFFER, NO_PURCHASE)
+        assert (closed1.steps, closed1.offered) == ((2,), OFFER.tier(0))
+        assert closed2.steps == (1, 2) and ledger.steps_recorded == 2
+
     def test_sets_may_change_at_epoch_boundaries(self):
         ledger = new_ledger()
         ledger.record_step(OFFER, NO_PURCHASE)  # closes both epochs

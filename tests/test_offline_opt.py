@@ -10,10 +10,14 @@ import itertools
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from reference_solvers import (
+    frontier_sizes,
     gathered,
     id_completion,
     numpy_sweep,
@@ -89,6 +93,17 @@ class TestWorkedExamples:
         assert result.expected_profit == pytest.approx(1.6, abs=1e-12)
         assert result.thresholds == (4.0, 2.0)
 
+    def test_demoted_product_above_a_cheaper_tier_one_product(self):
+        """The optimum demotes p1 while the cheaper p0 stays in tier 1, which
+        no prefix pair reaches; the frontier walk must run down to p0."""
+        catalog = Catalog(
+            (Product("p0", 0.052, 0.014), Product("p1", 0.098, 0.148), Product("p2", 0.204, 0.026))
+        )
+        result = solve_two_tier(catalog)
+        assert result.offer == TieredOffer.two_tier(["p0", "p2"], ["p1"])
+        assert result.expected_profit == brute_force_optimal(catalog).expected_profit
+        assert solve_two_tier(catalog, exact=False).expected_profit < result.expected_profit
+
     def test_empty_catalog(self):
         result = solve_two_tier(Catalog(()))
         assert result.offer.is_empty
@@ -159,6 +174,43 @@ class TestSolverMatchesExhaustive:
         )
         assert result.offer.tier(0) <= frozenset(["b"])
         assert result.offer.tier(1) <= frozenset(["c"])
+
+
+@st.composite
+def tick_catalogs(draw):
+    """Up to 13 shared products and, below that, products only one tier may
+    take, profits on a quarter tick, some zero weights, and now and then
+    valuation overrides up to 3.  The oracle's enumeration stays within
+    3^13 assignments."""
+    n_shared = draw(st.integers(0, 13))
+    n = n_shared + draw(st.integers(0, 13 - n_shared))
+    column = lambda values: st.lists(values, min_size=n, max_size=n)  # noqa: E731
+    weight = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    profits = draw(column(st.sampled_from([0.25, 0.5, 0.75, 1.0])))
+    weights = draw(column(weight))
+    tier1_only = draw(column(st.booleans()))
+    products = tuple(Product(f"p{k:02d}", profits[k], weights[k]) for k in range(n))
+    x1 = [p.id for k, p in enumerate(products) if k < n_shared or tier1_only[k]]
+    x2 = [p.id for k, p in enumerate(products) if k < n_shared or not tier1_only[k]]
+    overrides = draw(st.none() | column(st.one_of(st.just(0.0), st.floats(0.0, 3.0))))
+    valuations = None if overrides is None else {p.id: w for p, w in zip(products, overrides)}
+    return Catalog(products, x1, x2), valuations
+
+
+class TestFrontierMatchesExhaustive:
+    @settings(
+        max_examples=60,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(tick_catalogs())
+    def test_exact_solve_reaches_the_oracle(self, case):
+        catalog, valuations = case
+        fast = solve_two_tier(catalog, valuations=valuations)
+        slow = brute_force_optimal(catalog, valuations=valuations)
+        assert abs(fast.expected_profit - slow.expected_profit) <= 1e-12
 
 
 class TestNaiveTwin:
@@ -640,8 +692,8 @@ class TestProfitOrder:
 
 class TestWorkCap:
     def shared_catalog(self, n):
-        # identical candidate sets and tightly spaced profits maximize the
-        # completion's free-subset size
+        # identical candidate sets and tightly spaced profits walk every
+        # product: the frontier after k of them holds k + 1 demoted sets
         return Catalog(
             tuple(Product(f"p{k:02d}", 5.0 + 0.001 * k, 0.5) for k in range(n))
         )
@@ -666,12 +718,29 @@ class TestWorkCap:
         monkeypatch.setattr(optimizer, "_MAX_EXACT_WORK", 200_000)
         solve_two_tier(catalog)
 
+    def test_equal_profit_subset_sum_reaches_the_real_cap(self):
+        """Equal profits make sum rv = r * sum v, so every distinct weight
+        sum of the walked shared products is on the frontier and it doubles
+        with each product.  600 low-profit tier-1-only products lengthen
+        each point's walk to 621 steps, so the unpatched cap falls at a
+        frontier of 2^14 points and the test stays small."""
+        rng = np.random.default_rng(20190429)
+        shared = [Product(f"s{k:02d}", 1.0, float(rng.uniform(0.05, 0.1))) for k in range(20)]
+        pads = [Product(f"x{k:03d}", 0.01, 0.01) for k in range(600)]
+        ids = [p.id for p in shared]
+        catalog = Catalog(tuple(shared + pads), ids + [p.id for p in pads], ids)
+        with pytest.raises(InstanceTooLargeError, match=r"reached \d+ steps on 16384 demoted sets"):
+            solve_two_tier(catalog)
+        assert solve_two_tier(catalog, exact=False).expected_profit > 0.0
+
 
 class TestFrameCompletion:
-    """The completion on the pair frame's lists against ``id_completion``,
-    the same search written on product ids: the same value (``==``) and the
-    same tier sets, on shared and overlapping catalogs with profits on a
-    tick (ties), about 30% zero weights and float or int overrides."""
+    """The frontier completion against ``id_completion``, the Gray-code
+    search over every split of the shared products written on product ids:
+    the same repriced value (``==``) and the same tier sets unless the two
+    offers tie in exact arithmetic, on shared and overlapping catalogs with
+    profits on a tick (ties), about 30% zero weights and float or int
+    overrides."""
 
     @staticmethod
     def random_case(rng, shape):
@@ -700,71 +769,87 @@ class TestFrameCompletion:
     def seeded_frame(catalog, valuations):
         frame = _PairFrame(catalog, catalog.candidates_tier1, catalog.candidates_tier2)
         w1, w2 = frame.weights(_weight_vector(catalog, valuations, frame.ids1, frame.ids2))
-        value = _sweep(frame.profits1, w1, frame.profits2, w2, frame.rank1, frame.pos2)[0]
-        return frame, w1, w2, value
+        value, a, e = _sweep(frame.profits1, w1, frame.profits2, w2, frame.rank1, frame.pos2)
+        return frame, w1, w2, value, TieredOffer.two_tier(*frame.tiers(a, e))
 
     @staticmethod
-    def id_lists(catalog, seed_value):
-        """The exclusives and free shared candidates on ids, in profit order."""
-        x1, x2 = catalog.candidates_tier1, catalog.candidates_tier2
-        cutoff = max(seed_value - 1e-9, 0.0)
-        free = [i for i in profit_order(x1 & x2, catalog) if catalog.profit_of(i) > cutoff]
-        return profit_order(x1 - x2, catalog), free
+    def exact_value(offer, catalog, valuations):
+        """The offer's expected profit in rational arithmetic."""
+        weight = (lambda i: catalog.valuation_of(i)) if valuations is None else valuations.__getitem__
+        sums = [
+            (sum(Fraction(catalog.profit_of(i)) * Fraction(weight(i)) for i in tier),
+             sum(Fraction(weight(i)) for i in tier))
+            for tier in offer.tiers
+        ]
+        (rv1, v1), (rv2, v2) = sums
+        return (rv1 + rv2 / (1 + v2)) / (1 + v1)
 
     @pytest.mark.parametrize("shape", ["shared", "overlapping"])
     def test_same_value_and_tiers_as_the_id_search(self, shape):
         rng = np.random.default_rng(20190512 + (shape == "shared"))
-        refined = 0
+        refined = ties = 0
         for _ in range(1500):
             catalog, valuations = self.random_case(rng, shape)
-            frame, w1, w2, seed_value = self.seeded_frame(catalog, valuations)
-            got = _completion(frame, w1, w2, seed_value)
-            exc1, free = self.id_lists(catalog, seed_value)
-            want = id_completion(frame.ids2, exc1, free, catalog, valuations, seed_value)
-            if want is None:
-                assert got is None
-                continue
-            refined += 1
-            assert got[0] == want[0]
-            assert (frozenset(got[1]), frozenset(got[2])) == (
-                frozenset(want[1]),
-                frozenset(want[2]),
+            frame, w1, w2, seed_value, seed = self.seeded_frame(catalog, valuations)
+            x1, x2 = catalog.candidates_tier1, catalog.candidates_tier2
+            cutoff = max(seed_value - 1e-9, 0.0)
+            free = [i for i in profit_order(x1 & x2, catalog) if catalog.profit_of(i) > cutoff]
+            want = id_completion(
+                frame.ids2, profit_order(x1 - x2, catalog), free, catalog, valuations, seed_value
             )
+            got = _completion(frame, w1, w2, seed_value)
+            offers = [seed if r is None else TieredOffer.two_tier(r[1], r[2]) for r in (got, want)]
+            refined += want is not None
+            assert expected_profit(offers[0], catalog, valuations) == expected_profit(
+                offers[1], catalog, valuations
+            )
+            if offers[0] != offers[1]:
+                ties += 1
+                assert self.exact_value(offers[0], catalog, valuations) == self.exact_value(
+                    offers[1], catalog, valuations
+                )
         assert refined >= 20  # the cases reach past the seed family
+        assert ties < 150  # most offers are the same; the rest move zero weights
 
     CAP_CASES = {
-        # close profits: six shared products outearn the seed, two exclusives
-        "close": (
-            Catalog(
-                tuple(Product(f"p{k:02d}", 5.0 + 0.001 * k, 0.5) for k in range(10)),
-                candidates_tier1=[f"p{k:02d}" for k in range(8)],
-                candidates_tier2=[f"p{k:02d}" for k in range(2, 10)],
-            ),
-            6,
+        # equal weights: the frontier after k of the six shared products
+        # holds the k + 1 cheapest-first demoted sets; two exclusives
+        "close": Catalog(
+            tuple(Product(f"p{k:02d}", 5.0 + 0.001 * k, 0.5) for k in range(10)),
+            candidates_tier1=[f"p{k:02d}" for k in range(8)],
+            candidates_tier2=[f"p{k:02d}" for k in range(2, 10)],
         ),
-        # the seed is worth exactly 1.0: "b" clears the cutoff 1 - 1e-9 and
-        # "c", at the cutoff itself, does not
-        "cutoff": (
-            Catalog(
-                (Product("a", 2.0, 1.0), Product("b", 1.0, 0.0), Product("c", 1.0 - 1e-9, 0.0))
-            ),
-            2,
+        # the walk's cutoff: it covers the five "h" products and stops at
+        # "l0", below the seed value; dyadic weights keep every sum exact
+        "cutoff": Catalog(
+            tuple(Product(f"h{k}", 4.0 - 0.25 * k, (k + 2) / 16) for k in range(5))
+            + (Product("l0", 0.5, 0.5), Product("l1", 0.25, 0.25))
+            + (Product("e", 2.0, 0.25), Product("t", 1.0, 0.5)),
+            candidates_tier1=["h0", "h1", "h2", "h3", "h4", "l0", "l1", "e"],
+            candidates_tier2=["h0", "h1", "h2", "h3", "h4", "l0", "l1", "t"],
         ),
     }
 
     @pytest.mark.parametrize("case", sorted(CAP_CASES))
     def test_cap_boundary(self, monkeypatch, case):
-        catalog, n_free = self.CAP_CASES[case]
+        catalog = self.CAP_CASES[case]
+        x1, x2 = catalog.candidates_tier1, catalog.candidates_tier2
         seed_value = self.seeded_frame(catalog, None)[3]
-        exc1, free = self.id_lists(catalog, seed_value)
-        assert len(free) == n_free
-        work = 2 ** len(free) * (len(exc1) + 1 + len(catalog.candidates_tier2))
+        optimum = brute_force_optimal(catalog).expected_profit
+        shared = profit_order(x1 & x2, catalog)
+        walked = [i for i in shared if catalog.profit_of(i) > optimum]
+        # every walked product outearns the optimum and the next one is
+        # below the seed value, so the walk covers exactly ``walked``
+        assert all(catalog.profit_of(i) < seed_value - 1e-9 for i in shared[len(walked):])
+        items = [(catalog.profit_of(i), catalog.valuation_of(i)) for i in walked]
+        sizes = frontier_sizes(items)
+        work = sum(sizes) * (len(x1 - x2) + 1 + len(x2))
         monkeypatch.setattr(optimizer, "_MAX_EXACT_WORK", work)
         solve_two_tier(catalog)
         monkeypatch.setattr(optimizer, "_MAX_EXACT_WORK", work - 1)
         message = (
-            f"exact completion would take ~{work} steps over {n_free} candidate "
-            f"splits (cap {work - 1}); restrict the candidate sets or pass exact=False"
+            f"exact completion reached {work} steps on {sizes[-1]} demoted sets "
+            f"(cap {work - 1}); restrict the candidate sets or pass exact=False"
         )
         with pytest.raises(InstanceTooLargeError, match=f"^{re.escape(message)}$"):
             solve_two_tier(catalog)

@@ -380,11 +380,11 @@ class TestReplication:
         assert results["oracle"].mean_final_regret == 0.0
 
     def test_duplicate_labels_rejected(self):
-        config = oracle_config(
-            policies=(ORACLE, PolicySpec("oracle", label="oracle"))
-        )
-        with pytest.raises(ConfigError, match="duplicate"):
-            run_experiment(config, n_reps=1)
+        """Refused when the config is built, before any policy runs, whether
+        the label is given or defaults to the policy name."""
+        for second in (PolicySpec("oracle", label="oracle"), ORACLE):
+            with pytest.raises(ConfigError, match="'oracle' and 'oracle' are duplicates"):
+                oracle_config(policies=(ORACLE, second))
 
 
 class TestPresets:
