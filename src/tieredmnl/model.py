@@ -104,18 +104,18 @@ class Catalog:
     means every product is a candidate for that tier.
 
     Construction fixes the canonical order (profit descending, then
-    ``str(id)``), each id's rank in it, the profit and valuation arrays in
-    that order, and the launch schedule behind ``visible_at``.  These caches
-    are never refreshed, so an instance must not be mutated after
-    construction.
+    ``str(id)``), each id's rank in it, the products and the profit and
+    valuation arrays in that order, and the launch schedule behind
+    ``visible_at``.  These caches are never refreshed, so an instance must
+    not be mutated after construction.
     """
 
     products: tuple[Product, ...]
     candidates_tier1: frozenset[ProductId] = None
     candidates_tier2: frozenset[ProductId] = None
-    _by_id: dict = field(init=False, repr=False, compare=False)
     _ids: frozenset = field(init=False, repr=False, compare=False)
     _rank: dict = field(init=False, repr=False, compare=False)
+    _ranked: tuple = field(init=False, repr=False, compare=False)
     _profits: np.ndarray = field(init=False, repr=False, compare=False)
     _valuations: np.ndarray = field(init=False, repr=False, compare=False)
     _launch_times: list = field(init=False, repr=False, compare=False)
@@ -124,12 +124,11 @@ class Catalog:
 
     def __post_init__(self):
         self.products = tuple(self.products)
-        self._by_id = {}
-        for p in self.products:
-            if p.id in self._by_id:
-                raise InvalidCatalogError(f"duplicate product id {p.id!r}")
-            self._by_id[p.id] = p
-        self._ids = all_ids = frozenset(self._by_id)
+        self._ids = all_ids = frozenset(p.id for p in self.products)
+        if len(all_ids) < len(self.products):  # name the first id seen twice
+            seen = set()
+            dup = next(p.id for p in self.products if p.id in seen or seen.add(p.id))
+            raise InvalidCatalogError(f"duplicate product id {dup!r}")
         for attr in ("candidates_tier1", "candidates_tier2"):
             raw = getattr(self, attr)
             ids = () if raw is None else tuple(raw)
@@ -143,7 +142,7 @@ class Catalog:
                     f"{sorted_ids(unknown)[0]!r}"
                 )
             setattr(self, attr, cand)
-        ranked = sorted(self.products, key=lambda p: (-p.profit, str(p.id)))
+        self._ranked = ranked = tuple(sorted(self.products, key=lambda p: (-p.profit, str(p.id))))
         self._rank = {p.id: k for k, p in enumerate(ranked)}
         self._profits = np.array([p.profit for p in ranked], dtype=float)
         self._valuations = np.array([p.valuation for p in ranked], dtype=float)
@@ -157,11 +156,11 @@ class Catalog:
         return self._ids
 
     def __contains__(self, product_id) -> bool:
-        return product_id in self._by_id
+        return product_id in self._rank
 
     def product(self, product_id) -> Product:
         try:
-            return self._by_id[product_id]
+            return self._ranked[self._rank[product_id]]
         except KeyError:
             raise UnknownProductError(product_id) from None
 
@@ -276,10 +275,7 @@ class ChoiceDistribution:
 
 
 def _weight(catalog: Catalog, valuations, product_id) -> float:
-    try:
-        product = catalog._by_id[product_id]  # membership check even when overridden
-    except KeyError:
-        raise UnknownProductError(product_id) from None
+    product = catalog.product(product_id)  # membership check even when overridden
     if valuations is None:
         return product.valuation
     try:
@@ -322,14 +318,14 @@ def expected_profit(
     """Expected per-customer profit sum_i r_i * p_i of a tiered offer."""
     total = 0.0
     reach = 1.0
-    by_id = catalog._by_id
+    ranked, rank = catalog._ranked, catalog._rank
     for tier in offer.tiers:
         sum_w = 0.0
         sum_rw = 0.0
         for i in sorted_ids(tier):
             w = _weight(catalog, valuations, i)
             sum_w += w
-            sum_rw += by_id[i].profit * w
+            sum_rw += ranked[rank[i]].profit * w
         denom = 1.0 + sum_w
         total += reach * sum_rw / denom
         reach /= denom

@@ -51,6 +51,13 @@ The search walks a structured family of offers instead of all subsets:
   subset-sum-like shared catalogs every distinct weight sum is on the
   frontier and it can grow exponentially.  So the walk is capped at
   ``_MAX_EXACT_WORK`` steps, and ``exact=False`` skips it.
+* Screen (Dinkelbach): with V and R the sums of 1 + v and of rv over a
+  point's tier-1 products and the exclusives above the best value lam, its
+  offers beat lam only if sum (r - need) v over its tier-2 candidates above
+  need = lam*V - R exceeds need.  Prefix sums over all tier-2 candidates
+  less the tier-1 terms bound that sum with one bisect.  A point it leaves
+  short by more than a margin scaled to the sums falls short of lam and is
+  skipped; the unchanged walks price the rest, so the answer is the same.
 
 ``brute_force_optimal`` enumerates every assignment outright with one
 recursive search for any number of tiers, and serves as the reference
@@ -60,7 +67,10 @@ oracle for the structured search.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -334,8 +344,10 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
     and the best exclusive prefix in tier 1, the best prefix of the tier-2
     candidates left in tier 2; points holding f repeat their parent's offer
     and are not priced again.  Raises InstanceTooLargeError once the work,
-    frontier points summed over the steps times |exclusives| + 1 + n2,
-    exceeds ``_MAX_EXACT_WORK``.  Returns (value, tier1 ids, tier2 ids) when
+    frontier points summed over the steps times |exclusives| + 1 + n2 (the
+    screen's skips included), exceeds ``_MAX_EXACT_WORK``.  The screen's margin
+    is 1e-9 * (1 + sum rv + (1 + |need|) * (1 + sum v)), sums over the tier-2
+    candidates and exclusives.  Returns (value, tier1 ids, tier2 ids) when
     some offer beats ``seed_value``, else None."""
     r1, r2, pos2 = frame.profits1, frame.profits2, frame.pos2
     n2 = len(r2)
@@ -345,6 +357,11 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
     frontier = fresh = [(0.0, -0.0, 0)]
     walked, sum_v, sum_rv = 0, 0.0, 0.0  # the walked products' tier-2 bits and sums
     best_value, best = seed_value, None
+    rx, wx = [r1[j] for j in exc], [w1[j] for j in exc]
+    neg2, negx = [-r for r in r2], [-r for r in rx]  # bisect(neg, -t) counts profits above t
+    cv2, crv2 = list(accumulate(w2, initial=0.0)), list(accumulate(map(mul, r2, w2), initial=0.0))
+    cvx, crvx = list(accumulate(wx, initial=0.0)), list(accumulate(map(mul, rx, wx), initial=0.0))
+    scale_rw, scale_w = 1.0 + crv2[-1] + crvx[-1], 1.0 + cv2[-1] + cvx[-1]
     for step in range(len(shared) + 1):
         if work > _MAX_EXACT_WORK:
             raise InstanceTooLargeError(
@@ -352,6 +369,13 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
                 f"sets (cap {_MAX_EXACT_WORK}); restrict the candidate sets or pass exact=False"
             )
         for rv_a, nv_a, bits in fresh:
+            rv1, v1 = sum_rv - rv_a, 1.0 + sum_v + nv_a
+            m = bisect_left(negx, -best_value)
+            need = best_value * (v1 + cvx[m]) - rv1 - crvx[m]  # the tier-2 value to beat
+            m = bisect_left(neg2, -need)
+            slack = crv2[m] - need * cv2[m] - rv1 + need * (v1 - 2.0)  # >= the sum less need
+            if slack < -1e-9 * (scale_rw + (1.0 + abs(need)) * scale_w):
+                continue
             tier1 = walked & ~bits
             e, tail, sv, srv = 0, 0.0, 0.0, 0.0
             for k in range(n2):
@@ -364,7 +388,7 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
                 srv += r * w2[k]
                 if srv / (1.0 + sv) > tail:
                     tail, e = srv / (1.0 + sv), k + 1
-            v, rv, a = 1.0 + sum_v + nv_a, sum_rv - rv_a + tail, 0
+            v, rv, a = v1, rv1 + tail, 0
             while True:
                 if rv / v > best_value:
                     best_value, best = rv / v, (tier1, a, e)

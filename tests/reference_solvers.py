@@ -16,7 +16,10 @@ derives the end once after the scan must return the same triple.
 ``id_completion`` is the exact completion as it was written on product ids,
 a Gray-code enumeration of every split of the shared products that outearn
 the seed; the frontier completion must reach the same value.
-``frontier_sizes`` counts the completion's frontiers from all subsets.
+``frontier_completion`` is the frontier completion as it was before the
+screen, pricing every fresh frontier point; the screened completion must
+return the same result.  ``frontier_sizes`` counts the completion's
+frontiers from all subsets.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import math
 
 import numpy as np
 
+from tieredmnl import optimizer
 from tieredmnl.errors import InstanceTooLargeError
 from tieredmnl.model import TieredOffer, _weight, expected_profit
 from tieredmnl.optimizer import (
@@ -312,6 +316,68 @@ def id_completion(order2, exc1, free, catalog, valuations, seed_value):
     tier1 = tuple(exc1[:a]) + tuple(i for i in free if i in pset)
     tier2 = tuple(i for i in order2 if i not in pset)[:b]
     return best_value, tier1, tier2
+
+
+def frontier_completion(frame, w1, w2, seed_value):
+    """``optimizer._completion`` without its screen: every fresh frontier
+    point is priced by the tier-2 and exclusive walks.  Same arguments,
+    work count, cap message and return value."""
+    r1, r2, pos2 = frame.profits1, frame.profits2, frame.pos2
+    n2 = len(r2)
+    exc = [j for j, k in enumerate(pos2) if k == n2]
+    shared = [j for j, k in enumerate(pos2) if k < n2 and w1[j] > 0.0]
+    work = walk = len(exc) + 1 + n2
+    frontier = fresh = [(0.0, -0.0, 0)]
+    walked, sum_v, sum_rv = 0, 0.0, 0.0  # the walked products' tier-2 bits and sums
+    best_value, best = seed_value, None
+    for step in range(len(shared) + 1):
+        if work > optimizer._MAX_EXACT_WORK:
+            raise InstanceTooLargeError(
+                f"exact completion reached {work} steps on {len(frontier)} demoted "
+                f"sets (cap {optimizer._MAX_EXACT_WORK}); restrict the candidate sets or pass exact=False"
+            )
+        for rv_a, nv_a, bits in fresh:
+            tier1 = walked & ~bits
+            e, tail, sv, srv = 0, 0.0, 0.0, 0.0
+            for k in range(n2):
+                if tier1 >> k & 1:
+                    continue
+                r = r2[k]
+                if r <= tail:  # from here on no product raises tier 2's value
+                    break
+                sv += w2[k]
+                srv += r * w2[k]
+                if srv / (1.0 + sv) > tail:
+                    tail, e = srv / (1.0 + sv), k + 1
+            v, rv, a = 1.0 + sum_v + nv_a, sum_rv - rv_a + tail, 0
+            while True:
+                if rv / v > best_value:
+                    best_value, best = rv / v, (tier1, a, e)
+                if a == len(exc) or r1[exc[a]] <= best_value:
+                    break
+                v += w1[exc[a]]
+                rv += r1[exc[a]] * w1[exc[a]]
+                a += 1
+        if step == len(shared) or r1[shared[step]] <= max(best_value - 1e-9, 0.0):
+            break
+        j = shared[step]
+        w, rw, bit = w1[j], r1[j] * w1[j], 1 << pos2[j]
+        merged = sorted(frontier + [(rv_a + rw, nv_a - w, bits | bit) for rv_a, nv_a, bits in frontier])
+        frontier, top = [], math.inf
+        for point in merged:
+            if point[1] < top:
+                top = point[1]
+                frontier.append(point)
+        fresh = [point for point in frontier if not point[2] & bit]
+        walked |= bit
+        sum_v, sum_rv = sum_v + w, sum_rv + rw
+        work += len(frontier) * walk
+    if best is None:
+        return None
+    tier1, a, e = best
+    ids1, ids2 = frame.ids1, frame.ids2
+    shown1 = [ids1[j] for j in exc[:a]] + [ids2[k] for k in range(n2) if tier1 >> k & 1]
+    return best_value, shown1, [ids2[k] for k in range(e) if not tier1 >> k & 1]
 
 
 def frontier_sizes(items) -> list[int]:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_solvers import (
+    frontier_completion,
     frontier_sizes,
     gathered,
     id_completion,
@@ -103,6 +104,32 @@ class TestWorkedExamples:
         assert result.offer == TieredOffer.two_tier(["p0", "p2"], ["p1"])
         assert result.expected_profit == brute_force_optimal(catalog).expected_profit
         assert solve_two_tier(catalog, exact=False).expected_profit < result.expected_profit
+
+    def test_exclusives_lift_a_demoting_offer_past_the_seed(self):
+        """The optimum demotes d to tier 2 and keeps the cheaper shared b
+        with the tier-1 exclusives a and c; without a and c, ({b}, {d})
+        falls short of the seed.  So the completion's screen must count
+        what exclusives add to tier 1 (G), with the sign that lowers the
+        tier-2 value to beat.  Dyadic profits and weights make every sum
+        exact: the optimum is 149/168 and the seed 59/72."""
+        catalog = Catalog(
+            (
+                Product("a", 1.0, 0.125),
+                Product("b", 1.5, 0.25),
+                Product("c", 1.25, 0.375),
+                Product("d", 1.75, 0.5),
+            ),
+            candidates_tier2=["b", "d"],
+        )
+        exact_value = TestFrameCompletion.exact_value
+        # the seed shows all four in tier 1: (59/32) / (1 + 5/4) = 59/72
+        seed = solve_two_tier(catalog, exact=False)
+        assert seed.offer == TieredOffer.two_tier(["a", "b", "c", "d"], [])
+        assert exact_value(TieredOffer.two_tier(["b"], ["d"]), catalog, None) < Fraction(59, 72)
+        result = solve_two_tier(catalog)
+        assert result.offer == TieredOffer.two_tier(["a", "b", "c"], ["d"])
+        assert exact_value(result.offer, catalog, None) == Fraction(149, 168)
+        assert result.expected_profit == brute_force_optimal(catalog).expected_profit
 
     def test_empty_catalog(self):
         result = solve_two_tier(Catalog(()))
@@ -853,6 +880,59 @@ class TestFrameCompletion:
         )
         with pytest.raises(InstanceTooLargeError, match=f"^{re.escape(message)}$"):
             solve_two_tier(catalog)
+
+
+class TestScreenedCompletion:
+    """``_completion`` skips the frontier points its Dinkelbach screen
+    rules out and prices the rest as ``frontier_completion`` does, so both
+    return the same result (``==``, None included) or raise the same cap
+    message.  Frames with up to 40 products: shared, overlapping and
+    exclusive-heavy candidate sets, profits on a quarter tick in a quarter
+    of the cases, about 15% zero weights, and overrides spread
+    log-uniformly up to 1e6 or 1e12, where a margin that does not scale
+    with the sums skips points the walk would take by rounding."""
+
+    @staticmethod
+    def random_case(rng, shape, scale):
+        n = int(rng.integers(2, 41))
+        if rng.random() < 0.25:
+            profits = rng.choice([0.25, 0.5, 0.75, 1.0], n)
+        else:
+            profits = rng.uniform(0, 1, n)
+        weights = np.where(rng.random(n) < 0.15, 0.0, rng.uniform(0, 1, n))
+        products = tuple(Product(f"p{k}", float(profits[k]), float(weights[k])) for k in range(n))
+        ids = [p.id for p in products]
+        if shape == "shared":
+            x1 = x2 = ids
+        elif shape == "overlapping":
+            x1 = [i for i in ids if rng.random() < 0.75]
+            x2 = [i for i in ids if rng.random() < 0.75]
+        else:
+            x1, x2 = ids, [i for i in ids if rng.random() < 0.4]
+        valuations = None if scale is None else {
+            i: 0.0 if rng.random() < 0.15 else float(rng.uniform(0, 1) * scale ** rng.random())
+            for i in ids
+        }
+        return Catalog(products, x1, x2), valuations
+
+    @staticmethod
+    def outcome(completion, *args):
+        try:
+            return completion(*args)
+        except InstanceTooLargeError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("shape", ["shared", "overlapping", "exclusive-heavy"])
+    def test_same_result_as_the_unscreened_walk(self, shape):
+        rng = np.random.default_rng(20190601 + len(shape))
+        refined = 0
+        for k in range(1002):
+            catalog, valuations = self.random_case(rng, shape, (None, 1e6, 1e12)[k % 3])
+            frame, w1, w2, seed_value, _ = TestFrameCompletion.seeded_frame(catalog, valuations)
+            want = self.outcome(frontier_completion, frame, w1, w2, seed_value)
+            assert self.outcome(_completion, frame, w1, w2, seed_value) == want
+            refined += isinstance(want, tuple)
+        assert refined >= 100  # the frames reach past the seed family
 
 
 class TestPrefixPairEnumeration:
