@@ -46,8 +46,14 @@ The search walks a structured family of offers instead of all subsets:
   min sum rv).  ``_completion`` builds it with the Nemhauser-Ullmann walk
   over the shared positive-weight candidates in profit order; at some step
   the walked products are those above L, and it stops at the first earning
-  no more than the best value so far.  Polynomial time is shown only for
-  disjoint candidate sets: with equal profits sum rv = r * sum v, so on
+  no more than the best value so far.  The frontier is two arrays, sum rv
+  and -sum v; each step stacks it on its shifted copy, sorts stably and
+  keeps the points whose sum v rises, in a few array calls, and records
+  each kept point's origin index, from which a priced point's demoted set
+  is read back.  The walked product's tier-2 bit is the highest so far, so
+  sorting (sum rv, -sum v, bits) tuples would break ties as the stable
+  sort does with the unshifted copy first.  Polynomial time is shown only
+  for disjoint candidate sets: with equal profits sum rv = r * sum v, so on
   subset-sum-like shared catalogs every distinct weight sum is on the
   frontier and it can grow exponentially.  So the walk is capped at
   ``_MAX_EXACT_WORK`` steps, and ``exact=False`` skips it.
@@ -337,16 +343,21 @@ def _resolve_candidates(catalog, candidates, default):
 
 def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
     """The exact completion on ``frame``'s lists and the sweep's weights (see
-    the module docstring).  A frontier point is a demoted set A as (sum rv,
-    -sum v, tier-2 position bits).  Walking product f merges the frontier
-    with a copy that also demotes f, sorts it and keeps each point whose
-    sum v strictly rises.  A point's offer has the walked products outside A
-    and the best exclusive prefix in tier 1, the best prefix of the tier-2
-    candidates left in tier 2; points holding f repeat their parent's offer
-    and are not priced again.  Raises InstanceTooLargeError once the work,
-    frontier points summed over the steps times |exclusives| + 1 + n2 (the
-    screen's skips included), exceeds ``_MAX_EXACT_WORK``.  The screen's margin
-    is 1e-9 * (1 + sum rv + (1 + |need|) * (1 + sum v)), sums over the tier-2
+    the module docstring).  The frontier of demoted sets A is the arrays
+    ``rv_a`` (sum rv) and ``nv_a`` (-sum v).  Walking product f stacks them
+    on a copy that also demotes f, sorts stably, unshifted copy first (f's
+    tier-2 bit is the highest yet, so (sum rv, -sum v, bits) tuples sort
+    alike), and keeps each point whose sum v strictly rises; ``history``
+    holds each kept point's origin in the stack, from which a priced point's
+    tier-1 bits are read back.  A point's offer has the walked products
+    outside A and the best exclusive prefix in tier 1, the best prefix of
+    the tier-2 candidates left in tier 2; points holding f repeat their
+    parent's offer and are not priced again.  Raises InstanceTooLargeError
+    once the work, frontier points summed over the steps times
+    |exclusives| + 1 + n2 (the screen's skips included), exceeds
+    ``_MAX_EXACT_WORK``.  The screen takes a step's fresh points at once,
+    and again past each point that raises the best value; its margin is
+    1e-9 * (1 + sum rv + (1 + |need|) * (1 + sum v)), sums over the tier-2
     candidates and exclusives.  Returns (value, tier1 ids, tier2 ids) when
     some offer beats ``seed_value``, else None."""
     r1, r2, pos2 = frame.profits1, frame.profits2, frame.pos2
@@ -354,63 +365,75 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
     exc = [j for j, k in enumerate(pos2) if k == n2]
     shared = [j for j, k in enumerate(pos2) if k < n2 and w1[j] > 0.0]
     work = walk = len(exc) + 1 + n2
-    frontier = fresh = [(0.0, -0.0, 0)]
-    walked, sum_v, sum_rv = 0, 0.0, 0.0  # the walked products' tier-2 bits and sums
+    rv_a, nv_a, fresh, history = np.zeros(1), np.array([-0.0]), np.zeros(1, int), []
+    sum_v, sum_rv = 0.0, 0.0  # the walked products' sums
     best_value, best = seed_value, None
     rx, wx = [r1[j] for j in exc], [w1[j] for j in exc]
-    neg2, negx = [-r for r in r2], [-r for r in rx]  # bisect(neg, -t) counts profits above t
+    neg2, negx = -np.array(r2), [-r for r in rx]  # bisect(neg, -t) counts profits above t
     cv2, crv2 = list(accumulate(w2, initial=0.0)), list(accumulate(map(mul, r2, w2), initial=0.0))
     cvx, crvx = list(accumulate(wx, initial=0.0)), list(accumulate(map(mul, rx, wx), initial=0.0))
     scale_rw, scale_w = 1.0 + crv2[-1] + crvx[-1], 1.0 + cv2[-1] + cvx[-1]
-    for step in range(len(shared) + 1):
-        if work > _MAX_EXACT_WORK:
-            raise InstanceTooLargeError(
-                f"exact completion reached {work} steps on {len(frontier)} demoted "
-                f"sets (cap {_MAX_EXACT_WORK}); restrict the candidate sets or pass exact=False"
-            )
-        for rv_a, nv_a, bits in fresh:
-            rv1, v1 = sum_rv - rv_a, 1.0 + sum_v + nv_a
-            m = bisect_left(negx, -best_value)
-            need = best_value * (v1 + cvx[m]) - rv1 - crvx[m]  # the tier-2 value to beat
-            m = bisect_left(neg2, -need)
-            slack = crv2[m] - need * cv2[m] - rv1 + need * (v1 - 2.0)  # >= the sum less need
-            if slack < -1e-9 * (scale_rw + (1.0 + abs(need)) * scale_w):
-                continue
-            tier1 = walked & ~bits
-            e, tail, sv, srv = 0, 0.0, 0.0, 0.0
-            for k in range(n2):
-                if tier1 >> k & 1:
-                    continue
-                r = r2[k]
-                if r <= tail:  # from here on no product raises tier 2's value
-                    break
-                sv += w2[k]
-                srv += r * w2[k]
-                if srv / (1.0 + sv) > tail:
-                    tail, e = srv / (1.0 + sv), k + 1
-            v, rv, a = v1, rv1 + tail, 0
-            while True:
-                if rv / v > best_value:
-                    best_value, best = rv / v, (tier1, a, e)
-                if a == len(exc) or r1[exc[a]] <= best_value:
-                    break
-                v += w1[exc[a]]
-                rv += r1[exc[a]] * w1[exc[a]]
-                a += 1
-        if step == len(shared) or r1[shared[step]] <= max(best_value - 1e-9, 0.0):
-            break
-        j = shared[step]
-        w, rw, bit = w1[j], r1[j] * w1[j], 1 << pos2[j]
-        merged = sorted(frontier + [(rv_a + rw, nv_a - w, bits | bit) for rv_a, nv_a, bits in frontier])
-        frontier, top = [], math.inf
-        for point in merged:
-            if point[1] < top:
-                top = point[1]
-                frontier.append(point)
-        fresh = [point for point in frontier if not point[2] & bit]
-        walked |= bit
-        sum_v, sum_rv = sum_v + w, sum_rv + rw
-        work += len(frontier) * walk
+    cv2, crv2 = np.array(cv2), np.array(crv2)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge overrides overflow, as floats do
+        for step in range(len(shared) + 1):
+            if work > _MAX_EXACT_WORK:
+                raise InstanceTooLargeError(
+                    f"exact completion reached {work} steps on {len(rv_a)} demoted "
+                    f"sets (cap {_MAX_EXACT_WORK}); restrict the candidate sets or pass exact=False"
+                )
+            while len(fresh):
+                rv1, v1 = sum_rv - rv_a[fresh], 1.0 + sum_v + nv_a[fresh]
+                m = bisect_left(negx, -best_value)
+                need = best_value * (v1 + cvx[m]) - rv1 - crvx[m]  # the tier-2 value to beat
+                m = np.searchsorted(neg2, -need)
+                slack = crv2[m] - need * cv2[m] - rv1 + need * (v1 - 2.0)  # >= the sum less need
+                skip = slack < -1e-9 * (scale_rw + (1.0 + abs(need)) * scale_w)  # NaN is priced
+                value = best_value
+                for i in (~skip).nonzero()[0].tolist():
+                    tier1, o = 0, fresh[i]
+                    for origin, n, bit in reversed(history):
+                        o = origin[o]
+                        if o < n:  # the product walked at that step stayed in tier 1
+                            tier1 |= bit
+                        else:
+                            o -= n
+                    e, tail, sv, srv = 0, 0.0, 0.0, 0.0
+                    for k in range(n2):
+                        if tier1 >> k & 1:
+                            continue
+                        r = r2[k]
+                        if r <= tail:  # from here on no product raises tier 2's value
+                            break
+                        sv += w2[k]
+                        srv += r * w2[k]
+                        if srv / (1.0 + sv) > tail:
+                            tail, e = srv / (1.0 + sv), k + 1
+                    v, rv, a = float(v1[i]), float(rv1[i]) + tail, 0
+                    while True:
+                        if rv / v > best_value:
+                            best_value, best = rv / v, (tier1, a, e)
+                        if a == len(exc) or r1[exc[a]] <= best_value:
+                            break
+                        v += w1[exc[a]]
+                        rv += r1[exc[a]] * w1[exc[a]]
+                        a += 1
+                    if best_value > value:
+                        break
+                fresh = fresh[i + 1:] if best_value > value else fresh[:0]  # re-screen the rest
+            if step == len(shared) or r1[shared[step]] <= max(best_value - 1e-9, 0.0):
+                break
+            j = shared[step]
+            w, rw, n = w1[j], r1[j] * w1[j], len(rv_a)
+            rv_a, nv_a = np.concatenate((rv_a, rv_a + rw)), np.concatenate((nv_a, nv_a - w))
+            order = np.lexsort((nv_a, rv_a))
+            nv_a = nv_a[order]
+            keep = np.concatenate(([True], nv_a[1:] < np.minimum.accumulate(nv_a)[:-1]))
+            origin = order[keep]
+            rv_a, nv_a = rv_a[origin], nv_a[keep]
+            history.append((origin, n, 1 << pos2[j]))
+            fresh = (origin < n).nonzero()[0]
+            sum_v, sum_rv = sum_v + w, sum_rv + rw
+            work += len(rv_a) * walk
     if best is None:
         return None
     tier1, a, e = best

@@ -125,6 +125,7 @@ class TestWorkedExamples:
         # the seed shows all four in tier 1: (59/32) / (1 + 5/4) = 59/72
         seed = solve_two_tier(catalog, exact=False)
         assert seed.offer == TieredOffer.two_tier(["a", "b", "c", "d"], [])
+        assert exact_value(seed.offer, catalog, None) == Fraction(59, 72)
         assert exact_value(TieredOffer.two_tier(["b"], ["d"]), catalog, None) < Fraction(59, 72)
         result = solve_two_tier(catalog)
         assert result.offer == TieredOffer.two_tier(["a", "b", "c"], ["d"])
@@ -804,8 +805,8 @@ class TestFrameCompletion:
         """The offer's expected profit in rational arithmetic."""
         weight = (lambda i: catalog.valuation_of(i)) if valuations is None else valuations.__getitem__
         sums = [
-            (sum(Fraction(catalog.profit_of(i)) * Fraction(weight(i)) for i in tier),
-             sum(Fraction(weight(i)) for i in tier))
+            (sum((Fraction(catalog.profit_of(i)) * Fraction(weight(i)) for i in tier), Fraction(0)),
+             sum((Fraction(weight(i)) for i in tier), Fraction(0)))
             for tier in offer.tiers
         ]
         (rv1, v1), (rv2, v2) = sums
@@ -933,6 +934,60 @@ class TestScreenedCompletion:
             assert self.outcome(_completion, frame, w1, w2, seed_value) == want
             refined += isinstance(want, tuple)
         assert refined >= 100  # the frames reach past the seed family
+
+
+class TestArrayFrontier:
+    """``_completion`` keeps its frontier in numpy arrays where
+    ``frontier_completion`` keeps tuples with the demoted sets' bits."""
+
+    @pytest.mark.parametrize("shape", ["shared", "overlapping", "exclusive-heavy"])
+    def test_exact_ties_keep_the_tuple_order(self, shape):
+        """Dyadic profits and weights make every sum exact, so a shifted
+        point often ties a frontier point in (sum rv, sum v): about 5,800
+        times over these 3,000 frames.  The tuple walk breaks such ties on
+        the bits; the stable array sort must order them alike, unshifted
+        copy first.  With the shifted copy first, 52 frames differ."""
+        outcome = TestScreenedCompletion.outcome
+        rng = np.random.default_rng(20190615 + len(shape))
+        refined = 0
+        for _ in range(1000):
+            n = int(rng.integers(2, 25))
+            if rng.random() < 0.5:
+                profits = rng.choice([0.25, 0.5, 0.75, 1.0], n)
+            else:
+                profits = rng.integers(1, 9, n) / 8
+            weights = rng.choice([0.0, 0.125, 0.25, 0.5, 0.75, 1.0], n)
+            products = tuple(Product(f"p{k}", float(profits[k]), float(weights[k])) for k in range(n))
+            ids = [p.id for p in products]
+            if shape == "shared":
+                x1 = x2 = ids
+            elif shape == "overlapping":
+                x1 = [i for i in ids if rng.random() < 0.75]
+                x2 = [i for i in ids if rng.random() < 0.75]
+            else:
+                x1, x2 = ids, [i for i in ids if rng.random() < 0.4]
+            catalog = Catalog(products, x1, x2)
+            frame, w1, w2, seed_value, _ = TestFrameCompletion.seeded_frame(catalog, None)
+            want = outcome(frontier_completion, frame, w1, w2, seed_value)
+            assert outcome(_completion, frame, w1, w2, seed_value) == want
+            refined += isinstance(want, tuple)
+        assert refined >= 200
+
+    @pytest.mark.parametrize(
+        "valuations, tier2",
+        [
+            ({"p0": 1e308, "p1": 1e308, "p2": 0.5, "p3": 1e308, "p4": 0.2}, ["p0"]),
+            ({"p0": 1e200, "p1": 1e300, "p2": 1e308, "p3": 3.0, "p4": 1e-300}, ["p0"]),
+            ({"p0": 1e-300, "p1": 1e308, "p2": 1e-300, "p3": 1e154, "p4": 1e155}, ["p0", "p1"]),
+        ],
+    )
+    def test_huge_overrides_overflow_without_warnings(self, valuations, tier2):
+        """Sums of huge overrides overflow to inf, silently in the walks'
+        floats; the completion's array arithmetic must not warn either
+        (RuntimeWarning is an error under this suite)."""
+        catalog = Catalog(tuple(Product(f"p{k}", 1.0 - 0.1 * k, 0.5) for k in range(5)))
+        result = solve_two_tier(catalog, valuations=valuations)
+        assert result.offer == TieredOffer.two_tier([], tier2)
 
 
 class TestPrefixPairEnumeration:
