@@ -39,7 +39,6 @@ product must be shown.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -282,11 +281,6 @@ class EpochLedger:
         """Completed epochs (both tiers) whose offer included the product."""
         j = self._catalog._rank.get(product_id)
         return 0 if j is None else int(self._epochs_total[j])
-
-    def times_offered_many(self, product_ids: Iterable) -> np.ndarray:
-        """``times_offered`` of each product, as one array."""
-        ranks = np.fromiter(map(self._catalog._rank.get, product_ids, repeat(-1)), dtype=np.intp)
-        return np.where(ranks >= 0, self._epochs_total[ranks], 0)
 
     def purchase_total(self, product_id) -> int:
         j = self._catalog._rank.get(product_id)

@@ -46,17 +46,18 @@ The search walks a structured family of offers instead of all subsets:
   min sum rv).  ``_completion`` builds it with the Nemhauser-Ullmann walk
   over the shared positive-weight candidates in profit order; at some step
   the walked products are those above L, and it stops at the first earning
-  no more than the best value so far.  The frontier is two arrays, sum rv
-  and -sum v; each step stacks it on its shifted copy, sorts stably and
-  keeps the points whose sum v rises, in a few array calls, and records
-  each kept point's origin index, from which a priced point's demoted set
-  is read back.  The walked product's tier-2 bit is the highest so far, so
-  sorting (sum rv, -sum v, bits) tuples would break ties as the stable
-  sort does with the unshifted copy first.  Polynomial time is shown only
-  for disjoint candidate sets: with equal profits sum rv = r * sum v, so on
-  subset-sum-like shared catalogs every distinct weight sum is on the
-  frontier and it can grow exponentially.  So the walk is capped at
-  ``_MAX_EXACT_WORK`` steps, and ``exact=False`` skips it.
+  no more than the best value so far.  The frontier is one complex array
+  sum rv + i * (-sum v), which numpy sorts by (real, imag) as a two-key
+  sort would (-sum v is never NaN).  Each step stacks it on its shifted
+  copy, sorts stably (timsort merges the two runs), keeps the points whose
+  sum v rises and records their origins, from which a priced point's
+  demoted set is read back.  The walked product's tier-2 bit is the
+  highest so far, so sorting (sum rv, -sum v, bits) tuples would break ties
+  as the stable sort does with the unshifted copy first.  Polynomial time
+  is shown only for disjoint candidate sets: with equal profits sum rv =
+  r * sum v, so on subset-sum-like shared catalogs every distinct weight
+  sum is on the frontier and it can grow exponentially.  So the walk is
+  capped at ``_MAX_EXACT_WORK`` steps, and ``exact=False`` skips it.
 * Screen (Dinkelbach): with V and R the sums of 1 + v and of rv over a
   point's tier-1 products and the exclusives above the best value lam, its
   offers beat lam only if sum (r - need) v over its tier-2 candidates above
@@ -90,14 +91,18 @@ _BRUTE_FORCE_CAP = 2_000_000
 _MAX_EXACT_WORK = 20_000_000
 
 
+def _canonical(ids: Iterable, catalog: Catalog) -> tuple[list, np.ndarray]:
+    """``ids`` in the catalog's canonical order, read at their sorted ranks,
+    and those ranks."""
+    ranks = np.sort(catalog._indices(ids))
+    ranked = catalog._ranked
+    return [ranked[k].id for k in ranks.tolist()], ranks
+
+
 def profit_order(ids: Iterable, catalog: Catalog) -> list:
     """Candidate order used throughout: profit descending, id ascending
     (the catalog's canonical order)."""
-    rank = catalog._rank
-    try:
-        return sorted(ids, key=rank.__getitem__)
-    except KeyError as exc:
-        raise UnknownProductError(exc.args[0]) from None
+    return _canonical(ids, catalog)[0]
 
 
 @dataclass(frozen=True)
@@ -151,17 +156,20 @@ def _gather(w: np.ndarray, ranks, ids) -> list:
     return v
 
 
-def _tier_maps(order1: list, order2: list):
-    """The sweep's cross-references between two candidate orders: rank1[k]
-    is order2[k]'s position in order1 (n1: not a tier-1 candidate) and
-    pos2[j] is order1[j]'s position in order2 (n2: none).  One shared order
-    (``order2 is order1``) maps to two ranges."""
-    n1, n2 = len(order1), len(order2)
-    if order2 is order1:
+def _tier_maps(ranks1: np.ndarray, ranks2: np.ndarray):
+    """The sweep's cross-references between two candidate orders, given by
+    their catalog ranks: rank1[k] is order2[k]'s position in order1 (n1: not
+    a tier-1 candidate) and pos2[j] is order1[j]'s position in order2 (n2:
+    none).  One shared order (``ranks2 is ranks1``) maps to two ranges."""
+    n1, n2 = len(ranks1), len(ranks2)
+    if ranks2 is ranks1:
         return range(n1), range(n1)
-    at1 = dict(zip(order1, range(n1)))
-    at2 = dict(zip(order2, range(n2)))
-    return [at1.get(i, n1) for i in order2], [at2.get(i, n2) for i in order1]
+    at = np.full(max(ranks1.max(initial=-1), ranks2.max(initial=-1)) + 1, n1)
+    at[ranks1] = np.arange(n1)  # each rank's position in order1
+    rank1, pos2 = at[ranks2], np.full(n1, n2)
+    both = (rank1 < n1).nonzero()[0]
+    pos2[rank1[both]] = both
+    return rank1.tolist(), pos2.tolist()
 
 
 def _sweep(r1, w1, r2, w2, rank1, pos2) -> tuple[float, int, int]:
@@ -230,25 +238,24 @@ class _PairFrame:
     """The sweep's inputs for one pair of candidate sets, built once and
     solved against any weight vector indexed by catalog rank.
 
-    ``ids1``/``ids2`` are the tier-1 and tier-2 candidates in the catalog's
-    canonical order, with their ranks and profit lists; when both tiers
-    share one candidate set, tier 2 uses tier 1's lists.  ``rank1``/``pos2``
-    are the sweep's maps between the two orders.
+    ``ranks1``/``ranks2`` are the tier-1 and tier-2 candidates' sorted
+    catalog ranks, and ``ids1``/``ids2`` and the profit lists are read at
+    them, in the catalog's canonical order; when both tiers share one
+    candidate set, tier 2 uses tier 1's lists.  ``rank1``/``pos2`` are the
+    sweep's maps between the two orders, built from the ranks.
     """
 
     __slots__ = ("ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2", "rank1", "pos2")
 
     def __init__(self, catalog: Catalog, x1: frozenset, x2: frozenset):
-        self.ids1 = profit_order(x1, catalog)
-        self.ranks1 = catalog._indices(self.ids1)
+        self.ids1, self.ranks1 = _canonical(x1, catalog)
         self.profits1 = catalog._profits[self.ranks1].tolist()
         if x1 == x2:
             self.ids2, self.ranks2, self.profits2 = self.ids1, self.ranks1, self.profits1
         else:
-            self.ids2 = profit_order(x2, catalog)
-            self.ranks2 = catalog._indices(self.ids2)
+            self.ids2, self.ranks2 = _canonical(x2, catalog)
             self.profits2 = catalog._profits[self.ranks2].tolist()
-        self.rank1, self.pos2 = _tier_maps(self.ids1, self.ids2)
+        self.rank1, self.pos2 = _tier_maps(self.ranks1, self.ranks2)
 
     def weights(self, w: np.ndarray) -> tuple[list, list]:
         """``_gather`` of ``w`` at the tier-1 and at the tier-2 candidates
@@ -343,29 +350,30 @@ def _resolve_candidates(catalog, candidates, default):
 
 def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
     """The exact completion on ``frame``'s lists and the sweep's weights (see
-    the module docstring).  The frontier of demoted sets A is the arrays
-    ``rv_a`` (sum rv) and ``nv_a`` (-sum v).  Walking product f stacks them
-    on a copy that also demotes f, sorts stably, unshifted copy first (f's
-    tier-2 bit is the highest yet, so (sum rv, -sum v, bits) tuples sort
-    alike), and keeps each point whose sum v strictly rises; ``history``
-    holds each kept point's origin in the stack, from which a priced point's
-    tier-1 bits are read back.  A point's offer has the walked products
-    outside A and the best exclusive prefix in tier 1, the best prefix of
-    the tier-2 candidates left in tier 2; points holding f repeat their
-    parent's offer and are not priced again.  Raises InstanceTooLargeError
-    once the work, frontier points summed over the steps times
-    |exclusives| + 1 + n2 (the screen's skips included), exceeds
-    ``_MAX_EXACT_WORK``.  The screen takes a step's fresh points at once,
-    and again past each point that raises the best value; its margin is
-    1e-9 * (1 + sum rv + (1 + |need|) * (1 + sum v)), sums over the tier-2
-    candidates and exclusives.  Returns (value, tier1 ids, tier2 ids) when
-    some offer beats ``seed_value``, else None."""
+    the module docstring).  The frontier of demoted sets A is one complex
+    array ``z``, sum rv + i * (-sum v), in numpy's lexicographic complex
+    order.  Walking product f stacks it on a copy that also demotes f, sorts
+    stably (timsort merges the two runs), unshifted copy first (f's tier-2
+    bit is the highest yet, so (sum rv, -sum v, bits) tuples sort alike),
+    and keeps each point whose sum v strictly rises; ``history`` holds each
+    kept point's origin in the stack, from which a priced point's tier-1
+    bits are read back.  A point's offer has the walked products outside A
+    and the best exclusive prefix in tier 1, the best prefix of the tier-2
+    candidates left in tier 2; points holding f repeat their parent's offer
+    and are not priced again.  Raises InstanceTooLargeError once the work,
+    frontier points summed over the steps times |exclusives| + 1 + n2 (the
+    screen's skips included), exceeds ``_MAX_EXACT_WORK``.  The screen takes
+    a step's fresh points at once, and again past each point that raises
+    the best value; its margin is 1e-9 * (1 + sum rv + (1 + |need|) *
+    (1 + sum v)), sums over the tier-2 candidates and exclusives.  Returns
+    (value, tier1 ids, tier2 ids) when some offer beats ``seed_value``, else
+    None."""
     r1, r2, pos2 = frame.profits1, frame.profits2, frame.pos2
     n2 = len(r2)
     exc = [j for j, k in enumerate(pos2) if k == n2]
     shared = [j for j, k in enumerate(pos2) if k < n2 and w1[j] > 0.0]
     work = walk = len(exc) + 1 + n2
-    rv_a, nv_a, fresh, history = np.zeros(1), np.array([-0.0]), np.zeros(1, int), []
+    z, fresh, history = np.array([complex(0.0, -0.0)]), np.zeros(1, int), []
     sum_v, sum_rv = 0.0, 0.0  # the walked products' sums
     best_value, best = seed_value, None
     rx, wx = [r1[j] for j in exc], [w1[j] for j in exc]
@@ -378,11 +386,12 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
         for step in range(len(shared) + 1):
             if work > _MAX_EXACT_WORK:
                 raise InstanceTooLargeError(
-                    f"exact completion reached {work} steps on {len(rv_a)} demoted "
+                    f"exact completion reached {work} steps on {len(z)} demoted "
                     f"sets (cap {_MAX_EXACT_WORK}); restrict the candidate sets or pass exact=False"
                 )
             while len(fresh):
-                rv1, v1 = sum_rv - rv_a[fresh], 1.0 + sum_v + nv_a[fresh]
+                zf = z[fresh]
+                rv1, v1 = sum_rv - zf.real, 1.0 + sum_v + zf.imag
                 m = bisect_left(negx, -best_value)
                 need = best_value * (v1 + cvx[m]) - rv1 - crvx[m]  # the tier-2 value to beat
                 m = np.searchsorted(neg2, -need)
@@ -423,17 +432,17 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
             if step == len(shared) or r1[shared[step]] <= max(best_value - 1e-9, 0.0):
                 break
             j = shared[step]
-            w, rw, n = w1[j], r1[j] * w1[j], len(rv_a)
-            rv_a, nv_a = np.concatenate((rv_a, rv_a + rw)), np.concatenate((nv_a, nv_a - w))
-            order = np.lexsort((nv_a, rv_a))
-            nv_a = nv_a[order]
-            keep = np.concatenate(([True], nv_a[1:] < np.minimum.accumulate(nv_a)[:-1]))
-            origin = order[keep]
-            rv_a, nv_a = rv_a[origin], nv_a[keep]
+            w, rw, n = w1[j], r1[j] * w1[j], len(z)
+            z = np.concatenate((z, z + complex(rw, -w)))
+            order = np.argsort(z, kind="stable")
+            z = z[order]
+            nv = z.imag
+            keep = np.concatenate(([True], nv[1:] < np.minimum.accumulate(nv)[:-1]))
+            origin, z = order[keep], z[keep]
             history.append((origin, n, 1 << pos2[j]))
             fresh = (origin < n).nonzero()[0]
             sum_v, sum_rv = sum_v + w, sum_rv + rw
-            work += len(rv_a) * walk
+            work += len(z) * walk
     if best is None:
         return None
     tier1, a, e = best

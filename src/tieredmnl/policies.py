@@ -132,17 +132,20 @@ class _VisibleView:
     ``str(id)`` order, and ``ranks`` their catalog ranks, which are also
     their ledger rows.  ``estimated_ranks`` keeps the ranks of those some
     completed epoch offered, and ``learning`` the ids still short of the
-    minimum-learning target.  Ledger counts only grow, so a product only
-    ever joins the estimated and leaves learning.  ``pair`` is the
-    optimizer's frame over the visible tier-1 and tier-2 candidates.
+    minimum-learning target (ranks ``learning_ranks``).  Ledger counts only
+    grow, by at most one per closed epoch, so a product only ever joins the
+    estimated and leaves learning, not before ``ledger.completed`` reaches
+    ``recheck``.  ``pair`` is the frame over the visible candidates.
     """
 
-    __slots__ = ("unknown", "ranks", "estimated_ranks", "learning", "pair")
+    __slots__ = (
+        "unknown", "ranks", "estimated_ranks", "learning", "learning_ranks", "recheck", "pair"
+    )
 
     def __init__(self, catalog: Catalog, visible: frozenset, known: Mapping):
         self.unknown = self.learning = tuple(i for i in sorted_ids(visible) if i not in known)
-        self.ranks = catalog._indices(self.unknown)
-        self.estimated_ranks = self.ranks[:0]
+        self.ranks = self.learning_ranks = catalog._indices(self.unknown)
+        self.estimated_ranks, self.recheck = self.ranks[:0], 0
         self.pair = _PairFrame(
             catalog, catalog.candidates_tier1 & visible, catalog.candidates_tier2 & visible
         )
@@ -152,11 +155,14 @@ class _VisibleView:
             self.estimated_ranks = self.ranks[ledger._epochs_total[self.ranks] > 0]
 
     def update_learning(self, ledger: EpochLedger, min_epochs: int) -> None:
-        if not self.learning:
+        if not self.learning or ledger.completed < self.recheck:
             return
-        short = ledger.times_offered_many(self.learning) < min_epochs
+        counts = ledger._epochs_total[self.learning_ranks]
+        short = counts < min_epochs
         if not short.all():  # the same tuple object until a product graduates
             self.learning = tuple(compress(self.learning, short))
+            self.learning_ranks, counts = self.learning_ranks[short], counts[short]
+        self.recheck = ledger.completed + min_epochs - int(counts.max(initial=0))
 
 
 class UcbTieredPolicy(Policy):

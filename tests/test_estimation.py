@@ -416,10 +416,6 @@ class TestVectorIndex:
             assert ledger.times_offered(i) == epochs
             assert ledger.purchase_total(i) == purchases
             assert ledger.launch_epoch(i) == launch
-        ids = sorted_ids(totals) + ["never"]
-        assert ledger.times_offered_many(ids).tolist() == [
-            ledger.times_offered(i) for i in ids
-        ]
 
     def test_logarithm_is_math_log(self):
         """ln(n * gap + 1) at arguments where numpy's vectorized log can

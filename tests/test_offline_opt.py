@@ -618,7 +618,9 @@ class TestRunningSumCores:
         order2 = order1 if x1 == x2 else profit_order(catalog.candidates_tier2, catalog)
         r1, v1 = gathered(order1, catalog, valuations)
         r2, v2 = (r1, v1) if order2 is order1 else gathered(order2, catalog, valuations)
-        sweep = (r1, v1, r2, v2, *_tier_maps(order1, order2))
+        ranks1 = catalog._indices(order1)
+        ranks2 = ranks1 if order2 is order1 else catalog._indices(order2)
+        sweep = (r1, v1, r2, v2, *_tier_maps(ranks1, ranks2))
         tier2 = sorted_ids(i for i in order2 if rng.random() < 0.3)
         forced = sorted_ids(i for i in ids if i not in tier2 and rng.random() < 0.15)
         free = [i for i in order1 if i not in tier2 and i not in forced]
@@ -712,10 +714,64 @@ class TestProfitOrder:
             want = sorted(subset, key=lambda i: (-catalog.profit_of(i), str(i)))
             assert profit_order(subset, catalog) == want
 
+    @pytest.mark.parametrize("kind", ["int", "mixed"])
+    def test_int_and_mixed_ids_with_profit_ties(self, kind):
+        """Ids of int or of mixed int/str type, with profits on a coarse
+        grid so many tie: the order falls back on ``str(id)``, where 10
+        sorts before 9 and "p1" after 1."""
+        rng = np.random.default_rng(20190430 + len(kind))
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            profits = rng.integers(0, 4, n) / 4
+            ids = [k if kind == "int" or k % 2 else f"p{k}" for k in range(n)]
+            catalog = Catalog(tuple(Product(i, float(r), 0.1) for i, r in zip(ids, profits)))
+            subset = [i for i in ids if rng.random() < 0.6]
+            want = sorted(subset, key=lambda i: (-catalog.profit_of(i), str(i)))
+            assert profit_order(subset, catalog) == want
+            assert profit_order(frozenset(subset), catalog) == want
+
     def test_unknown_id_raises(self):
         catalog = Catalog((Product("a", 1.0, 0.5),))
         with pytest.raises(UnknownProductError):
             profit_order(["a", "ghost"], catalog)
+
+
+class TestTierMaps:
+    """``_tier_maps`` from rank arrays against the id-to-position dicts it
+    replaced, computed here on the same candidate orders."""
+
+    @staticmethod
+    def dict_maps(order1, order2):
+        at1, at2 = dict(zip(order1, range(len(order1)))), dict(zip(order2, range(len(order2))))
+        return [at1.get(i, len(order1)) for i in order2], [at2.get(i, len(order2)) for i in order1]
+
+    @pytest.mark.parametrize("shape", ["shared", "disjoint", "overlapping"])
+    def test_equals_the_dict_construction(self, shape):
+        rng = np.random.default_rng(20190701 + len(shape))
+        for _ in range(300):
+            n = int(rng.integers(0, 40))
+            profits = rng.integers(0, 6, n) / 5
+            catalog = Catalog(tuple(Product(f"p{k}", float(profits[k]), 0.1) for k in range(n)))
+            ids = [p.id for p in catalog.products]
+            if shape == "shared":
+                x1 = x2 = frozenset(i for i in ids if rng.random() < 0.8)
+            elif shape == "disjoint":
+                coin = rng.random(n)
+                x1 = frozenset(i for i, c in zip(ids, coin) if c < 0.5)
+                x2 = frozenset(i for i, c in zip(ids, coin) if c >= 0.5)
+            else:
+                x1 = frozenset(i for i in ids if rng.random() < 0.7)
+                x2 = frozenset(i for i in ids if rng.random() < 0.7)
+            order1, order2 = profit_order(x1, catalog), profit_order(x2, catalog)
+            ranks1, ranks2 = catalog._indices(order1), catalog._indices(order2)
+            assert _tier_maps(ranks1, ranks2) == self.dict_maps(order1, order2)
+            frame = _PairFrame(catalog, x1, x2)
+            assert (frame.ids1, frame.ids2) == (order1, order2)
+            assert frame.ranks1.tolist() == ranks1.tolist()
+            assert frame.ranks2.tolist() == ranks2.tolist()
+            assert (list(frame.rank1), list(frame.pos2)) == self.dict_maps(order1, order2)
+            if shape == "shared":
+                assert frame.rank1 == frame.pos2 == range(len(order1))
 
 
 class TestWorkCap:
@@ -972,6 +1028,35 @@ class TestArrayFrontier:
             assert outcome(_completion, frame, w1, w2, seed_value) == want
             refined += isinstance(want, tuple)
         assert refined >= 200
+
+    def test_complex_stable_sort_is_the_two_key_lexsort(self):
+        """The frontier sorts sum rv + i * (-sum v) with a stable complex
+        argsort; it must give ``np.lexsort``'s permutation on the two parts,
+        exact ties, -0.0 against 0.0, +-inf in either part and NaN in the
+        real part included, so a numpy whose complex order changed fails
+        here.  An imaginary part is never NaN on the frontier: -sum v starts
+        at -0.0 and only subtracts finite weights."""
+        rng = np.random.default_rng(20190616)
+        special = np.array([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan])
+        for _ in range(500):
+            n = int(rng.integers(1, 60))
+            z = np.empty(n, complex)
+            z.real, z.imag = rng.choice(special, n), rng.choice(special[:-1], n)
+            if rng.random() < 0.5:  # two sorted runs, as a merge step stacks them
+                head = z[np.lexsort((z.imag, z.real))]
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    z = np.concatenate((head, head + complex(rng.choice(special[:5]), -0.5)))
+            want = np.lexsort((z.imag, z.real))
+            assert np.argsort(z, kind="stable").tolist() == want.tolist()
+
+    def test_a_nan_imaginary_part_sorts_after_every_number(self):
+        """Where the two orders part: numpy puts R + nan j after every
+        R + R j whatever the real parts, and ``np.lexsort`` sorts by the real
+        part first.  Pinned so a change in numpy's NaN order shows up too."""
+        z = np.array([complex(1.0, math.nan), complex(2.0, 0.0), complex(math.nan, 5.0),
+                      complex(-1.0, math.nan), complex(3.0, -math.inf)])
+        assert np.argsort(z, kind="stable").tolist() == [1, 4, 3, 0, 2]
+        assert np.lexsort((z.imag, z.real)).tolist() == [3, 0, 1, 4, 2]
 
     @pytest.mark.parametrize(
         "valuations, tier2",

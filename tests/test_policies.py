@@ -7,7 +7,9 @@ carrying one extra product is checked against hand-derived closed forms and
 Monte Carlo replication.
 """
 
+import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -35,11 +37,19 @@ from tieredmnl.policies import (
     OraclePolicy,
     RandomTierLearningPolicy,
     UcbTieredPolicy,
+    _VisibleView,
     epoch_regret_closed_form,
     epoch_regret_monte_carlo,
     make_policy,
 )
 from tieredmnl.rng import BufferedRandom
+from tieredmnl.simulator import (
+    ExperimentConfig,
+    PolicySpec,
+    ProductGroup,
+    experiment_preset,
+    run,
+)
 
 
 def small_catalog() -> Catalog:
@@ -319,6 +329,62 @@ class TestOptimisticValuations:
             policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
         assert all(view is views[0] for view in views)
         assert len(set(sizes) - {0}) >= 2
+
+
+class TestLearningBound:
+    """``_VisibleView.update_learning`` skips its check until some learning
+    product could have closed its shortfall; at every full re-solve the
+    learning tuple must still be the naive filter of the ledger's counts."""
+
+    CONFIGS = {
+        "preset2": dataclasses.replace(experiment_preset(2)[0], horizon=2500),
+        "launch": ExperimentConfig(
+            label="learning-launch",
+            horizon=1500,
+            groups=(
+                ProductGroup(14, (0.0, 1.0), (0.0, 0.1)),
+                ProductGroup(2, (0.3, 0.9), (0.0, 0.1), valuation_known=True),
+                ProductGroup(4, (0.0, 0.2), (0.0, 0.1), launch_time=300, launch_spacing=250),
+            ),
+            policies=(PolicySpec("ucb_tiered", {"min_epochs": 20, "confidence_scale": 4.8}),),
+            base_seed=1729,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_learning_equals_the_naive_filter(self, name, monkeypatch):
+        config = self.CONFIGS[name]
+        spec = next(p for p in config.policies if p.name == "ucb_tiered")
+        min_epochs = spec.options["min_epochs"]
+        update = _VisibleView.update_learning
+        calls, sizes = [], set()
+
+        def checked(view, ledger, epochs):
+            update(view, ledger, epochs)
+            want = tuple(i for i in view.unknown if ledger.times_offered(i) < min_epochs)
+            assert epochs == min_epochs and view.learning == want
+            assert view.learning_ranks.tolist() == [ledger._catalog._rank[i] for i in want]
+            calls.append(view.recheck)
+            sizes.add(len(want))
+
+        monkeypatch.setattr(_VisibleView, "update_learning", checked)
+        run(config, spec, seed=0)
+        assert len(calls) > 100 and len(sizes) >= 3  # products graduate over the run
+
+    def test_a_product_in_every_epoch_graduates_on_time(self):
+        """The bound is tight: p0, offered by every closed epoch, must leave
+        learning at the first check where its count reaches min_epochs; p1
+        is offered by every other epoch and p2 by none."""
+        catalog = Catalog(tuple(Product(f"p{k}", 1.0 - 0.1 * k, 0.1) for k in range(3)))
+        view = _VisibleView(catalog, catalog.ids, {})
+        ledger = types.SimpleNamespace(completed=0, _epochs_total=np.zeros(3, dtype=np.int64))
+        for completed in range(1, 13):
+            ledger.completed = completed
+            ledger._epochs_total += [1, completed % 2, 0]
+            view.update_learning(ledger, 5)
+            counts = ledger._epochs_total.tolist()
+            assert view.learning == tuple(i for i in view.unknown if counts[catalog._rank[i]] < 5)
+        assert view.learning == ("p2",)
 
 
 def shaped_catalog(shape, rng):
