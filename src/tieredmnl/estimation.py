@@ -20,13 +20,14 @@ epochs; changing it mid-epoch is an error because it would break the
 geometric-count argument above.
 
 ``EpochLedger.record_step`` returns the epochs a step closed, one slot per
-tier.  The ledger keeps the completed epoch records and, per product, the
-pooled epoch and purchase totals; it keeps no per-step log.  Its rows are
-the catalog's ranks (``Catalog._rank``), the order the optimizer's frames
-and the policies' valuation vectors use.  Policies keep an offer object
-while its answer stands, so the epoch lock compares a tier's set by
-identity first; the close looks its set's ranks up in a dict keyed by
-every offered set closed so far.
+tier, and that slot and step fix a record's tier and steps.  The ledger
+keeps the records (label, offered set, purchases) and, per product, the
+pooled epoch and purchase totals; it keeps no step log.  Its rows are the
+catalog's ranks (``Catalog._rank``), the order the optimizer's frames and
+the policies' valuation vectors use.  Policies keep an offer object while
+its answer stands, so the epoch lock compares a tier's set by identity
+first; the close looks its set's ranks up in a dict keyed by every offered
+set closed so far.
 
 Averaging a product's per-epoch purchase counts over every completed epoch
 that offered it (either tier) estimates its preference weight.
@@ -53,19 +54,17 @@ UCB_CONFIDENCE_SCALE = 48.0
 
 
 class EpochRecord(NamedTuple):
-    """One completed epoch: its tier, label, locked offer, and purchases.
+    """One completed epoch: its label, locked offer, and purchases.
 
-    ``steps`` lists the 1-based step indices the epoch covered (for tier 2,
-    only the steps on which tier 2 was viewed).  ``purchases`` maps product
-    id to how many of the epoch's steps bought it.  A named tuple, because
-    one is built per closed epoch, nearly one per customer.
+    ``purchases`` maps product id to how many of the epoch's steps bought
+    it.  Its tier and steps follow from the slot and step ``record_step``
+    returned it on.  A named tuple, because one is built per closed epoch,
+    nearly one per customer.
     """
 
-    tier_index: int
     label: int
     offered: frozenset[ProductId]
     purchases: Mapping[ProductId, int]
-    steps: tuple[int, ...]
 
     def purchases_of(self, product_id) -> int:
         return self.purchases.get(product_id, 0)
@@ -74,13 +73,12 @@ class EpochRecord(NamedTuple):
 class _Open:
     """An epoch in progress; the offered set binds at its first viewed step."""
 
-    __slots__ = ("label", "offered", "purchases", "steps")
+    __slots__ = ("label", "offered", "purchases")
 
     def __init__(self, label: int):
         self.label = label
         self.offered: frozenset | None = None
         self.purchases: dict = {}
-        self.steps: list[int] = []
 
 
 class EpochLedger:
@@ -156,11 +154,10 @@ class EpochLedger:
                     f"tier {k + 1} changed during epoch {opens[k].label}: locked "
                     f"{sorted_ids(locked)}, got {sorted_ids(tiers[k])}"
                 )
-        t = self.steps_recorded = self.steps_recorded + 1
+        self.steps_recorded += 1
         for k in viewed:
             if opens[k].offered is None:
                 opens[k].offered = tiers[k]
-            opens[k].steps.append(t)
         if product is not None:
             purchases = self._open[tier].purchases
             purchases[product] = purchases.get(product, 0) + 1
@@ -179,7 +176,7 @@ class EpochLedger:
     def _close(self, k: int) -> EpochRecord:
         open_ = self._open[k]
         # the open epoch is dropped after its close, so its dict passes on
-        record = EpochRecord(k, open_.label, open_.offered, open_.purchases, tuple(open_.steps))
+        record = EpochRecord(open_.label, open_.offered, open_.purchases)
         self._closed[k].append(record)
         self.completed += 1
         offered = record.offered
@@ -293,9 +290,6 @@ class EpochLedger:
 
     def epochs(self, tier_index: int) -> tuple[EpochRecord, ...]:
         return tuple(self._closed[tier_index])
-
-    def labels(self, tier_index: int) -> tuple[int, ...]:
-        return tuple(record.label for record in self._closed[tier_index])
 
     def open_labels(self) -> tuple[int, int]:
         return (self._open[0].label, self._open[1].label)

@@ -125,10 +125,12 @@ class Catalog:
     def __post_init__(self):
         self.products = tuple(self.products)
         self._ids = all_ids = frozenset(p.id for p in self.products)
-        if len(all_ids) < len(self.products):  # name the first id seen twice
-            seen = set()
-            dup = next(p.id for p in self.products if p.id in seen or seen.add(p.id))
-            raise InvalidCatalogError(f"duplicate product id {dup!r}")
+        if len({str(i) for i in all_ids}) < len(self.products):  # ids break ties on str()
+            seen: dict[str, ProductId] = {}  # each str() to the first id that had it
+            b = next(p.id for p in self.products if str(p.id) in seen or seen.update({str(p.id): p.id}))
+            a = seen[str(b)]
+            clash = f"duplicate product id {a!r}" if a == b else f"product ids {a!r} and {b!r} have one str()"
+            raise InvalidCatalogError(clash)
         for attr in ("candidates_tier1", "candidates_tier2"):
             raw = getattr(self, attr)
             ids = () if raw is None else tuple(raw)

@@ -108,17 +108,18 @@ def _check_epoch_bookkeeping() -> CheckResult:
     ledger = EpochLedger(Catalog((Product("a", 1.0, 0.5), Product("b", 1.0, 0.5))))
     stream = (buy1, buy2, buy1, buy1, NO_PURCHASE, buy2, buy1, buy1, NO_PURCHASE)
     steps = [ledger.record_step(offer, outcome) for outcome in stream]
-    closed = [[step[k] for step in steps if step[k] is not None] for k in (0, 1)]
+    # each record with the step it came back on, which ends its epoch
+    closed = [[(t, step[k]) for t, step in enumerate(steps, 1) if step[k] is not None] for k in (0, 1)]
     got = (
-        tuple(r.label for r in closed[0]),
-        tuple(r.purchases_of("a") for r in closed[0]),
-        tuple(r.label for r in closed[1]),
-        tuple(r.purchases_of("b") for r in closed[1]),
+        tuple((t, r.label) for t, r in closed[0]),
+        tuple(r.purchases_of("a") for _, r in closed[0]),
+        tuple((t, r.label) for t, r in closed[1]),
+        tuple(r.purchases_of("b") for _, r in closed[1]),
         ledger.valuation_estimate("a"),
         ledger.valuation_estimate("b"),
         ledger.completed,
     )
-    want = ((0, 1, 3, 4), (1, 2, 0, 2), (0, 3), (1, 1), 1.25, 1.0, 6)
+    want = (((2, 0), (5, 1), (6, 3), (9, 4)), (1, 2, 0, 2), ((5, 0), (9, 3)), (1, 1), 1.25, 1.0, 6)
     if got != want:
         return CheckResult("epoch-bookkeeping", False, f"traced {got!r}, want {want!r}")
     return CheckResult(

@@ -91,13 +91,22 @@ class TestAcceptance:
             NO_PURCHASE,
         )
         ledger = EpochLedger(Catalog((Product("a", 1.0, 0.5), Product("b", 1.0, 0.5))))
-        for outcome in script:
-            ledger.record_step(offer, outcome)
+        closes = [ledger.record_step(offer, outcome) for outcome in script]
+        # a record comes back on the step that closed it: a tier-1 epoch
+        # covers the steps after the previous tier-1 close through its own,
+        # a tier-2 epoch the steps of its span without a tier-1 purchase
+        steps, start = ([], []), [1, 1]
+        for t, closed in enumerate(closes, 1):
+            for k in (0, 1):
+                if closed[k] is not None:
+                    span = range(start[k], t + 1)
+                    steps[k].append(tuple(s for s in span if k == 0 or script[s - 1].tier != 0))
+                    start[k] = t + 1
         got = (
-            ledger.labels(0),
-            ledger.labels(1),
-            tuple(r.steps for r in ledger.epochs(0)),
-            tuple(r.steps for r in ledger.epochs(1)),
+            tuple(r.label for r in ledger.epochs(0)),
+            tuple(r.label for r in ledger.epochs(1)),
+            tuple(steps[0]),
+            tuple(steps[1]),
         )
         want = (
             (0, 1, 3, 4),

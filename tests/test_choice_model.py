@@ -232,6 +232,14 @@ class TestProductValidation:
         with pytest.raises(InvalidCatalogError):
             Catalog((Product("a", 1.0, 0.5), Product("a", 2.0, 0.5)))
 
+    def test_ids_with_one_str_rejected(self):
+        """Ids break ties on str(), so 1 and "1" would order by the string
+        hash seed; the catalog names both, in product order."""
+        with pytest.raises(InvalidCatalogError, match=r"ids 1 and '1' have one str\(\)"):
+            Catalog((Product(1, 1.0, 0.5), Product("1", 1.0, 0.5), Product("a", 1.0, 0.5)))
+        with pytest.raises(InvalidCatalogError, match="duplicate product id 'a'"):
+            Catalog((Product("a", 1.0, 0.5), Product("1", 1.0, 0.5), Product("a", 2.0, 0.5)))
+
     def test_candidate_sets_must_reference_known_products(self):
         with pytest.raises(InvalidCatalogError):
             Catalog((Product("a", 1.0, 0.5),), candidates_tier1=["ghost"])
@@ -410,6 +418,11 @@ class TestCatalogSerialization:
         data = {"products": [{"id": 1, "profit": 1.0, "valuation": 0.5}], key: [True]}
         with pytest.raises(InvalidCatalogError, match=key):
             catalog_from_dict(data)
+
+    def test_ids_with_one_str_rejected(self):
+        products = [{"id": i, "profit": 1.0, "valuation": 0.5} for i in ("1", "a", 1)]
+        with pytest.raises(InvalidCatalogError, match="ids '1' and 1 have one str"):
+            catalog_from_dict({"products": products})
 
     def test_missing_fields_named(self):
         with pytest.raises(InvalidCatalogError, match="valuation"):

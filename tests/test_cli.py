@@ -124,6 +124,14 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "launch_time" in err
 
+    def test_ids_with_one_str_are_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        products = [{"id": i, "profit": 1.0, "valuation": 0.5} for i in (1, "1")]
+        path.write_text(json.dumps({"products": products}), encoding="utf-8")
+        assert main(["solve", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ids 1 and '1'" in err and "Traceback" not in err
+
     def test_bool_candidate_id_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(

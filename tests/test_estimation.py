@@ -66,6 +66,26 @@ def scripted_ledger() -> EpochLedger:
     return ledger
 
 
+def labels(ledger: EpochLedger, tier_index: int) -> tuple[int, ...]:
+    return tuple(record.label for record in ledger.epochs(tier_index))
+
+
+def covered_steps(outcomes, closes) -> tuple[list, list]:
+    """Each closed epoch's 1-based steps, per tier, derived from the step on
+    which ``record_step`` returned its record (``closes[t - 1]`` is step t's
+    return): a tier-1 epoch covers the steps after the previous tier-1 close
+    up to and including its own; a tier-2 epoch, the steps of that span
+    without a tier-1 purchase."""
+    covered, start = ([], []), [1, 1]
+    for t, closed in enumerate(closes, 1):
+        for k in (0, 1):
+            if closed[k] is not None:
+                span = range(start[k], t + 1)
+                covered[k].append(tuple(s for s in span if k == 0 or outcomes[s - 1].tier != 0))
+                start[k] = t + 1
+    return covered
+
+
 class TestScriptedTrace:
     """Hand-traced segmentation of the nine-step script.
 
@@ -79,19 +99,18 @@ class TestScriptedTrace:
         ledger = scripted_ledger()
         assert ledger.completed == 6
         assert ledger.steps_recorded == 9
-        assert ledger.labels(0) == (0, 1, 3, 4)
-        assert ledger.labels(1) == (0, 3)
+        assert labels(ledger, 0) == (0, 1, 3, 4)
+        assert labels(ledger, 1) == (0, 3)
         assert ledger.open_labels() == (6, 6)
 
     def test_step_coverage(self):
-        ledger = scripted_ledger()
-        assert [r.steps for r in ledger.epochs(0)] == [
-            (1, 2),
-            (3, 4, 5),
-            (6,),
-            (7, 8, 9),
-        ]
-        assert [r.steps for r in ledger.epochs(1)] == [(2, 5), (6, 9)]
+        ledger = new_ledger()
+        closes = [ledger.record_step(OFFER, outcome) for outcome in SCRIPT]
+        for k in (0, 1):  # the ledger keeps the records the steps returned
+            assert [c[k] for c in closes if c[k] is not None] == list(ledger.epochs(k))
+        covered = covered_steps(SCRIPT, closes)
+        assert covered[0] == [(1, 2), (3, 4, 5), (6,), (7, 8, 9)]
+        assert covered[1] == [(2, 5), (6, 9)]
 
     def test_per_epoch_purchase_counts(self):
         ledger = scripted_ledger()
@@ -102,15 +121,12 @@ class TestScriptedTrace:
         """Each completed epoch's purchase count equals the number of its
         covered steps on which the script bought that product in that tier
         — the per-epoch purchase windows partition the purchase steps."""
-        ledger = scripted_ledger()
+        ledger = new_ledger()
+        covered = covered_steps(SCRIPT, [ledger.record_step(OFFER, o) for o in SCRIPT])
         seen = {"a": [], "b": []}
         for tier_index, product in ((0, "a"), (1, "b")):
-            for record in ledger.epochs(tier_index):
-                window = {
-                    t
-                    for t in record.steps
-                    if SCRIPT[t - 1] == ChoiceOutcome(product, tier_index)
-                }
+            for record, steps in zip(ledger.epochs(tier_index), covered[tier_index], strict=True):
+                window = {t for t in steps if SCRIPT[t - 1] == ChoiceOutcome(product, tier_index)}
                 assert record.purchases_of(product) == len(window)
                 seen[product].append(window)
         assert seen["a"] == [{1}, {3, 4}, set(), {7, 8}]
@@ -128,12 +144,12 @@ class TestScriptedTrace:
         # a tier-2 purchase closes tier 1 only, and tier 1 reopens at the
         # post-closure counter
         assert closed[1][0] is ledger.epochs(0)[0] and closed[1][1] is None
-        assert closed[1][0].steps == (1, 2)
+        assert covered_steps(SCRIPT[:2], closed[:2]) == ([(1, 2)], [])
         assert reopened[1] == (1, 0)
         # a walk-away closes both, indexed by tier, and both reopen at the
         # counter after both closures
         assert closed[4] == (ledger.epochs(0)[1], ledger.epochs(1)[0])
-        assert [r.steps[-1] for r in closed[4]] == [5, 5]
+        assert [spans[-1] for spans in covered_steps(SCRIPT[:5], closed[:5])] == [(3, 4, 5), (2, 5)]
         assert reopened[4] == (3, 3)
         assert closed[8] == (ledger.epochs(0)[3], ledger.epochs(1)[1])
         assert reopened[8] == (6, 6)
@@ -171,13 +187,14 @@ class TestRecordingGuards:
         """A step that tier 2's lock refuses neither counts nor binds tier 1's
         fresh epoch: the next tier-1 epoch starts at the next accepted step."""
         ledger = new_ledger()
-        ledger.record_step(OFFER, ChoiceOutcome("b", 1))  # tier 1 closes, tier 2 stays open
+        accepted = (ChoiceOutcome("b", 1), NO_PURCHASE)
+        closes = [ledger.record_step(OFFER, accepted[0])]  # tier 1 closes, tier 2 stays open
         with pytest.raises(InvalidOfferError, match="tier 2 changed"):
             ledger.record_step(TieredOffer.two_tier(["c"], ["b", "d"]), NO_PURCHASE)
         assert ledger.steps_recorded == 1
-        closed1, closed2 = ledger.record_step(OFFER, NO_PURCHASE)
-        assert (closed1.steps, closed1.offered) == ((2,), OFFER.tier(0))
-        assert closed2.steps == (1, 2) and ledger.steps_recorded == 2
+        closes.append(ledger.record_step(OFFER, accepted[1]))
+        assert closes[1][0].offered == OFFER.tier(0) and ledger.steps_recorded == 2
+        assert covered_steps(accepted, closes) == ([(1,), (2,)], [(1, 2)])
 
     def test_sets_may_change_at_epoch_boundaries(self):
         ledger = new_ledger()
@@ -191,14 +208,15 @@ class TestRecordingGuards:
         """Every tier-2 view closes the tier-1 epoch, so tier 1 may rotate
         on each such step while tier 2's epoch persists with its locked set."""
         ledger = new_ledger()
-        ledger.record_step(TieredOffer.two_tier(["a"], ["b"]), ChoiceOutcome("b", 1))
-        ledger.record_step(TieredOffer.two_tier(["c"], ["b"]), ChoiceOutcome("b", 1))
-        ledger.record_step(TieredOffer.two_tier(["e"], ["b"]), NO_PURCHASE)
-        assert ledger.labels(0) == (0, 1, 2)
-        assert ledger.labels(1) == (0,)
-        record = ledger.epochs(1)[0]
-        assert record.steps == (1, 2, 3)
-        assert record.purchases_of("b") == 2
+        outcomes = (ChoiceOutcome("b", 1), ChoiceOutcome("b", 1), NO_PURCHASE)
+        closes = [
+            ledger.record_step(TieredOffer.two_tier([first], ["b"]), outcome)
+            for first, outcome in zip("ace", outcomes)
+        ]
+        assert labels(ledger, 0) == (0, 1, 2)
+        assert labels(ledger, 1) == (0,)
+        assert covered_steps(outcomes, closes) == ([(1,), (2,), (3,)], [(1, 2, 3)])
+        assert ledger.epochs(1)[0].purchases_of("b") == 2
 
     def test_equal_but_distinct_sets_pass_the_lock(self):
         """The lock compares by identity first and by value after it: a
@@ -209,7 +227,7 @@ class TestRecordingGuards:
         rebuilt = TieredOffer.two_tier(frozenset(["a"]), frozenset(["b"]))
         assert rebuilt.tier(0) is not OFFER.tier(0) and rebuilt.tier(1) is not OFFER.tier(1)
         ledger.record_step(rebuilt, ChoiceOutcome("b", 1))
-        assert ledger.labels(1) == ()
+        assert labels(ledger, 1) == ()
         with pytest.raises(InvalidOfferError, match="tier 2 changed"):
             ledger.record_step(TieredOffer.two_tier(["c"], ["b", "d"]), NO_PURCHASE)
         ledger = new_ledger()
@@ -223,7 +241,7 @@ class TestRecordingGuards:
         ledger = new_ledger()
         ledger.record_step(TieredOffer.two_tier(["a", "b"], ["x"]), NO_PURCHASE)
         ledger.record_step(TieredOffer.two_tier(["a", "c"], ["x"]), ChoiceOutcome("x", 1))
-        assert ledger.labels(0) == (0, 2)
+        assert labels(ledger, 0) == (0, 2)
         assert ledger.has_estimate("c") and ledger.launch_epoch("c") == 2
         assert ledger.launch_epoch("a") == 0
         totals = reference_totals(ledger)

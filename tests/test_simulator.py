@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ import pytest
 import tieredmnl.simulator as simulator
 from tieredmnl.errors import ConfigError, InvalidOfferError
 from tieredmnl.model import Catalog, Product, TieredOffer
+from tieredmnl.optimizer import solve_two_tier
 from tieredmnl.policies import make_policy
 from tieredmnl.simulator import (
     ExperimentConfig,
@@ -438,6 +440,29 @@ class TestPresets:
         with pytest.raises(ConfigError):
             experiment_preset(4)
 
+    def test_prefix_pair_benchmark_is_exact_on_every_launch_set(self):
+        """Regret is measured against the prefix-pair optimum; on every set
+        of launched products of presets 1-3, rep 0, the exact solve offers
+        the same tiers."""
+        n_sets = 0
+        for which in (1, 2, 3):
+            for config in experiment_preset(which):
+                catalog, _ = materialize_catalog(config, 0)
+                launches = {p.launch_time for p in catalog.products}
+                for t in sorted({1} | {s for s in launches if 1 <= s <= config.horizon}):
+                    visible = catalog.visible_at(t)
+                    sets = dict(
+                        candidates_tier1=catalog.candidates_tier1 & visible,
+                        candidates_tier2=catalog.candidates_tier2 & visible,
+                    )
+                    exact = solve_two_tier(catalog, exact=True, **sets).offer
+                    assert exact == solve_two_tier(catalog, exact=False, **sets).offer, (
+                        config.label,
+                        t,
+                    )
+                    n_sets += 1
+        assert n_sets == 86
+
 
 class TestConfigValidation:
     def test_experiment_config_guards(self):
@@ -737,3 +762,25 @@ class TestPinnedResolveCounts:
         spec = next(p for p in config.policies if p.name == name)
         run(config, spec, seed=0)
         assert (built[0].full_resolves, built[0].tier1_resolves) == counts
+
+
+class TestRetainedMemory:
+    def test_traced_peak_per_step_is_bounded(self):
+        """A run's traced peak grows by at most 340 bytes per step from
+        T=4,000 to T=16,000 (explore-then-exploit, preset 2, rep 0): closed
+        epochs keep their label, offered set and purchases, not their
+        steps.  An untraced warm-up run keeps one-time costs out of the
+        difference."""
+        (config,) = experiment_preset(2)
+        spec = next(p for p in config.policies if p.name == "explore_then_exploit")
+        run(dataclasses.replace(config, horizon=4_000), spec, seed=0)
+        peaks = []
+        for horizon in (4_000, 16_000):
+            tracemalloc.start()
+            try:
+                run(dataclasses.replace(config, horizon=horizon), spec, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_step = (peaks[1] - peaks[0]) / 12_000
+        assert per_step <= 340, f"{per_step:.0f} bytes per step"
