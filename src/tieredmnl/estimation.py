@@ -31,8 +31,10 @@ set closed so far.
 
 Averaging a product's per-epoch purchase counts over every completed epoch
 that offered it (either tier) estimates its preference weight.
-``valuation_ucb_many`` adds the optimism margin the learning policies rely
-on, over a whole list of products at once, and ``min_learning_epochs``
+``valuation_ucb`` adds the optimism margin the learning policies rely on;
+they read it for many products at once by catalog rank (``_ucb``), which
+takes one ``math.log`` per distinct launch label.  A product's launch slot
+is fixed when the first epoch offering it closes.  ``min_learning_epochs``
 converts an (accuracy, confidence) target into the number of epochs a
 product must be shown.
 """
@@ -40,7 +42,7 @@ product must be shown.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -49,7 +51,8 @@ from .model import Catalog, ChoiceOutcome, ProductId, TieredOffer, sorted_ids
 
 # Multiplier on ln(K * rounds + 1) / T_i inside the optimism margin.  The
 # analysis behind the regret guarantee fixes this at 48; it is a module
-# constant (with per-call override) so diagnostics can detect tampering.
+# constant (with per-call override), and the diagnostics' optimism check,
+# which writes 48 out, fails when it changes.
 UCB_CONFIDENCE_SCALE = 48.0
 
 
@@ -90,7 +93,7 @@ class EpochLedger:
     epoch is invisible until it closes.
 
     Its rows are the ranks of ``catalog``: a product's pooled totals
-    (epochs, purchases, launch epoch) sit in arrays under its rank, so the
+    (epochs, purchases, launch slot) sit in arrays under its rank, so the
     optimistic index of many products is one vector expression.  ``_ucb``
     and ``_means`` read ranks alone, and a closing epoch reuses the ranks
     of any offered set closed before.  An offer holding an id outside the
@@ -106,12 +109,10 @@ class EpochLedger:
         n = len(catalog.products)
         self._epochs_total = np.zeros(n, dtype=np.int64)
         self._purchases_total = np.zeros(n, dtype=np.int64)
-        self._launch_epoch = np.zeros(n, dtype=np.int64)
-        # distinct launch epochs and each rank's position among them, rebuilt
-        # only after a product's first epoch closes
-        self._launch_values: list[int] = [0]
+        # each distinct launch label once, in order of first use, and each
+        # launched rank's position among them, fixed at its first close
+        self._launch_values: list[int] = []
         self._launch_slot = np.zeros(n, dtype=np.intp)
-        self._launch_stale = False
         # every offered set closed so far, mapped to its products' ranks
         self._set_rows: dict[frozenset, np.ndarray] = {}
 
@@ -188,8 +189,10 @@ class EpochLedger:
             # offers it carries its launch epoch
             new = rows[self._epochs_total[rows] == 0]
             if len(new):
-                self._launch_epoch[new] = record.label
-                self._launch_stale = True
+                values = self._launch_values
+                if record.label not in values:
+                    values.append(record.label)
+                self._launch_slot[new] = values.index(record.label)
         self._epochs_total[rows] += 1
         rank = self._catalog._rank
         for i, n in record.purchases.items():
@@ -219,20 +222,7 @@ class EpochLedger:
         n_products: int,
         confidence_scale: float | None = None,
     ) -> float:
-        """Optimistic preference index of one product; see
-        ``valuation_ucb_many``."""
-        return float(
-            self.valuation_ucb_many((product_id,), epoch, n_products, confidence_scale)[0]
-        )
-
-    def valuation_ucb_many(
-        self,
-        product_ids: Iterable,
-        epoch: int,
-        n_products: int,
-        confidence_scale: float | None = None,
-    ) -> np.ndarray:
-        """Optimistic preference index at epoch ``epoch``, per product:
+        """Optimistic preference index of one product at epoch ``epoch``:
 
             vbar + sqrt(vbar * pad) + pad,
             pad = scale * ln(n_products * (epoch - launch_epoch) + 1) / T_i
@@ -240,23 +230,18 @@ class EpochLedger:
         where vbar and T_i pool every completed epoch that offered the
         product and launch_epoch is the label of the earliest one.  A
         negative epoch gap clamps to zero (margin vanishes rather than the
-        logarithm going undefined).  The logarithm is ``math.log``, taken
-        once per distinct launch epoch, so every value equals the scalar
-        formula's bit for bit (``np.log`` may differ in the last place).
+        logarithm going undefined).  The logarithm is ``math.log`` (``np.log``
+        may differ in the last place).
         """
-        product_ids = tuple(product_ids)
-        for i in product_ids:
-            if not self.has_estimate(i):
-                raise NeverOfferedError(i)
-        return self._ucb(self._catalog._indices(product_ids), epoch, n_products, confidence_scale)
+        if not self.has_estimate(product_id):
+            raise NeverOfferedError(product_id)
+        rank = self._catalog._indices((product_id,))
+        return float(self._ucb(rank, epoch, n_products, confidence_scale)[0])
 
     def _ucb(self, ranks: np.ndarray, epoch: int, n_products: int, confidence_scale) -> np.ndarray:
-        """``valuation_ucb_many`` of the estimated products at catalog ``ranks``."""
+        """``valuation_ucb`` of the estimated products at catalog ``ranks``,
+        bit for bit: one ``math.log`` per distinct launch label."""
         scale = UCB_CONFIDENCE_SCALE if confidence_scale is None else confidence_scale
-        if self._launch_stale:
-            values, self._launch_slot = np.unique(self._launch_epoch, return_inverse=True)
-            self._launch_values = values.tolist()
-            self._launch_stale = False
         # ln(n * 0 + 1) is exactly 0.0, which covers the clamped gaps
         logs = np.array(
             [
@@ -286,7 +271,7 @@ class EpochLedger:
     def launch_epoch(self, product_id) -> int | None:
         if not self.has_estimate(product_id):
             return None
-        return int(self._launch_epoch[self._catalog._rank[product_id]])
+        return self._launch_values[self._launch_slot[self._catalog._rank[product_id]]]
 
     def epochs(self, tier_index: int) -> tuple[EpochRecord, ...]:
         return tuple(self._closed[tier_index])

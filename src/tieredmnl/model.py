@@ -125,12 +125,16 @@ class Catalog:
     def __post_init__(self):
         self.products = tuple(self.products)
         self._ids = all_ids = frozenset(p.id for p in self.products)
-        if len({str(i) for i in all_ids}) < len(self.products):  # ids break ties on str()
+        names = {str(i) for i in all_ids}
+        if len(names) < len(self.products):  # ids break ties on str()
             seen: dict[str, ProductId] = {}  # each str() to the first id that had it
             b = next(p.id for p in self.products if str(p.id) in seen or seen.update({str(p.id): p.id}))
             a = seen[str(b)]
             clash = f"duplicate product id {a!r}" if a == b else f"product ids {a!r} and {b!r} have one str()"
             raise InvalidCatalogError(clash)
+        if "" in names or "|" in "".join(names):  # a trace cell joins a tier's ids with "|"
+            bad = next(p.id for p in self.products if str(p.id) == "" or "|" in str(p.id))
+            raise InvalidCatalogError(f"product id {bad!r} is empty or holds '|', the trace's id separator")
         for attr in ("candidates_tier1", "candidates_tier2"):
             raw = getattr(self, attr)
             ids = () if raw is None else tuple(raw)
@@ -352,7 +356,7 @@ class ChoiceSampler:
 
     __slots__ = ("offer", "_tiers")
 
-    def __init__(self, offer: TieredOffer, catalog: Catalog, valuations=None):
+    def __init__(self, offer: TieredOffer, catalog: Catalog):
         self.offer = offer
         self._tiers = []
         for tier in offer.tiers:
@@ -360,7 +364,7 @@ class ChoiceSampler:
             cum = []
             acc = 0.0
             for i in ids:
-                acc += _weight(catalog, valuations, i)
+                acc += catalog.product(i).valuation
                 cum.append(acc)
             self._tiers.append((ids, cum, 1.0 + acc))
 

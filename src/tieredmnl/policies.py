@@ -298,7 +298,7 @@ class UcbTieredPolicy(Policy):
         self._need_tier1 = False
 
     def offer(self, t: int) -> TieredOffer:
-        if self._need_full or self._current is None:
+        if self._need_full:
             self._start_epoch(t)
         elif self._need_tier1:
             self._recompute_tier1()

@@ -274,7 +274,7 @@ def run(config: ExperimentConfig, policy_spec: PolicySpec, seed: int = 0) -> Reg
             cached = cache[offer] = (
                 len(offers),
                 expected_profit(offer, catalog),
-                ChoiceSampler(offer, catalog, None),
+                ChoiceSampler(offer, catalog),
             )
             offers.append(offer)
         slot, value, sampler = cached

@@ -25,6 +25,8 @@ PALETTE = (
     "#F0E442",
 )
 
+_WIDTH = 720
+_HEIGHT = 480
 _MARGIN_LEFT = 72.0
 _MARGIN_RIGHT = 18.0
 _MARGIN_TOP = 42.0
@@ -86,13 +88,11 @@ def line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: int = 720,
-    height: int = 480,
 ) -> str:
     """Render the series as a standalone SVG document string."""
     x_lo, x_hi, y_lo, y_hi = _bounds(series)
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -101,13 +101,13 @@ def line_chart(
         return _MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         out.append(
-            f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" font-weight="bold">{escape(title)}</text>'
         )
 
@@ -143,7 +143,7 @@ def line_chart(
     out.append(f'<path d="{frame}" fill="none" stroke="#333333" stroke-width="1"/>')
     if x_label:
         out.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{height - 14:.1f}" '
+            f'<text x="{_MARGIN_LEFT + plot_w / 2:.1f}" y="{_HEIGHT - 14:.1f}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12">{escape(x_label)}</text>'
         )
     if y_label:

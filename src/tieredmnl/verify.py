@@ -8,11 +8,10 @@ per-epoch gap, and the defining formula plus optimism of the preference
 index.  ``run_checks`` never raises for a failing property — every surprise
 is folded into a failed ``CheckResult``.
 
-The ``confidence_scale`` argument exists for harness-level mutation testing:
-it substitutes the confidence scale the ledger is *queried* with, while the
-formula check keeps its own independently coded literal.  Any substitution
-(say 4.8 in place of 48) therefore makes the optimism-coverage check fail,
-proving the check actually constrains the constant.
+The optimism check queries the ledger with its default confidence scale,
+``estimation.UCB_CONFIDENCE_SCALE``, and compares the index with a formula
+that writes the constant 48 out, so a changed module constant (say 4.8)
+makes exactly that check fail.
 """
 
 from __future__ import annotations
@@ -58,7 +57,8 @@ class CheckResult:
         return "PASS" if self.passed else "FAIL"
 
 
-def _check_fixture_files(path: Path) -> CheckResult:
+def _check_fixture_files() -> CheckResult:
+    path = EXAMPLE_CATALOG
     if not path.is_file():
         return CheckResult("fixture-files", False, f"fixture missing: {path}")
     try:
@@ -70,7 +70,8 @@ def _check_fixture_files(path: Path) -> CheckResult:
     )
 
 
-def _check_worked_example(path: Path) -> CheckResult:
+def _check_worked_example() -> CheckResult:
+    path = EXAMPLE_CATALOG
     if not path.is_file():
         return CheckResult("worked-example-values", False, f"fixture missing: {path}")
     catalog = load_catalog(path)
@@ -237,7 +238,7 @@ def _check_closed_form_gap() -> CheckResult:
     )
 
 
-def _check_ucb_optimism(confidence_scale) -> CheckResult:
+def _check_ucb_optimism() -> CheckResult:
     rng = np.random.default_rng(_CHECK_SEED)
     v_true = 0.5
     catalog = Catalog((Product("u", 1.0, v_true),))
@@ -253,9 +254,7 @@ def _check_ucb_optimism(confidence_scale) -> CheckResult:
             continue
         purchases += record.purchases_of("u")
         epochs_done += 1
-        implemented = ledger.valuation_ucb(
-            "u", ledger.completed, n_products, confidence_scale
-        )
+        implemented = ledger.valuation_ucb("u", ledger.completed, n_products)
         # the defining formula, with its constant written out
         pad = 48.0 * math.log(n_products * ledger.completed + 1.0) / epochs_done
         mean = purchases / epochs_done
@@ -281,24 +280,16 @@ def _check_ucb_optimism(confidence_scale) -> CheckResult:
     )
 
 
-def run_checks(
-    *, confidence_scale: float | None = None, fixture_path=None
-) -> list[CheckResult]:
-    """Run every diagnostic; failures are reported, never raised.
-
-    ``confidence_scale`` overrides the scale the optimism check queries the
-    ledger with (mutation hook); ``fixture_path`` overrides the packaged
-    example catalog (missing-file hook).
-    """
-    path = EXAMPLE_CATALOG if fixture_path is None else Path(fixture_path)
+def run_checks() -> list[CheckResult]:
+    """Run every diagnostic; failures are reported, never raised."""
     checks: list[tuple[str, Callable[[], CheckResult]]] = [
-        ("fixture-files", lambda: _check_fixture_files(path)),
-        ("worked-example-values", lambda: _check_worked_example(path)),
+        ("fixture-files", _check_fixture_files),
+        ("worked-example-values", _check_worked_example),
         ("epoch-bookkeeping", _check_epoch_bookkeeping),
         ("solver-brute-force", _check_solver_brute_force),
         ("geometric-purchase-counts", _check_geometric_counts),
         ("per-epoch-gap-closed-form", _check_closed_form_gap),
-        ("ucb-optimism-coverage", lambda: _check_ucb_optimism(confidence_scale)),
+        ("ucb-optimism-coverage", _check_ucb_optimism),
     ]
     results = []
     for name, check in checks:

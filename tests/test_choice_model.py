@@ -240,6 +240,13 @@ class TestProductValidation:
         with pytest.raises(InvalidCatalogError, match="duplicate product id 'a'"):
             Catalog((Product("a", 1.0, 0.5), Product("1", 1.0, 0.5), Product("a", 2.0, 0.5)))
 
+    @pytest.mark.parametrize("bad", ["", "a|b", "|"])
+    def test_ids_a_trace_cell_cannot_carry_rejected(self, bad):
+        """A trace cell joins a tier's str ids with "|", so an empty id or one
+        holding "|" would read back as another offer; the catalog names it."""
+        with pytest.raises(InvalidCatalogError, match=f"product id {bad!r} is empty or holds"):
+            Catalog((Product("a", 1.0, 0.5), Product(bad, 1.0, 0.5)))
+
     def test_candidate_sets_must_reference_known_products(self):
         with pytest.raises(InvalidCatalogError):
             Catalog((Product("a", 1.0, 0.5),), candidates_tier1=["ghost"])
@@ -422,6 +429,12 @@ class TestCatalogSerialization:
     def test_ids_with_one_str_rejected(self):
         products = [{"id": i, "profit": 1.0, "valuation": 0.5} for i in ("1", "a", 1)]
         with pytest.raises(InvalidCatalogError, match="ids '1' and 1 have one str"):
+            catalog_from_dict({"products": products})
+
+    @pytest.mark.parametrize("bad", ["", "x|y"])
+    def test_ids_a_trace_cell_cannot_carry_rejected(self, bad):
+        products = [{"id": i, "profit": 1.0, "valuation": 0.5} for i in (1, bad)]
+        with pytest.raises(InvalidCatalogError, match=f"product id {bad!r}"):
             catalog_from_dict({"products": products})
 
     def test_missing_fields_named(self):

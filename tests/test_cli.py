@@ -456,6 +456,31 @@ class TestNoOutputOnError:
         assert not out.exists()
 
 
+class TestIdsTraceCellsCannotCarry:
+    """A catalog id that is empty or holds "|" is bad input for every
+    command that reads a catalog, refused before anything is written."""
+
+    @pytest.mark.parametrize("bad", ["", "a|b"])
+    def test_solve(self, bad, tmp_path, capsys):
+        path = tmp_path / "catalog.json"
+        products = [{"id": i, "profit": 1.0, "valuation": 0.5} for i in ("a", bad)]
+        path.write_text(json.dumps({"products": products}), encoding="utf-8")
+        assert main(["solve", str(path)]) == 1
+        assert repr(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["", "a|b"])
+    def test_simulate(self, bad, tmp_path, capsys):
+        config, _ = small_config(tmp_path)
+        document = config_to_dict(config)
+        document["catalog"]["products"][0]["id"] = bad
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["simulate", str(path), "--out", str(out)]) == 1
+        assert repr(bad) in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestExperiment:
     def test_config_file_artifacts(self, tmp_path, capsys):
         config, path = small_config(
@@ -581,15 +606,17 @@ class TestDiagnosticsHooks:
         for x in [0.0, 1e-12, 0.5, 3.0, 11.07, 25.0, *range(1, 201, 7), 200.0]:
             assert _chi2_sf_5(x) == pytest.approx(float(chi2.sf(x, 5)), rel=1e-12, abs=0)
 
-    def test_tampered_confidence_scale_is_detected(self):
-        """Re-running the diagnostics as if the ledger had been queried with
-        a smaller confidence scale trips exactly the optimism check."""
-        results = run_checks(confidence_scale=4.8)
+    def test_tampered_confidence_scale_is_detected(self, monkeypatch):
+        """A smaller module confidence scale, the default every ledger query
+        uses, trips exactly the optimism check."""
+        monkeypatch.setattr("tieredmnl.estimation.UCB_CONFIDENCE_SCALE", 4.8)
+        results = run_checks()
         failed = [r.name for r in results if not r.passed]
         assert failed == ["ucb-optimism-coverage"]
 
-    def test_missing_fixture_is_reported_by_name(self, tmp_path):
-        results = run_checks(fixture_path=tmp_path / "gone.json")
+    def test_missing_fixture_is_reported_by_name(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("tieredmnl.verify.EXAMPLE_CATALOG", tmp_path / "gone.json")
+        results = run_checks()
         by_name = {r.name: r for r in results}
         assert not by_name["fixture-files"].passed
         assert "gone.json" in by_name["fixture-files"].detail

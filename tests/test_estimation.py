@@ -247,9 +247,9 @@ class TestRecordingGuards:
         totals = reference_totals(ledger)
         for i in ("a", "b", "c", "x"):
             assert (ledger.times_offered(i), ledger.purchase_total(i)) == totals[i][:2]
-        assert ledger.valuation_ucb_many(["c"], 3, 4).tolist() == [
-            reference_ucb(totals, "c", 3, 4)
-        ]
+        want = reference_ucb(totals, "c", 3, 4)
+        assert ucb_by_rank(ledger, ["c"], 3, 4) == [want]
+        assert ledger.valuation_ucb("c", 3, 4) == want
 
     def test_outcome_must_match_offer(self):
         ledger = new_ledger()
@@ -370,6 +370,12 @@ def reference_ucb(totals, product_id, epoch, n_products, confidence_scale=None):
     return mean + math.sqrt(mean * pad) + pad
 
 
+def ucb_by_rank(ledger, ids, epoch, n_products, confidence_scale=None):
+    """The policies' path: ``_ucb`` over the catalog ranks of ``ids``."""
+    ranks = ledger._catalog._indices(ids)
+    return ledger._ucb(ranks, epoch, n_products, confidence_scale).tolist()
+
+
 def random_ledger(seed, n_products=40, n_steps=4000):
     """A ledger whose products first appear one by one, so launch epochs
     are many and distinct, and whose tier sets are redrawn at every
@@ -398,7 +404,8 @@ def random_ledger(seed, n_products=40, n_steps=4000):
 
 
 class TestVectorIndex:
-    """``valuation_ucb_many`` against the scalar formula, compared with ==."""
+    """``_ucb`` over catalog ranks and the scalar ``valuation_ucb`` against
+    the formula, compared with ==."""
 
     def test_matches_scalar_formula(self):
         for seed in (1, 2, 3):
@@ -406,12 +413,12 @@ class TestVectorIndex:
             totals = reference_totals(ledger)
             launches = {launch for _, _, launch in totals.values()}
             assert len(launches) >= 10
-            ids = sorted_ids(totals)
+            ids = sorted(totals, key=ledger._catalog._rank.__getitem__)
             for epoch in (0, 1, 7, ledger.completed // 2, ledger.completed, ledger.completed + 50):
                 for n_products, scale in ((len(ids), None), (3, 4.8), (101, 0.5)):
-                    got = ledger.valuation_ucb_many(ids, epoch, n_products, scale)
+                    got = ucb_by_rank(ledger, ids, epoch, n_products, scale)
                     want = [reference_ucb(totals, i, epoch, n_products, scale) for i in ids]
-                    assert got.tolist() == want
+                    assert got == want
                     for i in ids[::7]:
                         assert ledger.valuation_ucb(i, epoch, n_products, scale) == (
                             reference_ucb(totals, i, epoch, n_products, scale)
@@ -423,9 +430,10 @@ class TestVectorIndex:
         totals = reference_totals(ledger)
         late = [i for i, (_, _, launch) in totals.items() if launch > 30]
         assert late
-        got = ledger.valuation_ucb_many(late, 30, 10)
-        assert got.tolist() == [reference_ucb(totals, i, 30, 10) for i in late]
-        assert got.tolist() == [totals[i][1] / totals[i][0] for i in late]
+        got = ucb_by_rank(ledger, late, 30, 10)
+        assert got == [reference_ucb(totals, i, 30, 10) for i in late]
+        assert got == [totals[i][1] / totals[i][0] for i in late]
+        assert [ledger.valuation_ucb(i, 30, 10) for i in late] == got
 
     def test_totals_match_records(self):
         ledger = random_ledger(5)
@@ -442,14 +450,17 @@ class TestVectorIndex:
         ledger = scripted_ledger()
         totals = reference_totals(ledger)
         for x in (9170, 19143, 94869, 102327, 136085, 136837, 141614, 147674, 275063, 285343):
-            got = ledger.valuation_ucb_many(["a", "b"], x - 1, 1)
-            assert got.tolist() == [reference_ucb(totals, i, x - 1, 1) for i in ("a", "b")]
+            want = [reference_ucb(totals, i, x - 1, 1) for i in ("a", "b")]
+            assert ucb_by_rank(ledger, ["a", "b"], x - 1, 1) == want
+            assert [ledger.valuation_ucb(i, x - 1, 1) for i in ("a", "b")] == want
 
     def test_never_offered_in_batch(self):
+        """A catalog product no closed epoch offered, and an id outside the
+        catalog, both raise through the scalar."""
         ledger = scripted_ledger()
-        with pytest.raises(NeverOfferedError):
-            ledger.valuation_ucb_many(["a", "z"], 3, 2)
-        assert ledger.valuation_ucb_many([], 3, 2).tolist() == []
+        for i in ("c", "z"):
+            with pytest.raises(NeverOfferedError):
+                ledger.valuation_ucb(i, 3, 2)
 
     def test_repeated_sets_reuse_rows(self):
         """Each tier keeps one set, rebuilt as an equal but distinct
@@ -486,9 +497,8 @@ class TestVectorIndex:
             assert ledger.purchase_total(i) == purchases
             assert ledger.launch_epoch(i) == launch
         for epoch in (0, ledger.completed // 2, ledger.completed):
-            got = ledger.valuation_ucb_many(ids, epoch, len(ids))
             want = [reference_ucb(totals, i, epoch, len(ids)) for i in ids]
-            assert got.tolist() == want
+            assert ucb_by_rank(ledger, ids, epoch, len(ids)) == want
             assert [ledger.valuation_ucb(i, epoch, len(ids)) for i in ids] == want
 
     def test_cached_rows_are_catalog_ranks(self):
@@ -531,11 +541,16 @@ class TestCatalogRanks:
     )
     def test_unknown_id_leaves_the_ledger_as_it_was(self, tiers, outcome):
         ledger = scripted_ledger()
-        totals = (ledger._epochs_total, ledger._purchases_total, ledger._launch_epoch)
-        before = (ledger.completed, ledger.steps_recorded, [t.tolist() for t in totals])
+        totals = (ledger._epochs_total, ledger._purchases_total, ledger._launch_slot)
+
+        def state():
+            arrays = [t.tolist() for t in totals]
+            return ledger.completed, ledger.steps_recorded, arrays, list(ledger._launch_values)
+
+        before = state()
         with pytest.raises(UnknownProductError):
             ledger.record_step(TieredOffer.two_tier(*tiers), outcome)
-        assert (ledger.completed, ledger.steps_recorded, [t.tolist() for t in totals]) == before
+        assert state() == before
         assert ledger.open_labels() == (6, 6)
         ledger.record_step(OFFER, NO_PURCHASE)
         assert (ledger.completed, ledger.steps_recorded) == (8, 10)

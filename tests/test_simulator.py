@@ -687,6 +687,40 @@ class TestCsvOutput:
         assert written == reference.read_bytes()
         assert b",-0.0," in written and b",0.0," in written
 
+    @pytest.mark.parametrize("name", ["oracle", "ucb_tiered", "random_tier", "explore_then_exploit"])
+    def test_tier_cells_split_back_into_the_served_ids(self, name, tmp_path, monkeypatch):
+        """Every row's tier cells split on "|" back into the str ids of the
+        tiers served at its step, and an empty cell is an empty tier: the
+        format the catalog's id rule keeps readable."""
+        recorded = []
+
+        def record(*args, **kwargs):
+            recorded.append(_Recording(make_policy(*args, **kwargs)))
+            return recorded[-1]
+
+        monkeypatch.setattr(simulator, "make_policy", record)
+        catalog = Catalog(
+            (
+                Product("a", 3.0, 0.5),
+                Product(7, 2.0, 0.4),
+                Product("c d", 2.5, 0.6),
+                Product("e,f", 1.0, 0.3),
+            )
+        )
+        spec = PolicySpec(name)
+        config = oracle_config(catalog=catalog, horizon=150, policies=(spec,))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(run(config, spec, seed=0), path)
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        served = recorded[0].served
+        assert len(rows) == len(served) == 150
+        for row, offer in zip(rows, served):
+            for cell, tier in zip(row[3:], offer.tiers, strict=True):
+                ids = cell.split("|") if cell else []
+                assert sorted(ids) == sorted(str(i) for i in tier)
+                assert len(ids) == len(tier)
+
     def test_mean_curve_csv(self, tmp_path):
         config = oracle_config(policies=(PolicySpec("ucb_tiered"),), horizon=30)
         summary = replicate(config, config.policies[0], n_reps=2)
