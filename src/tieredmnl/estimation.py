@@ -204,15 +204,14 @@ class EpochLedger:
     def valuation_estimate(self, product_id) -> float:
         """Mean purchases per completed epoch offering the product, pooled
         across both tiers."""
-        epochs = self.times_offered(product_id)
-        if not epochs:
+        if not self.has_estimate(product_id):
             raise NeverOfferedError(product_id)
-        return self.purchase_total(product_id) / epochs
+        return float(self._means(self._catalog._indices((product_id,)))[0])
 
     def _means(self, ranks: np.ndarray) -> np.ndarray:
-        """``valuation_estimate`` of the products at catalog ``ranks``, 0.0
-        for a product never offered (its purchases are 0 too): int64 over
-        int64 rounds like Python's int / int below 2**53."""
+        """Mean purchases per completed epoch of the products at catalog
+        ``ranks``, 0.0 for a product never offered (its purchases are 0
+        too): int64 over int64 rounds like Python's int / int below 2**53."""
         return self._purchases_total[ranks] / np.maximum(self._epochs_total[ranks], 1)
 
     def valuation_ucb(

@@ -354,10 +354,9 @@ class ChoiceSampler:
     only a ``random()`` method returning floats in [0, 1).
     """
 
-    __slots__ = ("offer", "_tiers")
+    __slots__ = ("_tiers",)
 
     def __init__(self, offer: TieredOffer, catalog: Catalog):
-        self.offer = offer
         self._tiers = []
         for tier in offer.tiers:
             ids = sorted_ids(tier)

@@ -65,6 +65,8 @@ The search walks a structured family of offers instead of all subsets:
   less the tier-1 terms bound that sum with one bisect.  A point it leaves
   short by more than a margin scaled to the sums falls short of lam and is
   skipped; the unchanged walks price the rest, so the answer is the same.
+  A step's fresh points are screened once, at the best value when the step
+  starts; any later best value is no lower, so the skipped points stay beaten.
 
 ``brute_force_optimal`` enumerates every assignment outright with one
 recursive search for any number of tiers, and serves as the reference
@@ -363,11 +365,11 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
     and are not priced again.  Raises InstanceTooLargeError once the work,
     frontier points summed over the steps times |exclusives| + 1 + n2 (the
     screen's skips included), exceeds ``_MAX_EXACT_WORK``.  The screen takes
-    a step's fresh points at once, and again past each point that raises
-    the best value; its margin is 1e-9 * (1 + sum rv + (1 + |need|) *
-    (1 + sum v)), sums over the tier-2 candidates and exclusives.  Returns
-    (value, tier1 ids, tier2 ids) when some offer beats ``seed_value``, else
-    None."""
+    a step's fresh points once, at the best value from the start of the
+    step, and the survivors are priced in order; its margin is 1e-9 * (1 +
+    sum rv + (1 + |need|) * (1 + sum v)), sums over the tier-2 candidates
+    and exclusives.  Returns (value, tier1 ids, tier2 ids) when some offer
+    beats ``seed_value``, else None."""
     r1, r2, pos2 = frame.profits1, frame.profits2, frame.pos2
     n2 = len(r2)
     exc = [j for j, k in enumerate(pos2) if k == n2]
@@ -389,46 +391,41 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
                     f"exact completion reached {work} steps on {len(z)} demoted "
                     f"sets (cap {_MAX_EXACT_WORK}); restrict the candidate sets or pass exact=False"
                 )
-            while len(fresh):
-                zf = z[fresh]
-                rv1, v1 = sum_rv - zf.real, 1.0 + sum_v + zf.imag
-                m = bisect_left(negx, -best_value)
-                need = best_value * (v1 + cvx[m]) - rv1 - crvx[m]  # the tier-2 value to beat
-                m = np.searchsorted(neg2, -need)
-                slack = crv2[m] - need * cv2[m] - rv1 + need * (v1 - 2.0)  # >= the sum less need
-                skip = slack < -1e-9 * (scale_rw + (1.0 + abs(need)) * scale_w)  # NaN is priced
-                value = best_value
-                for i in (~skip).nonzero()[0].tolist():
-                    tier1, o = 0, fresh[i]
-                    for origin, n, bit in reversed(history):
-                        o = origin[o]
-                        if o < n:  # the product walked at that step stayed in tier 1
-                            tier1 |= bit
-                        else:
-                            o -= n
-                    e, tail, sv, srv = 0, 0.0, 0.0, 0.0
-                    for k in range(n2):
-                        if tier1 >> k & 1:
-                            continue
-                        r = r2[k]
-                        if r <= tail:  # from here on no product raises tier 2's value
-                            break
-                        sv += w2[k]
-                        srv += r * w2[k]
-                        if srv / (1.0 + sv) > tail:
-                            tail, e = srv / (1.0 + sv), k + 1
-                    v, rv, a = float(v1[i]), float(rv1[i]) + tail, 0
-                    while True:
-                        if rv / v > best_value:
-                            best_value, best = rv / v, (tier1, a, e)
-                        if a == len(exc) or r1[exc[a]] <= best_value:
-                            break
-                        v += w1[exc[a]]
-                        rv += r1[exc[a]] * w1[exc[a]]
-                        a += 1
-                    if best_value > value:
+            zf = z[fresh]
+            rv1, v1 = sum_rv - zf.real, 1.0 + sum_v + zf.imag
+            m = bisect_left(negx, -best_value)
+            need = best_value * (v1 + cvx[m]) - rv1 - crvx[m]  # the tier-2 value to beat
+            m = np.searchsorted(neg2, -need)
+            slack = crv2[m] - need * cv2[m] - rv1 + need * (v1 - 2.0)  # >= the sum less need
+            skip = slack < -1e-9 * (scale_rw + (1.0 + abs(need)) * scale_w)  # NaN is priced
+            for i in (~skip).nonzero()[0].tolist():
+                tier1, o = 0, fresh[i]
+                for origin, n, bit in reversed(history):
+                    o = origin[o]
+                    if o < n:  # the product walked at that step stayed in tier 1
+                        tier1 |= bit
+                    else:
+                        o -= n
+                e, tail, sv, srv = 0, 0.0, 0.0, 0.0
+                for k in range(n2):
+                    if tier1 >> k & 1:
+                        continue
+                    r = r2[k]
+                    if r <= tail:  # from here on no product raises tier 2's value
                         break
-                fresh = fresh[i + 1:] if best_value > value else fresh[:0]  # re-screen the rest
+                    sv += w2[k]
+                    srv += r * w2[k]
+                    if srv / (1.0 + sv) > tail:
+                        tail, e = srv / (1.0 + sv), k + 1
+                v, rv, a = float(v1[i]), float(rv1[i]) + tail, 0
+                while True:
+                    if rv / v > best_value:
+                        best_value, best = rv / v, (tier1, a, e)
+                    if a == len(exc) or r1[exc[a]] <= best_value:
+                        break
+                    v += w1[exc[a]]
+                    rv += r1[exc[a]] * w1[exc[a]]
+                    a += 1
             if step == len(shared) or r1[shared[step]] <= max(best_value - 1e-9, 0.0):
                 break
             j = shared[step]
@@ -693,6 +690,8 @@ def predict_new_product_tier(
     optimum's suffix values, without re-solving."""
     if not suffix_values:
         raise ValueError("need at least one tier suffix value")
+    if not all(map(math.isfinite, (*suffix_values, profit))):
+        raise ValueError("suffix values and profit must be finite")
     for a, b in zip(suffix_values, suffix_values[1:]):
         if b > a + 1e-9:
             raise ValueError("suffix values must be non-increasing by tier")

@@ -364,7 +364,7 @@ class ExploreThenExploitPolicy(Policy):
         self.ledger = EpochLedger(catalog)
         self._products = sorted_ids(catalog.ids)
         self._ranks = catalog._indices(self._products)
-        self._profits = np.array([catalog.profit_of(i) for i in self._products])
+        self._profits = catalog._profits[self._ranks]
 
         def cycle_key(offer):
             t1 = [catalog.profit_of(i) for i in offer.tier(0)]

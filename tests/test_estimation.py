@@ -560,9 +560,12 @@ class TestCatalogRanks:
             ids = list(ledger._catalog._rank)
             assert not all(map(ledger.has_estimate, ids))
             got = ledger._means(ledger._catalog._indices(ids)).tolist()
-            assert got == [
-                ledger.valuation_estimate(i) if ledger.has_estimate(i) else 0.0 for i in ids
+            want = [
+                ledger.purchase_total(i) / ledger.times_offered(i) if ledger.has_estimate(i)
+                else 0.0
+                for i in ids
             ]
+            assert got == want
 
 
 class TestGeometricEpochCounts:

@@ -1180,6 +1180,23 @@ class TestSuffixValuesAndPlacement:
         with pytest.raises(ValueError):
             predict_new_product_tier([0.3, 0.7], 1.0)
 
+    @pytest.mark.parametrize(
+        "suffix, profit",
+        [
+            ([0.7, 0.3], math.nan),
+            ([0.7, 0.3], math.inf),
+            ([0.7, 0.3], -math.inf),
+            ([math.nan, 0.3], 0.5),
+            ([0.7, math.nan], 0.5),
+        ],
+        ids=["nan-profit", "inf-profit", "-inf-profit", "nan-first-suffix", "nan-last-suffix"],
+    )
+    def test_placement_rejects_non_finite_values(self, suffix, profit):
+        """Every comparison with NaN is false, so a NaN would otherwise be
+        placed in tier 1."""
+        with pytest.raises(ValueError, match="finite"):
+            predict_new_product_tier(suffix, profit)
+
 
 class TestExhaustiveSearchGuards:
     def test_assignment_cap(self):

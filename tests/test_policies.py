@@ -765,9 +765,10 @@ class TestExploreThenExploit:
 
     def test_estimate_vector_and_cycle_scan_match_the_loops(self):
         """At every choice, the estimates gathered from the ledger's rows
-        equal ``valuation_estimate`` product by product (0 for a product
-        never offered), and the chosen candidate is the first eligible one
-        in cycle order from the cursor, found one index at a time."""
+        equal purchases over epochs offered, product by product (0 for a
+        product never offered), and the chosen candidate is the first
+        eligible one in cycle order from the cursor, found one index at a
+        time."""
         rng = np.random.default_rng(12)
         catalog = Catalog(
             tuple(
@@ -785,7 +786,9 @@ class TestExploreThenExploit:
             values = policy._candidate_values()
             v = np.array(
                 [
-                    ledger.valuation_estimate(i) if ledger.has_estimate(i) else 0.0
+                    ledger.purchase_total(i) / ledger.times_offered(i)
+                    if ledger.has_estimate(i)
+                    else 0.0
                     for i in policy._products
                 ]
             )
