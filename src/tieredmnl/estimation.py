@@ -20,14 +20,15 @@ epochs; changing it mid-epoch is an error because it would break the
 geometric-count argument above.
 
 ``EpochLedger.record_step`` returns the epochs a step closed, one slot per
-tier, and that slot and step fix a record's tier and steps.  The ledger
-keeps the records (label, offered set, purchases) and, per product, the
-pooled epoch and purchase totals; it keeps no step log.  Its rows are the
-catalog's ranks (``Catalog._rank``), the order the optimizer's frames and
-the policies' valuation vectors use.  Policies keep an offer object while
-its answer stands, so the epoch lock compares a tier's set by identity
-first; the close looks its set's ranks up in a dict keyed by every offered
-set closed so far.
+tier, and that slot and step fix a record's tier and steps.  An open epoch
+is its record, filled in as its steps come.  The ledger keeps the records
+(label, offered set, purchases) and, per product, the pooled epoch and
+purchase totals; it keeps no step log.  Its rows are the catalog's ranks
+(``Catalog._rank``), the order the optimizer's frames and the policies'
+valuation vectors use.  Policies keep an offer object while its answer
+stands, so the epoch lock compares a tier's set by identity first.  A set's
+ranks are computed once, on the step that first shows it, where an id
+outside the catalog is refused.
 
 Averaging a product's per-epoch purchase counts over every completed epoch
 that offered it (either tier) estimates its preference weight.
@@ -42,12 +43,12 @@ product must be shown.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple
+import numbers
 
 import numpy as np
 
 from .errors import ConfigError, InvalidOfferError, NeverOfferedError, OutcomeMismatchError
-from .model import Catalog, ChoiceOutcome, ProductId, TieredOffer, sorted_ids
+from .model import Catalog, ChoiceOutcome, TieredOffer, _finite, sorted_ids
 
 # Multiplier on ln(K * rounds + 1) / T_i inside the optimism margin.  The
 # analysis behind the regret guarantee fixes this at 48; it is a module
@@ -56,32 +57,30 @@ from .model import Catalog, ChoiceOutcome, ProductId, TieredOffer, sorted_ids
 UCB_CONFIDENCE_SCALE = 48.0
 
 
-class EpochRecord(NamedTuple):
-    """One completed epoch: its label, locked offer, and purchases.
+class EpochRecord:
+    """One epoch: its label, locked offer, and purchases.
 
     ``purchases`` maps product id to how many of the epoch's steps bought
-    it.  Its tier and steps follow from the slot and step ``record_step``
-    returned it on.  A named tuple, because one is built per closed epoch,
-    nearly one per customer.
+    it.  The ledger fills the record while the epoch is open (``offered`` is
+    None until its first viewed step); once returned it never changes.  Its
+    tier and steps follow from the slot and step it came back on.
     """
 
-    label: int
-    offered: frozenset[ProductId]
-    purchases: Mapping[ProductId, int]
+    __slots__ = ("label", "offered", "purchases")
+
+    def __init__(self, label: int, offered: frozenset | None, purchases: dict):
+        self.label = label
+        self.offered = offered
+        self.purchases = purchases
 
     def purchases_of(self, product_id) -> int:
         return self.purchases.get(product_id, 0)
 
 
-class _Open:
-    """An epoch in progress; the offered set binds at its first viewed step."""
-
-    __slots__ = ("label", "offered", "purchases")
-
-    def __init__(self, label: int):
-        self.label = label
-        self.offered: frozenset | None = None
-        self.purchases: dict = {}
+def _check_confidence_scale(scale) -> None:
+    """Refuse a scale that is neither None (the default) nor finite and >= 0."""
+    if scale is not None and _finite(scale, ConfigError, "confidence_scale") < 0.0:
+        raise ConfigError(f"confidence_scale must be >= 0, got {scale!r}")
 
 
 class EpochLedger:
@@ -96,7 +95,7 @@ class EpochLedger:
     (epochs, purchases, launch slot) sit in arrays under its rank, so the
     optimistic index of many products is one vector expression.  ``_ucb``
     and ``_means`` read ranks alone, and a closing epoch reuses the ranks
-    of any offered set closed before.  An offer holding an id outside the
+    taken when its set was first shown.  An offer holding an id outside the
     catalog is refused before anything is tallied.
     """
 
@@ -104,7 +103,7 @@ class EpochLedger:
         self.completed = 0
         self.steps_recorded = 0
         self._catalog = catalog
-        self._open = [_Open(0), _Open(0)]
+        self._open = [EpochRecord(0, None, {}), EpochRecord(0, None, {})]
         self._closed: tuple[list[EpochRecord], list[EpochRecord]] = ([], [])
         n = len(catalog.products)
         self._epochs_total = np.zeros(n, dtype=np.int64)
@@ -113,8 +112,9 @@ class EpochLedger:
         # launched rank's position among them, fixed at its first close
         self._launch_values: list[int] = []
         self._launch_slot = np.zeros(n, dtype=np.intp)
-        # every offered set closed so far, mapped to its products' ranks
+        # the ranks of every offered set closed so far, and of those only shown
         self._set_rows: dict[frozenset, np.ndarray] = {}
+        self._new_rows: dict[frozenset, np.ndarray] = {}
 
     # --- recording -------------------------------------------------------
 
@@ -145,8 +145,8 @@ class EpochLedger:
                     f"product {product!r} was not offered in tier {tier + 1}"
                 )
         for offered in tiers:  # an id outside the catalog raises before any tally
-            if offered not in self._set_rows:
-                self._catalog._indices(offered)
+            if offered not in self._set_rows and offered not in self._new_rows:
+                self._new_rows[offered] = self._catalog._indices(offered)
         viewed, opens = (0, 1) if tier != 0 else (0,), self._open
         for k in viewed:  # both locks hold before anything changes
             locked = opens[k].offered
@@ -169,21 +169,19 @@ class EpochLedger:
         # closure of the step is tallied
         closed1 = self._close(0)
         closed2 = None if product is not None else self._close(1)
-        self._open[0] = _Open(self.completed)
+        self._open[0] = EpochRecord(self.completed, None, {})
         if closed2 is not None:
-            self._open[1] = _Open(self.completed)
+            self._open[1] = EpochRecord(self.completed, None, {})
         return closed1, closed2
 
     def _close(self, k: int) -> EpochRecord:
-        open_ = self._open[k]
-        # the open epoch is dropped after its close, so its dict passes on
-        record = EpochRecord(open_.label, open_.offered, open_.purchases)
+        record = self._open[k]
         self._closed[k].append(record)
         self.completed += 1
         offered = record.offered
         rows = self._set_rows.get(offered)
         if rows is None:  # the set's first close
-            rows = self._set_rows[offered] = self._catalog._indices(offered)
+            rows = self._set_rows[offered] = self._new_rows.pop(offered)
             # one product's epochs complete in label order (its tiers are
             # disjoint and locked while open), so the first closure that
             # offers it carries its launch epoch
@@ -230,8 +228,15 @@ class EpochLedger:
         product and launch_epoch is the label of the earliest one.  A
         negative epoch gap clamps to zero (margin vanishes rather than the
         logarithm going undefined).  The logarithm is ``math.log`` (``np.log``
-        may differ in the last place).
+        may differ in the last place).  ``epoch`` and ``n_products`` must be
+        integers in [0, 2**53] and [1, 2**53], the scale None or finite and >= 0.
         """
+        for name, value, least in (("epoch", epoch, 0), ("n_products", n_products, 1)):
+            # at most 2**53 each, so that the log's argument stays a finite float
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integral and least <= value <= 2**53):
+                raise ConfigError(f"{name} must be an integer in [{least}, 2**53], got {value!r}")
+        _check_confidence_scale(confidence_scale)
         if not self.has_estimate(product_id):
             raise NeverOfferedError(product_id)
         rank = self._catalog._indices((product_id,))

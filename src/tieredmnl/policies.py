@@ -17,10 +17,10 @@ frames — a ``_PairFrame`` for the visible set in force and a
 ``_Tier1Frame`` per tier-2 epoch.  The ledger counts by the same ranks, so
 the policies hand it ranks and never translate them.  The public
 solvers solve through the same frames, so the offers equal theirs for the
-same valuations.  A re-solve whose answer equals the offer in force returns
-that offer object; a full re-solve repeating the one that built it returns
-it without building a set.  Explore-then-exploit reads its estimates from
-the ledger as one vector.
+same valuations.  A tier-1 re-solve keeping the prefix in force keeps
+that offer object; a full re-solve keeps it only when its key (view, a, e,
+learning) and forced split repeat the ones that built it.
+Explore-then-exploit reads its estimates from the ledger as one vector.
 
 Every policy, the oracle included, prices offers with the prefix-pair
 family (``exact=False``), the same family the simulator's regret benchmark
@@ -45,7 +45,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, InvalidOfferError
-from .estimation import EpochLedger
+from .estimation import EpochLedger, _check_confidence_scale
 from .model import (
     Catalog,
     ChoiceOutcome,
@@ -183,8 +183,9 @@ class UcbTieredPolicy(Policy):
     in the estimated slots the UCBs of the latest re-solve.
     ``full_resolves`` and ``tier1_resolves`` count the re-solves.  A full
     re-solve repeating the view, sweep indices (a, e), learning tuple and
-    forced split that built the offer in force keeps it untouched, until a
-    tier-1 re-solve replaces it; ``random_tier`` still flips its coins.
+    forced split that built the offer in force keeps it and its tier-1
+    frame, until a tier-1 re-solve replaces it; any other builds a new
+    offer, an equal one too.  ``random_tier`` still flips its coins.
 
     A product counts as under-learned while the ledger has fewer than
     ``min_epochs`` completed epochs offering it and its weight is not known
@@ -206,9 +207,7 @@ class UcbTieredPolicy(Policy):
         super().__init__(catalog, rng, known_valuations=known_valuations)
         if min_epochs < 0:
             raise ConfigError(f"min_epochs must be >= 0, got {min_epochs!r}")
-        scale = confidence_scale
-        if scale is not None and _finite(scale, ConfigError, "confidence_scale") < 0.0:
-            raise ConfigError(f"confidence_scale must be >= 0, got {scale!r}")
+        _check_confidence_scale(confidence_scale)
         self.min_epochs = int(min_epochs)
         self.ledger = EpochLedger(catalog)
         self.full_resolves = 0
@@ -249,7 +248,7 @@ class UcbTieredPolicy(Policy):
         visible = self._catalog.visible_at(t)
         if visible is not self._visible:  # one set object per launch count
             # visible sets only grow, so an earlier view is never needed again
-            self._visible, self._frame = visible, None
+            self._visible = visible
             self._view = _VisibleView(self._catalog, visible, self._known)
         view = self._view
         self._update_valuations(self.ledger.completed)
@@ -266,20 +265,13 @@ class UcbTieredPolicy(Policy):
             self._key, self._answer, self._split = key, (tier1, tier2, under), None
         tier1, tier2, under = self._answer
         split = self._assign_forced(under)
-        if split != self._split:  # else the same key and split keep the offer
+        if split != self._split:  # else the same key and split keep the offer and its frame
             self._split = split
-            forced = frozenset(split[0])
-            tiers = (forced.union(tier1), frozenset(tier2).union(split[1]))
-            current = self._current
-            # the same tiers and forced split are the same offer: keep the
-            # object and its tier-1 frame
-            if current is None or current.tiers != tiers or forced != self._forced_tier1:
-                self._forced_tier1 = forced
-                self._current = TieredOffer(tiers)
-                self._frame = None
+            self._forced_tier1 = forced = frozenset(split[0])
+            self._current = TieredOffer((forced.union(tier1), frozenset(tier2).union(split[1])))
+            self._frame = None
         self._tier1_a = a
-        self._need_full = False
-        self._need_tier1 = False
+        self._need_full = self._need_tier1 = False
 
     def _recompute_tier1(self) -> None:
         tier2 = self._current.tiers[1]  # locked for the tier-2 epoch

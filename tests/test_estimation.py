@@ -34,6 +34,7 @@ from tieredmnl.model import (
     TieredOffer,
     sorted_ids,
 )
+from tieredmnl.policies import UcbTieredPolicy
 from tieredmnl.rng import BufferedRandom
 
 OFFER = TieredOffer.two_tier(["a"], ["b"])
@@ -260,6 +261,26 @@ class TestRecordingGuards:
         with pytest.raises(OutcomeMismatchError):
             ledger.record_step(OFFER, ChoiceOutcome("a", 2))
 
+    def test_returned_records_keep_their_contents(self):
+        """An open epoch is the record ``record_step`` returns at its close,
+        so nothing may write to a record once it is returned: each keeps
+        its label, offered set and purchases to the end of the run, and no
+        record comes back twice."""
+        seen = []
+
+        def snapshot(offer, closed):
+            for record in closed:
+                if record is not None:
+                    seen.append((record, record.label, record.offered, dict(record.purchases)))
+
+        ledger = random_ledger(9, on_step=snapshot)
+        assert len(seen) == len(ledger.epochs(0)) + len(ledger.epochs(1)) > 1000
+        assert len({id(record) for record, *_ in seen}) == len(seen)
+        assert sum(bool(purchases) for *_, purchases in seen) > 500
+        for record, label, offered, purchases in seen:
+            assert record.label == label and record.offered is offered
+            assert record.purchases == purchases
+
     def test_two_tier_offers_only(self):
         ledger = new_ledger()
         with pytest.raises(InvalidOfferError):
@@ -327,6 +348,34 @@ class TestOptimisticIndex:
         with pytest.raises(NeverOfferedError):
             ledger.valuation_ucb("z", 3, 2)
 
+    @pytest.mark.parametrize(
+        "epoch, n_products, scale",
+        [
+            (5, -3, None),  # a log of a negative number
+            (5, 0, None),
+            (5, 2.0, None),
+            (-1, 2, None),
+            (2.5, 2, None),
+            (True, 2, None),
+            (5, 10**400, None),  # beyond the float range
+            (2**53 + 1, 2, None),
+            (5, 2, -1.0),  # a negative margin
+            (5, 2, math.nan),
+            (5, 2, math.inf),
+            (5, 2, "48"),
+        ],
+    )
+    def test_bad_arguments_are_config_errors(self, epoch, n_products, scale):
+        """Epochs and product counts are integers in [0, 2**53] and
+        [1, 2**53], the scale None or a finite number >= 0; the policy
+        refuses the same scales."""
+        ledger = scripted_ledger()
+        with pytest.raises(ConfigError):
+            ledger.valuation_ucb("a", epoch, n_products, confidence_scale=scale)
+        if scale is not None:
+            with pytest.raises(ConfigError, match="confidence_scale"):
+                UcbTieredPolicy(ledger._catalog, None, confidence_scale=scale)
+
     def test_optimism_covers_truth(self):
         """With the default scale the index stays above the true weight at
         every epoch of a 2000-epoch run (the margin is built for a union
@@ -376,10 +425,11 @@ def ucb_by_rank(ledger, ids, epoch, n_products, confidence_scale=None):
     return ledger._ucb(ranks, epoch, n_products, confidence_scale).tolist()
 
 
-def random_ledger(seed, n_products=40, n_steps=4000):
+def random_ledger(seed, n_products=40, n_steps=4000, on_step=None):
     """A ledger whose products first appear one by one, so launch epochs
     are many and distinct, and whose tier sets are redrawn at every
-    closure."""
+    closure.  ``on_step(offer, closed)``, if given, sees each step's offer
+    and what ``record_step`` returned for it."""
     rng = np.random.default_rng(seed)
     ids = [f"q{j:02d}" for j in range(n_products)]
     ledger = new_ledger(ids)
@@ -395,6 +445,8 @@ def random_ledger(seed, n_products=40, n_steps=4000):
         else:
             outcome = NO_PURCHASE
         closed = ledger.record_step(offer, outcome)
+        if on_step is not None:
+            on_step(offer, closed)
         for k in (0, 1):
             if closed[k] is not None:
                 others = tiers[1 - k]
@@ -554,6 +606,24 @@ class TestCatalogRanks:
         assert ledger.open_labels() == (6, 6)
         ledger.record_step(OFFER, NO_PURCHASE)
         assert (ledger.completed, ledger.steps_recorded) == (8, 10)
+
+    def test_each_distinct_set_is_ranked_once(self, monkeypatch):
+        """``record_step`` ranks an offered set on the step that first shows
+        it, where an id outside the catalog is refused, and never again:
+        not while the set stays open over later steps, not at its close, and
+        not when an equal set comes back."""
+        calls = []
+        indices = Catalog._indices
+
+        def counted(catalog, ids):
+            calls.append(ids)
+            return indices(catalog, ids)
+
+        monkeypatch.setattr(Catalog, "_indices", counted)
+        shown = set()
+        ledger = random_ledger(10, on_step=lambda offer, closed: shown.update(offer.tiers))
+        assert 3 * len(ledger.epochs(1)) < ledger.steps_recorded  # tier-2 sets stay open
+        assert len(calls) == len(shown) > 100
 
     def test_means_read_zero_for_never_offered(self):
         for ledger in (scripted_ledger(), random_ledger(8, n_steps=400)):

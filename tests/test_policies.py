@@ -512,8 +512,10 @@ class TestArrayDecisionPath:
 
     @pytest.mark.parametrize("policy_cls", [UcbTieredPolicy, RandomTierLearningPolicy])
     def test_repeated_full_answer_keeps_the_offer(self, policy_cls):
-        """A full re-solve that gives the tiers and forced split of the
-        offer in force returns that very offer object."""
+        """A full re-solve keeps the offer in force, as the same object,
+        exactly when its key (view, a, e, learning) and forced split repeat
+        those of the full re-solve that built it; any other full re-solve
+        builds a new object, an equal one included."""
         rng = np.random.default_rng(93)
         catalog, known = shaped_catalog("shared", rng)
         policy = policy_cls(
@@ -524,16 +526,17 @@ class TestArrayDecisionPath:
             confidence_scale=4.8,
         )
         customers = BufferedRandom(np.random.default_rng(6))
-        kept = 0
+        kept = equal_rebuilt = 0
         for t in range(1, 1201):
             full = policy._need_full or policy._current is None
-            previous, forced = policy._current, policy._forced_tier1
+            previous, built_by = policy._current, (policy._key, policy._split)
             offer = policy.offer(t)
-            if full and offer == previous and policy._forced_tier1 == forced:
-                assert offer is previous
-                kept += 1
+            if full:
+                assert (offer is previous) == ((policy._key, policy._split) == built_by)
+                kept += offer is previous
+                equal_rebuilt += offer is not previous and offer == previous
             policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
-        assert kept > 100
+        assert kept > 100 and equal_rebuilt > 0
 
     @pytest.mark.parametrize("policy_cls", [UcbTieredPolicy, RandomTierLearningPolicy])
     @pytest.mark.parametrize("shape", ["shared", "disjoint", "overlapping"])
@@ -541,8 +544,9 @@ class TestArrayDecisionPath:
         """At every full re-solve the served offer is the pair frame's tiers
         for the sweep's (a, e) plus the forced split of H, rebuilt from
         scratch, and the offer in force comes back as the same object
-        exactly when it equals that offer with the same forced tier-1 part.
-        The shared and overlapping catalogs launch products as they run."""
+        exactly when the view, (a, e), the learning set and the forced split
+        all repeat those that built it, with no tier-1 change since.  The
+        shared and overlapping catalogs launch products as they run."""
         rng = np.random.default_rng(["shared", "disjoint", "overlapping"].index(shape) + 97)
         catalog, known = shaped_catalog(shape, rng)
         policy = policy_cls(
@@ -562,10 +566,9 @@ class TestArrayDecisionPath:
         policy._assign_forced = record
         customers = BufferedRandom(np.random.default_rng(6))
         kept = built = 0
-        previous = None
+        previous = built_by = None  # the offer in force and its full re-solve's inputs
         for t in range(1, 1201):
             full = policy._need_full or policy._current is None
-            forced_before = policy._forced_tier1
             learning = [
                 i for i in sorted_ids(catalog.visible_at(t))
                 if i not in known and policy.ledger.times_offered(i) < 15
@@ -579,10 +582,14 @@ class TestArrayDecisionPath:
                 assert under == tuple(i for i in learning if i not in {*tier1, *tier2})
                 want = TieredOffer.two_tier({*tier1, *forced1}, {*tier2, *forced2})
                 assert offer == want
-                same = want == previous and frozenset(forced1) == forced_before
+                inputs = (policy._view, a, e, learning, forced1, forced2)
+                same = inputs == built_by
                 assert (offer is previous) == same
                 kept += same
                 built += not same
+                built_by = inputs
+            elif offer is not previous:  # a tier-1 re-solve changed the offer
+                built_by = None
             previous = offer
             policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
         assert len(splits) == policy.full_resolves == kept + built
@@ -605,10 +612,11 @@ class TestArrayDecisionPath:
         run_policy(policy, catalog, 1200, 6)
         assert (policy.full_resolves, policy.tier1_resolves, coins.draws) == (full, tier1, draws)
 
-    def test_kept_offer_rebuilds_the_frame_after_a_launch(self):
-        """An offer kept across a launch keeps its tiers, but its tier-1
-        frame must come from the new visible set: the launched products may
-        join tier 1 at the next tier-1 re-solve."""
+    def test_no_offer_survives_a_view_change(self):
+        """A launch brings a new view, so the next full re-solve builds a new
+        offer object, and the tier-1 frame built after it comes from the new
+        view: the launched products may join tier 1 at the next tier-1
+        re-solve."""
         rng = np.random.default_rng(94)
         catalog, known = shaped_catalog("shared", rng)
         policy = UcbTieredPolicy(
@@ -618,12 +626,14 @@ class TestArrayDecisionPath:
             confidence_scale=4.8,
         )
         customers = BufferedRandom(np.random.default_rng(8))
-        crossed = 0
+        crossed = equal = 0
         for t in range(1, 400):
-            view, frame, previous = policy._view, policy._frame, policy._current
+            view, previous = policy._view, policy._current
             offer = policy.offer(t)
-            if frame is not None and offer is previous and policy._view is not view:
+            if view is not None and policy._view is not view:
+                assert offer is not previous and policy._frame is None
                 crossed += 1
+                equal += offer == previous
             if policy._frame is not None:
                 tier2 = policy._current.tiers[1]
                 assert policy._frame.free == [
@@ -631,7 +641,7 @@ class TestArrayDecisionPath:
                     if i not in tier2 and i not in policy._forced_tier1
                 ]
             policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
-        assert crossed > 0
+        assert crossed > 0 and equal > 0
 
     @pytest.mark.parametrize("shape", ["shared", "overlapping"])
     def test_tier1_frame_prices_like_the_public_solver(self, shape):
