@@ -293,6 +293,8 @@ def min_learning_epochs(epsilon: float, alpha: float) -> int:
 
         ceil( 192 * ln(2/alpha + 1) / (-1 + sqrt(1 + 4*epsilon))^2 )
     """
+    epsilon = _finite(epsilon, ConfigError, "accuracy epsilon")
+    alpha = _finite(alpha, ConfigError, "confidence alpha")
     if not epsilon > 0.0:
         raise ConfigError(f"accuracy epsilon must be > 0, got {epsilon!r}")
     if not 0.0 < alpha < 1.0:

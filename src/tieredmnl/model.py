@@ -16,8 +16,13 @@ matches ``purchase_probabilities`` exactly.
 Determinism comes from fixed orders, never from set iteration order.  Each
 ``Catalog`` gives its products dense indices once, in the canonical order
 (profit descending, then ascending ``str(id)``); the optimizer and the
-policies gather per-product arrays in that order.  The closed forms below
-sum each tier in ascending ``str(id)`` order.  Repeated runs, and runs in
+policies gather per-product arrays in that order.  Every price, sample and
+solve reads weights by rank from one vector, the catalog's or the one
+``_weight_vector`` builds from a caller's overrides, and ``_gather``
+checks the weights it reads once.  The closed forms read each tier in
+ascending ``str(id)`` order and add it with ``_tier_sums``, left to right
+from 0.0 as the solvers' running sums do, never with ``sum()``, which
+compensates its additions from Python 3.12 on.  Repeated runs, and runs in
 separate processes, are therefore bit-identical.
 """
 
@@ -29,7 +34,8 @@ import math
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, chain
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -280,24 +286,65 @@ class ChoiceDistribution:
         return self.purchase.get(product_id, 0.0)
 
 
-def _weight(catalog: Catalog, valuations, product_id) -> float:
-    product = catalog.product(product_id)  # membership check even when overridden
+def _weight_vector(catalog: Catalog, valuations, *orders) -> np.ndarray:
+    """Preference weights indexed by catalog rank: the catalog's own, or
+    the ``valuations`` overrides of the ids in ``orders`` (NaN elsewhere),
+    each read once and stored as a float for ``_gather`` to check.
+    InvalidOfferError names an override that is a bool, not a real number
+    or an int beyond the float range."""
     if valuations is None:
-        return product.valuation
+        return catalog._valuations
+    needed = dict.fromkeys(chain.from_iterable(orders))
+    w = np.full(len(catalog._valuations), math.nan)
+    w[catalog._indices(needed)] = [_override(valuations, i) for i in needed]
+    return w
+
+
+def _override(valuations: Mapping, product_id) -> float:
     try:
-        w = valuations[product_id]
+        x = valuations[product_id]
+        if isinstance(x, numbers.Real) and type(x) is not bool:
+            return float(x)
     except KeyError:
         raise UnknownProductError(product_id, "no valuation override supplied") from None
-    if not 0.0 <= w < math.inf:
-        raise InvalidOfferError(
-            f"valuation for {product_id!r} must be finite and >= 0, got {w!r}"
-        )
-    return w
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise InvalidOfferError(f"valuation for {product_id!r} must be a finite real number, got {x!r}")
+
+
+def _gather(w: np.ndarray, ranks, ids) -> list:
+    """``w[ranks]`` as a list of floats, named by ``ids`` position for
+    position; InvalidOfferError unless every weight is finite and >= 0."""
+    v = w[ranks].tolist()
+    if not (sum(v) < math.inf and min(v, default=0.0) >= 0.0):  # a NaN or +inf fails the sum
+        for i, x in zip(ids, v):  # names the first bad weight; finite ones can overflow the sum
+            if not 0.0 <= x < math.inf:
+                raise InvalidOfferError(f"valuation for {i!r} must be finite and >= 0, got {x!r}")
+    return v
+
+
+def _tier_lists(tiers: Iterable[Iterable[ProductId]], catalog: Catalog, valuations=None) -> list:
+    """(ids, profits, weights) of each of ``tiers``: its ids in ``str(id)``
+    order, and the profits and ``_gather``-checked ``_weight_vector``
+    weights read at their catalog ranks."""
+    ids = [sorted_ids(tier) for tier in tiers]
+    w = _weight_vector(catalog, valuations, *ids)
+    ranks = [catalog._indices(tier) for tier in ids]
+    return [(t, catalog._profits[k].tolist(), _gather(w, k, t)) for t, k in zip(ids, ranks)]
+
+
+def _tier_sums(r, w) -> tuple[float, float]:
+    """(sum w, sum r w), each added left to right from 0.0."""
+    sum_w = sum_rw = 0.0
+    for r_i, w_i in zip(r, w):
+        sum_w, sum_rw = sum_w + w_i, sum_rw + r_i * w_i
+    return sum_w, sum_rw
 
 
 def total_weight(ids: Iterable[ProductId], catalog: Catalog, valuations=None) -> float:
     """Sum of preference weights over ``ids``, in deterministic order."""
-    return sum(_weight(catalog, valuations, i) for i in sorted_ids(ids))
+    (_, r, w), = _tier_lists([ids], catalog, valuations)
+    return _tier_sums(r, w)[0]
 
 
 def purchase_probabilities(
@@ -307,12 +354,10 @@ def purchase_probabilities(
     probs: dict[ProductId, float] = {}
     reach = 1.0
     tier_np = []
-    for tier in offer.tiers:
-        ids = sorted_ids(tier)
-        weights = [_weight(catalog, valuations, i) for i in ids]
-        denom = 1.0 + sum(weights)
-        for i, w in zip(ids, weights):
-            probs[i] = reach * w / denom
+    for ids, r, w in _tier_lists(offer.tiers, catalog, valuations):
+        denom = 1.0 + _tier_sums(r, w)[0]
+        for i, w_i in zip(ids, w):
+            probs[i] = reach * w_i / denom
         tier_np.append(1.0 / denom)
         reach /= denom
     return ChoiceDistribution(probs, reach, tuple(tier_np))
@@ -324,14 +369,8 @@ def expected_profit(
     """Expected per-customer profit sum_i r_i * p_i of a tiered offer."""
     total = 0.0
     reach = 1.0
-    ranked, rank = catalog._ranked, catalog._rank
-    for tier in offer.tiers:
-        sum_w = 0.0
-        sum_rw = 0.0
-        for i in sorted_ids(tier):
-            w = _weight(catalog, valuations, i)
-            sum_w += w
-            sum_rw += ranked[rank[i]].profit * w
+    for _, r, w in _tier_lists(offer.tiers, catalog, valuations):
+        sum_w, sum_rw = _tier_sums(r, w)
         denom = 1.0 + sum_w
         total += reach * sum_rw / denom
         reach /= denom
@@ -357,15 +396,10 @@ class ChoiceSampler:
     __slots__ = ("_tiers",)
 
     def __init__(self, offer: TieredOffer, catalog: Catalog):
-        self._tiers = []
-        for tier in offer.tiers:
-            ids = sorted_ids(tier)
-            cum = []
-            acc = 0.0
-            for i in ids:
-                acc += catalog.product(i).valuation
-                cum.append(acc)
-            self._tiers.append((ids, cum, 1.0 + acc))
+        self._tiers = [
+            (ids, list(accumulate(w)), 1.0 + _tier_sums(r, w)[0])
+            for ids, r, w in _tier_lists(offer.tiers, catalog)
+        ]
 
     def sample(self, rng) -> ChoiceOutcome:
         for k, (ids, cum, denom) in enumerate(self._tiers):

@@ -85,7 +85,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidOfferError, UnknownProductError
-from .model import Catalog, TieredOffer, _weight, expected_profit, sorted_ids
+from .model import (
+    Catalog, TieredOffer, _gather, _tier_lists, _tier_sums, _weight_vector, expected_profit, sorted_ids
+)
 
 # Largest enumeration ``brute_force_optimal`` starts, in assignments.
 _BRUTE_FORCE_CAP = 2_000_000
@@ -130,32 +132,6 @@ def _thresholds(offer: TieredOffer, catalog: Catalog) -> tuple[float, ...]:
             prev = min(prev, min(catalog.profit_of(i) for i in tier))
         out.append(prev if tier else math.inf)
     return tuple(out)
-
-
-def _weight_vector(catalog: Catalog, valuations, *orders) -> np.ndarray:
-    """Preference weights indexed by catalog rank: the catalog's own, or
-    the ``valuations`` overrides of the ids in ``orders`` (NaN elsewhere)."""
-    if valuations is None:
-        return catalog._valuations
-    w = np.full(len(catalog._valuations), math.nan)
-    for order in orders:
-        ranks = catalog._indices(order)
-        try:
-            w[ranks] = np.fromiter(map(valuations.__getitem__, order), float, len(order))
-        except KeyError as exc:
-            raise UnknownProductError(exc.args[0], "no valuation override supplied") from None
-    return w
-
-
-def _gather(w: np.ndarray, ranks, ids) -> list:
-    """``w[ranks]`` as a list of floats, named by ``ids`` position for
-    position; InvalidOfferError unless every weight is finite and >= 0."""
-    v = w[ranks].tolist()
-    if not (sum(v) < math.inf and min(v, default=0.0) >= 0.0):  # a NaN or +inf fails the sum
-        for i, x in zip(ids, v):  # names the first bad weight; finite ones can overflow the sum
-            if not 0.0 <= x < math.inf:
-                raise InvalidOfferError(f"valuation for {i!r} must be finite and >= 0, got {x!r}")
-    return v
 
 
 def _tier_maps(ranks1: np.ndarray, ranks2: np.ndarray):
@@ -278,11 +254,8 @@ class _PairFrame:
 
 def _tier_value(r, w) -> float:
     """Expected profit of one tier shown alone, sum(r w) / (1 + sum(w)),
-    with both sums added left to right as ``expected_profit`` adds them
-    (``np.sum`` adds pairwise and differs in the last bits)."""
-    sum_w = sum_rw = 0.0
-    for r_i, w_i in zip(r, w):
-        sum_w, sum_rw = sum_w + w_i, sum_rw + r_i * w_i
+    with both sums added as ``expected_profit`` adds them."""
+    sum_w, sum_rw = _tier_sums(r, w)
     return sum_rw / (1.0 + sum_w)
 
 
@@ -298,9 +271,7 @@ def _tier1_prefix(r1, w1, n_forced: int, r2, w2) -> tuple[int, float]:
     as the prefix-pair sweep does; nothing after it is read.
     """
     e2 = _tier_value(r2, w2)
-    sum_w = sum_rw = 0.0
-    for k in range(n_forced):
-        sum_w, sum_rw = sum_w + w1[k], sum_rw + r1[k] * w1[k]
+    sum_w, sum_rw = _tier_sums(r1[:n_forced], w1[:n_forced])
     best_a = 0
     best_value = (sum_rw + e2) / (1.0 + sum_w)
     for k in range(n_forced, len(r1)):
@@ -518,12 +489,11 @@ def solve_tier1_given_tier2(
 
 def _brute_force_recursive(catalog, sets, valuations):
     num_tiers = len(sets)
-    union = sorted_ids(set().union(*sets))
-    items = []
-    for i in union:
-        tiers = [k for k in range(num_tiers) if i in sets[k]]
-        if tiers:
-            items.append((catalog.profit_of(i), _weight(catalog, valuations, i), tiers, i))
+    ((union, r, w),) = _tier_lists([set().union(*sets)], catalog, valuations)
+    items = [
+        (r_i, w_i, [k for k in range(num_tiers) if i in sets[k]], i)
+        for i, r_i, w_i in zip(union, r, w)
+    ]
     count = 1
     for _, _, tiers, _ in items:
         count *= 1 + len(tiers)
@@ -587,8 +557,8 @@ def brute_force_optimal(
     number of tiers each product may join): with two tiers, up to 13
     products shared by both tiers, or 20 split between disjoint sets.
     """
-    if num_tiers < 1:
-        raise InvalidOfferError("num_tiers must be >= 1")
+    if type(num_tiers) is not int or num_tiers < 1:
+        raise InvalidOfferError(f"num_tiers must be an integer >= 1, got {num_tiers!r}")
     if candidate_sets is None:
         if num_tiers == 2:
             sets = [catalog.candidates_tier1, catalog.candidates_tier2]

@@ -52,7 +52,7 @@ from .model import (
     ProductId,
     TieredOffer,
     _finite,
-    _weight,
+    _tier_lists,
     expected_profit,
     sorted_ids,
     total_weight,
@@ -87,6 +87,7 @@ class Policy:
         known = dict(known_valuations or {})
         for i in sorted_ids(known):
             catalog.product(i)
+            known[i] = _finite(known[i], ConfigError, f"known valuation for {i!r}")
             if not 0.0 <= known[i] <= 1.0:
                 raise ConfigError(
                     f"known valuation for {i!r} must lie in [0, 1], got {known[i]!r}"
@@ -205,10 +206,10 @@ class UcbTieredPolicy(Policy):
         confidence_scale: float | None = None,
     ):
         super().__init__(catalog, rng, known_valuations=known_valuations)
-        if min_epochs < 0:
-            raise ConfigError(f"min_epochs must be >= 0, got {min_epochs!r}")
+        if type(min_epochs) is not int or min_epochs < 0:
+            raise ConfigError(f"min_epochs must be an integer >= 0, got {min_epochs!r}")
         _check_confidence_scale(confidence_scale)
-        self.min_epochs = int(min_epochs)
+        self.min_epochs = min_epochs
         self.ledger = EpochLedger(catalog)
         self.full_resolves = 0
         self.tier1_resolves = 0
@@ -548,22 +549,16 @@ def epoch_regret_monte_carlo(
     the non-terminal outcomes — the joint law is unchanged, but every draw
     vectorizes.
     """
-    if n_epochs < 2:
-        raise ConfigError(f"need at least 2 epochs for a standard error, got {n_epochs}")
+    if type(n_epochs) is not int or n_epochs < 2:
+        raise ConfigError(f"n_epochs must be an integer, at least 2 for a standard error, got {n_epochs!r}")
     augmented, comp = _augmented(catalog, base_offer, product_id, tier_index, comparator)
     e_comp = expected_profit(comp, catalog, valuations)
-    tier1 = sorted_ids(augmented.tier(0))
-    tier2 = sorted_ids(augmented.tier(1))
-    w1 = np.array([_weight(catalog, valuations, i) for i in tier1])
-    w2 = np.array([_weight(catalog, valuations, i) for i in tier2])
+    (tier1, r1, w1), (_, r2, w2) = _tier_lists(augmented.tiers, catalog, valuations)
+    w1, w2 = np.array(w1), np.array(w2)
     d1 = 1.0 + w1.sum()
     d2 = 1.0 + w2.sum()
     probs = np.concatenate([w1 / d1, w2 / (d1 * d2), [1.0 / (d1 * d2)]])
-    revenue = np.array(
-        [catalog.profit_of(i) for i in tier1]
-        + [catalog.profit_of(i) for i in tier2]
-        + [0.0]
-    )
+    revenue = np.array(r1 + r2 + [0.0])
     # terminal events: for a tier-1 epoch anything past tier 1 ends it, for a
     # tier-2 epoch only the full no-purchase does
     terminal = np.zeros(len(probs), dtype=bool)

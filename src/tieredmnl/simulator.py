@@ -72,7 +72,7 @@ class ProductGroup:
     valuation_known: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.count <= _MAX_SIZE:
+        if not 1 <= _int(self.count, "group count") <= _MAX_SIZE:
             raise ConfigError(f"group count must lie in [1, {_MAX_SIZE}], got {self.count!r}")
         lo, hi = self.profit
         if not 0.0 <= lo <= hi:
@@ -82,8 +82,9 @@ class ProductGroup:
             raise ConfigError(
                 f"valuation support must sit inside [0, 1], got {self.valuation!r}"
             )
-        if self.launch_time < 0 or self.launch_spacing < 0:
-            raise ConfigError("launch_time and launch_spacing must be >= 0")
+        for name in ("launch_time", "launch_spacing"):
+            if _int(getattr(self, name), f"group {name}") < 0:
+                raise ConfigError(f"group {name} must be >= 0, got {getattr(self, name)!r}")
         if not self.tiers or not set(self.tiers) <= {1, 2}:
             raise ConfigError(f"tiers must be a non-empty subset of (1, 2), got {self.tiers!r}")
 
@@ -131,11 +132,11 @@ class ExperimentConfig:
     benchmark: str = "launched"
 
     def __post_init__(self):
-        if not 1 <= self.horizon <= _MAX_SIZE:
+        if not 1 <= _int(self.horizon, "horizon") <= _MAX_SIZE:
             raise ConfigError(f"horizon must lie in [1, {_MAX_SIZE}], got {self.horizon!r}")
-        if self.replications < 1:
+        if _int(self.replications, "replications") < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications!r}")
-        if self.base_seed < 0:
+        if _int(self.base_seed, "base_seed") < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed!r}")
         if self.benchmark not in ("launched", "full"):
             raise ConfigError(
@@ -226,7 +227,7 @@ class RegretTrace:
 
 def run(config: ExperimentConfig, policy_spec: PolicySpec, seed: int = 0) -> RegretTrace:
     """One policy, one replication (``seed`` is the replication index)."""
-    if seed < 0:
+    if _int(seed, "seed") < 0:
         raise ConfigError(f"seed must be >= 0, got {seed!r}")
     catalog, known = materialize_catalog(config, seed)
     policy_rng = BufferedRandom(
@@ -311,7 +312,7 @@ def replicate(
 ) -> ReplicationSummary:
     """Run ``n_reps`` independent replications (default: config.replications)."""
     n = config.replications if n_reps is None else n_reps
-    if n < 1:
+    if _int(n, "n_reps") < 1:
         raise ConfigError(f"n_reps must be >= 1, got {n!r}")
     traces = tuple(run(config, policy_spec, seed=rep) for rep in range(n))
     finals = tuple(trace.final_regret for trace in traces)
@@ -468,15 +469,17 @@ def _tuple_of(check, item: str):
 
 
 def _build(cls, keys: dict, what: str, defaults=None):
-    """Checker of a ``what`` object that builds a ``cls``: ``keys`` maps each
-    key to the checker of its value, named "<what> <key>", and ``defaults``
-    fills keys the document may omit though ``cls`` has no default for them."""
+    """Checker of a ``what`` object that builds a ``cls``: ``keys`` maps a
+    key to the checker of its value, named "<what> <key>" (``cls`` alone
+    checks the keys it leaves out), and ``defaults`` fills keys the
+    document may omit though ``cls`` has no default for them."""
     defaults = defaults or {}
     prefix = "" if what == "config" else f"{what} "
 
     def build(raw, name: str = what):
         _check_document(raw, cls, what, ConfigError, defaults)
-        return cls(**{k: keys[k](v, prefix + k) for k, v in {**defaults, **raw}.items()})
+        raw = {**defaults, **raw}
+        return cls(**{k: keys[k](v, prefix + k) if k in keys else v for k, v in raw.items()})
 
     return build
 
@@ -489,11 +492,8 @@ _policy = _build(
 _group = _build(
     ProductGroup,
     {
-        "count": _int,
         "profit": _support,
         "valuation": _support,
-        "launch_time": _int,
-        "launch_spacing": _int,
         "tiers": _tuple_of(_int, "group tier"),
         "valuation_known": _bool,
     },
@@ -503,13 +503,10 @@ _config = _build(
     ExperimentConfig,
     {
         "label": _str,
-        "horizon": _int,
         "policies": _tuple_of(_policy, "policy"),
         "groups": _tuple_of(_group, "group"),
         "catalog": lambda value, name: catalog_from_dict(value),
         "known_products": _tuple_of(_id, "known product"),
-        "replications": _int,
-        "base_seed": _int,
         "benchmark": _str,
     },
     "config",

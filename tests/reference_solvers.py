@@ -31,14 +31,19 @@ import numpy as np
 
 from tieredmnl import optimizer
 from tieredmnl.errors import InstanceTooLargeError
-from tieredmnl.model import TieredOffer, _weight, expected_profit
+from tieredmnl.model import TieredOffer, _weight_vector, expected_profit
 from tieredmnl.optimizer import (
     SolveResult,
     _resolve_candidates,
     _thresholds,
-    _weight_vector,
     profit_order,
 )
+
+
+def _weight(catalog, valuations, product_id):
+    """One product's preference weight, read on its own: its override, or
+    the catalog's when there are none."""
+    return catalog.valuation_of(product_id) if valuations is None else valuations[product_id]
 
 
 def gathered(order, catalog, valuations=None):

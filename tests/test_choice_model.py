@@ -194,6 +194,26 @@ class TestTieredOffer:
         catalog = two_product_catalog()
         assert total_weight([1, 2], catalog) == pytest.approx(1.1, abs=1e-12)
 
+    @pytest.mark.parametrize("override", [False, True])
+    def test_tiers_add_left_to_right(self, override):
+        """Every closed form adds a tier's weights left to right in id order,
+        as the sampler does.  On these weights ``sum()``, which compensates
+        its additions from Python 3.12 on, gives 2.074 there: one bit off
+        the left-to-right 2.0740000000000003."""
+        weights = [0.56, 0.354, 0.316, 0.64, 0.204]
+        catalog = Catalog(tuple(Product(f"p{k}", 1.0, v) for k, v in enumerate(weights)))
+        valuations = {f"p{k}": v for k, v in enumerate(weights)} if override else None
+        want = 0.0
+        for v in weights:
+            want += v
+        assert want == 2.0740000000000003
+        offer = TieredOffer((frozenset(catalog.ids),))
+        assert total_weight(catalog.ids, catalog, valuations) == want
+        dist = purchase_probabilities(offer, catalog, valuations)
+        assert dist.tier_no_purchase == (1.0 / (1.0 + want),)
+        assert expected_profit(offer, catalog, valuations) == want / (1.0 + want)
+        assert ChoiceSampler(offer, catalog)._tiers[0][2] == 1.0 + want
+
 
 class TestProductValidation:
     def test_valuation_bounds_inclusive(self):

@@ -35,20 +35,22 @@ from tieredmnl.model import (
     Catalog,
     Product,
     TieredOffer,
+    _gather,
+    _weight_vector,
     expected_profit,
     expected_profit_single_tier,
+    purchase_probabilities,
     sorted_ids,
+    total_weight,
 )
 from tieredmnl.optimizer import (
     TierPlacement,
     _completion,
-    _gather,
     _PairFrame,
     _sweep,
     _tier1_prefix,
     _tier_maps,
     _tier_value,
-    _weight_vector,
     brute_force_optimal,
     enumerate_prefix_pair_offers,
     is_profit_ordered_by_tier,
@@ -59,6 +61,7 @@ from tieredmnl.optimizer import (
     solve_two_tier,
     suffix_profits,
 )
+from tieredmnl.policies import epoch_regret_closed_form, epoch_regret_monte_carlo
 
 
 def random_instance(rng: np.random.Generator, n_max: int = 7, overlap: bool = True):
@@ -524,6 +527,55 @@ class TestNonFiniteOverrides:
             expected_profit(offer, self.CATALOG, {"a": 0.5, "b": bad})
 
 
+class TestOverrideNumbers:
+    """Every entry point reads an override through ``_weight_vector``: a
+    value that is not a finite number >= 0 (a bool included) is an
+    InvalidOfferError naming the id, and any other real number is read as
+    the float it equals."""
+
+    CATALOG = Catalog((Product("a", 1.0, 0.5), Product("b", 0.5, 0.5)))
+    OFFER = TieredOffer.two_tier(["a"], ["b"])
+
+    @classmethod
+    def entry_points(cls):
+        """(name, call): each entry point as a call on an override map, every
+        call needing the override of "a"."""
+        cat, offer, base = cls.CATALOG, cls.OFFER, TieredOffer.two_tier(["b"], [])
+        return [
+            ("solve_two_tier", lambda v: solve_two_tier(cat, valuations=v).expected_profit),
+            ("solve_two_tier prefix",
+             lambda v: solve_two_tier(cat, valuations=v, exact=False).expected_profit),
+            ("solve_tier1_given_tier2", lambda v: solve_tier1_given_tier2(cat, ["b"], valuations=v)[1]),
+            ("expected_profit", lambda v: expected_profit(offer, cat, v)),
+            ("purchase_probabilities", lambda v: purchase_probabilities(offer, cat, v).no_purchase),
+            ("total_weight", lambda v: total_weight(["a", "b"], cat, v)),
+            ("brute_force_optimal", lambda v: brute_force_optimal(cat, valuations=v).expected_profit),
+            ("epoch_regret_closed_form",
+             lambda v: epoch_regret_closed_form(cat, base, "a", 1, valuations=v)),
+            ("epoch_regret_monte_carlo", lambda v: epoch_regret_monte_carlo(
+                cat, base, "a", 1, 50, np.random.default_rng(0), valuations=v).mean),
+        ]
+
+    @pytest.mark.parametrize(
+        "bad", ["0.5", None, True, 10**400, math.nan, -1.0],
+        ids=["str", "None", "bool", "int-past-float", "nan", "negative"],
+    )
+    def test_bad_override_is_refused_everywhere(self, bad):
+        for name, call in self.entry_points():
+            with pytest.raises(InvalidOfferError, match="^valuation for 'a' must be") as info:
+                call({"a": bad, "b": 0.5})
+            assert repr(bad) in str(info.value), name
+
+    def test_float32_reads_as_the_float_it_equals(self):
+        for name, call in self.entry_points():
+            got, want = call({"a": np.float32(0.5), "b": 0.5}), call({"a": 0.5, "b": 0.5})
+            assert type(got) is float and got == want, name
+
+    def test_int_reads_as_its_float(self):
+        for name, call in self.entry_points():
+            assert call({"a": 1, "b": 0}) == call({"a": 1.0, "b": 0.0}), name
+
+
 class TestGatherCheck:
     """``_gather`` tests the gathered floats with one sum and one min, and
     scans them only to name the first bad weight."""
@@ -562,9 +614,19 @@ class TestGatherCheck:
 
 
 class TestSequentialTierValue:
+    @staticmethod
+    def left_to_right(r, v) -> float:
+        sum_w = sum_rw = 0.0
+        for r_i, w_i in zip(r.tolist(), v.tolist()):
+            sum_w += w_i
+            sum_rw += r_i * w_i
+        return sum_rw / (1.0 + sum_w)
+
     def test_equals_expected_profit_bit_for_bit(self):
         """Left-to-right sums in id order, as expected_profit adds them; a
-        pairwise sum (np.sum) differs in the last bits past 8 terms."""
+        pairwise sum (np.sum) differs in the last bits past 8 terms.  Both
+        library sums go through ``_tier_sums``, so each is held to a local
+        loop."""
         rng = np.random.default_rng(20190503)
         pairwise_differs = 0
         for _ in range(300):
@@ -579,7 +641,8 @@ class TestSequentialTierValue:
                 valuations = {p.id: float(rng.uniform(0, 3)) for p in products}
             ids = sorted_ids(catalog.ids)
             r, v = gathered(ids, catalog, valuations)
-            want = expected_profit(TieredOffer((frozenset(ids),)), catalog, valuations)
+            want = self.left_to_right(r, v)
+            assert expected_profit(TieredOffer((frozenset(ids),)), catalog, valuations) == want
             assert _tier_value(r, v) == want
             pairwise_differs += float(np.sum(r * v) / (1.0 + np.sum(v))) != want
         assert pairwise_differs > 0

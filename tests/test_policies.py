@@ -9,6 +9,7 @@ Monte Carlo replication.
 
 import dataclasses
 import math
+import re
 import types
 
 import numpy as np
@@ -873,6 +874,27 @@ class TestPolicyRegistry:
         make_policy("ucb_tiered", catalog, rng, min_epochs=3, confidence_scale=None)
         make_policy("ucb_tiered", catalog, rng, confidence_scale=4)
         make_policy("explore_then_exploit", catalog, rng, gamma=30)
+
+    @pytest.mark.parametrize("name", ["oracle", "ucb_tiered", "random_tier", "explore_then_exploit"])
+    @pytest.mark.parametrize(
+        "value", ["0.5", None, True, 10**400, math.nan, math.inf],
+        ids=["str", "None", "bool", "int-past-float", "nan", "inf"],
+    )
+    def test_known_valuations_must_be_finite_numbers(self, name, value):
+        """A known valuation that is not a finite number, or is a bool, is a
+        ConfigError naming the product, for every policy kind."""
+        message = f"known valuation for 'a' must be a finite number, got {value!r}"
+        rng = np.random.default_rng(0)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            make_policy(name, small_catalog(), rng, known_valuations={"a": value})
+
+    def test_known_valuations_are_stored_as_floats(self):
+        policy = make_policy(
+            "ucb_tiered", small_catalog(), np.random.default_rng(0),
+            known_valuations={"a": np.float32(0.5), "b": 0},
+        )
+        assert policy._known == {"a": 0.5, "b": 0.0}
+        assert all(type(v) is float for v in policy._known.values())
 
     def test_unknown_option_rejected(self):
         # the oracle always prices the prefix-pair family; it has no options

@@ -17,9 +17,10 @@ import pytest
 
 import tieredmnl.simulator as simulator
 from tieredmnl.errors import ConfigError, InvalidOfferError
+from tieredmnl.estimation import min_learning_epochs
 from tieredmnl.model import Catalog, Product, TieredOffer
-from tieredmnl.optimizer import solve_two_tier
-from tieredmnl.policies import make_policy
+from tieredmnl.optimizer import brute_force_optimal, solve_two_tier
+from tieredmnl.policies import UcbTieredPolicy, epoch_regret_monte_carlo, make_policy
 from tieredmnl.simulator import (
     ExperimentConfig,
     PolicySpec,
@@ -505,6 +506,50 @@ class TestConfigValidation:
             ProductGroup(1, (0.0, 1.0), (0.0, 1.0), tiers=(3,))
         with pytest.raises(ConfigError):
             ProductGroup(1, (0.0, 1.0), (0.0, 1.0), tiers=())
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: dataclasses.replace(oracle_config(), horizon=50.0), ConfigError,
+             "horizon must be an integer, got 50.0"),
+            (lambda: oracle_config(replications=2.0), ConfigError,
+             "replications must be an integer, got 2.0"),
+            (lambda: oracle_config(base_seed=1.5), ConfigError, "base_seed must be an integer, got 1.5"),
+            (lambda: ProductGroup(2.0, (0, 1), (0, 1)), ConfigError,
+             "group count must be an integer, got 2.0"),
+            (lambda: ProductGroup(2, (0, 1), (0, 1), launch_time=True), ConfigError,
+             "group launch_time must be an integer, got True"),
+            (lambda: ProductGroup(2, (0, 1), (0, 1), launch_spacing=0.5), ConfigError,
+             "group launch_spacing must be an integer, got 0.5"),
+            (lambda: run(oracle_config(), ORACLE, seed=1.5), ConfigError,
+             "seed must be an integer, got 1.5"),
+            (lambda: replicate(oracle_config(), ORACLE, 2.5), ConfigError,
+             "n_reps must be an integer, got 2.5"),
+            (lambda: min_learning_epochs("0.1", 0.05), ConfigError,
+             "accuracy epsilon must be a finite number, got '0.1'"),
+            (lambda: min_learning_epochs(True, 0.05), ConfigError,
+             "accuracy epsilon must be a finite number, got True"),
+            (lambda: min_learning_epochs(0.1, None), ConfigError,
+             "confidence alpha must be a finite number, got None"),
+            (lambda: UcbTieredPolicy(fixed_catalog(), None, min_epochs=2.5), ConfigError,
+             "min_epochs must be an integer >= 0, got 2.5"),
+            (lambda: brute_force_optimal(fixed_catalog(), 2.0), InvalidOfferError,
+             "num_tiers must be an integer >= 1, got 2.0"),
+            (lambda: epoch_regret_monte_carlo(
+                fixed_catalog(), TieredOffer.two_tier(["a"], []), "b", 1, 2.5,
+                np.random.default_rng(0)), ConfigError,
+             "n_epochs must be an integer, at least 2 for a standard error, got 2.5"),
+            (lambda: epoch_regret_monte_carlo(
+                fixed_catalog(), TieredOffer.two_tier(["a"], []), "b", 1, "5",
+                np.random.default_rng(0)), ConfigError,
+             "n_epochs must be an integer, at least 2 for a standard error, got '5'"),
+        ],
+    )
+    def test_python_callers_get_integer_checks(self, build, error, message):
+        """Values a config document's checkers would refuse are refused
+        with the same words when a Python caller passes them directly."""
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_known_products_need_an_explicit_catalog(self):
         """Group configs mark known products with ``valuation_known``; a
