@@ -33,7 +33,8 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import partial
 from itertools import accumulate, chain
 from typing import Iterable, Mapping
 
@@ -47,6 +48,17 @@ ProductId = int | str
 def sorted_ids(ids: Iterable[ProductId]) -> list[ProductId]:
     """Deterministic iteration order for id collections."""
     return sorted(ids, key=str)
+
+
+def _id_set(ids, what: str, error: type[TieredMnlError] = InvalidOfferError) -> frozenset:
+    """``ids`` as a frozenset; ``error`` naming ``what`` for a str (it would
+    split into one-letter ids), a dict, a non-collection or unhashable ids."""
+    try:
+        if not isinstance(ids, (str, dict)):
+            return frozenset(ids)
+    except TypeError:  # not iterable, or an unhashable entry
+        pass
+    raise error(f"{what} must be a collection of product ids, got {ids!r}")
 
 
 def _finite(value, error: type[TieredMnlError], what: str) -> float:
@@ -129,7 +141,12 @@ class Catalog:
     _launch_sets: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.products, (list, tuple)):
+            raise InvalidCatalogError(f"catalog 'products' must be a list, got {self.products!r}")
         self.products = tuple(self.products)
+        for p in self.products:
+            if not isinstance(p, Product):
+                raise InvalidCatalogError(f"catalog product must be a Product, got {p!r}")
         self._ids = all_ids = frozenset(p.id for p in self.products)
         names = {str(i) for i in all_ids}
         if len(names) < len(self.products):  # ids break ties on str()
@@ -143,10 +160,10 @@ class Catalog:
             raise InvalidCatalogError(f"product id {bad!r} is empty or holds '|', the trace's id separator")
         for attr in ("candidates_tier1", "candidates_tier2"):
             raw = getattr(self, attr)
-            ids = () if raw is None else tuple(raw)
-            if any(isinstance(i, bool) for i in ids):  # True and False alias ids 1 and 0
-                raise InvalidCatalogError(f"{attr} lists a bool, which is not a product id")
-            cand = all_ids if raw is None else frozenset(ids)
+            cand = all_ids if raw is None else _id_set(raw, f"catalog {attr!r}", InvalidCatalogError)
+            for i in () if raw is None else chain(raw, cand):  # cand: raw may be a spent iterator
+                if isinstance(i, bool) or not isinstance(i, (int, str)):  # True, 1.0 alias id 1
+                    raise InvalidCatalogError(f"catalog {attr!r} lists {i!r}, which is not a product id")
             unknown = cand - all_ids
             if unknown:
                 raise InvalidCatalogError(
@@ -209,7 +226,7 @@ class TieredOffer:
     tiers: tuple[frozenset[ProductId], ...]
 
     def __post_init__(self):
-        tiers = tuple(frozenset(t) for t in self.tiers)
+        tiers = tuple(_id_set(t, "offer tier") for t in self.tiers)
         object.__setattr__(self, "tiers", tiers)
         seen = set()
         for t in tiers:
@@ -222,7 +239,7 @@ class TieredOffer:
 
     @classmethod
     def two_tier(cls, tier1: Iterable[ProductId] = (), tier2: Iterable[ProductId] = ()):
-        return cls((frozenset(tier1), frozenset(tier2)))
+        return cls((tier1, tier2))
 
     @classmethod
     def empty(cls, num_tiers: int = 2):
@@ -290,10 +307,12 @@ def _weight_vector(catalog: Catalog, valuations, *orders) -> np.ndarray:
     """Preference weights indexed by catalog rank: the catalog's own, or
     the ``valuations`` overrides of the ids in ``orders`` (NaN elsewhere),
     each read once and stored as a float for ``_gather`` to check.
-    InvalidOfferError names an override that is a bool, not a real number
-    or an int beyond the float range."""
+    InvalidOfferError refuses a non-mapping and names an override that is a
+    bool, not a real number or an int beyond the float range."""
     if valuations is None:
         return catalog._valuations
+    if not isinstance(valuations, Mapping):
+        raise InvalidOfferError(f"valuations must map product ids to weights, got {valuations!r}")
     needed = dict.fromkeys(chain.from_iterable(orders))
     w = np.full(len(catalog._valuations), math.nan)
     w[catalog._indices(needed)] = [_override(valuations, i) for i in needed]
@@ -381,7 +400,7 @@ def expected_profit_single_tier(
     tier: Iterable[ProductId], catalog: Catalog, valuations: Mapping | None = None
 ) -> float:
     """Expected profit of showing ``tier`` on its own: sum r_i v_i / (1 + sum v_j)."""
-    return expected_profit(TieredOffer((frozenset(tier),)), catalog, valuations)
+    return expected_profit(TieredOffer((tier,)), catalog, valuations)
 
 
 class ChoiceSampler:
@@ -411,24 +430,49 @@ class ChoiceSampler:
         return NO_PURCHASE
 
 
-# --- documents: catalog (de)serialization and the shared JSON helpers --------
+# --- documents: catalog (de)serialization and the shared JSON reader/writer --
 # A document object's keys are the init fields of the dataclass it builds.
+# The reader checks only the keys; every value goes to the constructor, and
+# each dataclass checks all of its own fields in ``__post_init__``, so a
+# Python caller meets the same checks, in the same words, as a document.
 
 
-def _check_document(entry, cls, what: str, error: type[TieredMnlError], defaults=()) -> None:
-    """Reject a document object ``entry`` for a ``cls`` that is not an
-    object, has a key that is not an init field of ``cls``, or lacks a field
-    that has no default (nor a document default named in ``defaults``)."""
-    if not isinstance(entry, dict):
-        raise error(f"{what} must be a JSON object, got {type(entry).__name__}")
+def _from_document(cls, raw, what: str, error: type[TieredMnlError], nested=None, defaults=None):
+    """The ``cls`` that the document object ``raw`` describes.  ``error``
+    naming ``what`` refuses a non-object, a key that is not an init field of
+    ``cls``, or a missing field that has no default (nor one in the document
+    ``defaults``).  ``nested`` maps a key to the reader of its object, or of
+    each entry when the value is a list; ``cls`` checks every value."""
+    if not isinstance(raw, dict):
+        raise error(f"{what} must be a JSON object, got {type(raw).__name__}")
     names = [f for f in fields(cls) if f.init]
-    unknown = set(entry) - {f.name for f in names}
+    unknown = set(raw) - {f.name for f in names}
     if unknown:
         raise error(f"unknown {what} key {min(unknown, key=str)!r}")
+    args = {**(defaults or {}), **raw}
     for f in names:
-        required = f.default is MISSING and f.default_factory is MISSING
-        if required and f.name not in entry and f.name not in defaults:
+        if f.name not in args and f.default is MISSING and f.default_factory is MISSING:
             raise error(f"{what} is missing {f.name!r}")
+    for key, read in (nested or {}).items():
+        value = args.get(key)
+        if isinstance(value, list):
+            args[key] = [read(x) for x in value]
+        elif isinstance(value, dict):
+            args[key] = read(value)
+    return cls(**args)
+
+
+def _document(value):
+    """``value`` as JSON data: a dataclass as the dict of its init fields, a
+    tuple as a list, a frozenset as its ids in ``str(id)`` order, a mapping
+    copied with ``dict``."""
+    if is_dataclass(value):
+        return {f.name: _document(getattr(value, f.name)) for f in fields(value) if f.init}
+    if isinstance(value, tuple):
+        return [_document(x) for x in value]
+    if isinstance(value, frozenset):
+        return sorted_ids(value)
+    return dict(value) if isinstance(value, Mapping) else value
 
 
 def _read_json(path, error: type[TieredMnlError]):
@@ -448,35 +492,12 @@ def _write_json(document, path) -> None:
         fh.write("\n")
 
 
-def catalog_to_dict(catalog: Catalog) -> dict:
-    return {
-        "products": [{f.name: getattr(p, f.name) for f in fields(p)} for p in catalog.products],
-        "candidates_tier1": sorted_ids(catalog.candidates_tier1),
-        "candidates_tier2": sorted_ids(catalog.candidates_tier2),
-    }
-
-
-def _id_list(data: dict, key: str) -> list | None:
-    """A catalog document's candidate list (None when absent)."""
-    if key not in data:
-        return None
-    ids = data[key]
-    if not (isinstance(ids, list) and all(isinstance(i, (int, str)) for i in ids)):
-        raise InvalidCatalogError(f"catalog {key!r} must be a list of product ids, got {ids!r}")
-    return ids
+catalog_to_dict = _document
 
 
 def catalog_from_dict(data: dict) -> Catalog:
-    _check_document(data, Catalog, "catalog", InvalidCatalogError)
-    if not isinstance(data["products"], list):
-        raise InvalidCatalogError("catalog 'products' must be a list")
-    for entry in data["products"]:
-        _check_document(entry, Product, "product", InvalidCatalogError)
-    return Catalog(
-        tuple(Product(**entry) for entry in data["products"]),
-        _id_list(data, "candidates_tier1"),
-        _id_list(data, "candidates_tier2"),
-    )
+    product = partial(_from_document, Product, what="product", error=InvalidCatalogError)
+    return _from_document(Catalog, data, "catalog", InvalidCatalogError, {"products": product})
 
 
 def load_catalog(path) -> Catalog:

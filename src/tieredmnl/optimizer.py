@@ -86,7 +86,8 @@ import numpy as np
 
 from .errors import InstanceTooLargeError, InvalidOfferError, UnknownProductError
 from .model import (
-    Catalog, TieredOffer, _gather, _tier_lists, _tier_sums, _weight_vector, expected_profit, sorted_ids
+    Catalog, TieredOffer, _gather, _id_set, _tier_lists, _tier_sums, _weight_vector, expected_profit,
+    sorted_ids,
 )
 
 # Largest enumeration ``brute_force_optimal`` starts, in assignments.
@@ -314,7 +315,7 @@ class _Tier1Frame:
 def _resolve_candidates(catalog, candidates, default):
     if candidates is None:
         return default
-    cand = frozenset(candidates)
+    cand = _id_set(candidates, "candidate set")
     unknown = cand - catalog.ids
     if unknown:
         raise UnknownProductError(sorted_ids(unknown)[0])
@@ -474,8 +475,8 @@ def solve_tier1_given_tier2(
     candidates.  Returns (tier-1 set including forced, expected profit of
     the combined offer).
     """
-    tier2 = frozenset(tier2)
-    forced = frozenset(forced_tier1)
+    tier2 = _id_set(tier2, "tier2")
+    forced = _id_set(forced_tier1, "forced_tier1")
     if forced & tier2:
         raise InvalidOfferError("forced tier-1 products overlap tier 2")
     x1 = _resolve_candidates(catalog, candidates_tier1, catalog.candidates_tier1)
@@ -599,8 +600,8 @@ def enumerate_prefix_pair_offers(catalog: Catalog) -> list[TieredOffer]:
 def is_profit_ordered_set(tier: Iterable, candidate_set: Iterable, catalog: Catalog) -> bool:
     """True iff every product in ``tier`` earns at least as much as every
     candidate left out: min profit inside >= max profit outside."""
-    tier = frozenset(tier)
-    candidates = frozenset(candidate_set)
+    tier = _id_set(tier, "tier")
+    candidates = _id_set(candidate_set, "candidate set")
     if not tier <= candidates:
         raise InvalidOfferError("tier must be a subset of its candidate set")
     outside = candidates - tier

@@ -23,7 +23,8 @@ stream-for-stream (the experiment-1 scenarios share profits this way).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from typing import Iterable, Mapping
 
@@ -35,12 +36,12 @@ from .model import (
     ChoiceSampler,
     Product,
     TieredOffer,
-    _check_document,
+    _document,
     _finite,
+    _from_document,
     _read_json,
     _write_json,
     catalog_from_dict,
-    catalog_to_dict,
     expected_profit,
     sorted_ids,
 )
@@ -51,6 +52,53 @@ from .rng import BufferedRandom
 # Largest horizon and group count a config may ask for: numpy sizes the
 # per-step arrays and the group draws from them.
 _MAX_SIZE = 2**31 - 1
+
+
+# --- field checks ----------------------------------------------------------------
+# Each config dataclass checks all of its own fields in ``__post_init__`` with
+# these, so Python callers and documents meet one check in the same words.
+# Sequence fields take a list or a tuple and store a tuple.
+
+
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConfigError(message)
+
+
+def _int(value, name: str) -> int:
+    _require(type(value) is int, f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _str(value, name: str) -> str:
+    _require(isinstance(value, str), f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _id(value, name: str):
+    _require(
+        isinstance(value, (int, str)) and not isinstance(value, bool),
+        f"{name} must be a product id (string or integer), got {value!r}",
+    )
+    return value
+
+
+def _instance(value, cls, name: str):
+    _require(isinstance(value, cls), f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
+def _tuple(value, name: str) -> tuple:
+    _require(isinstance(value, (list, tuple)), f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _support(value, name: str) -> tuple[float, float]:
+    _require(
+        isinstance(value, (list, tuple)) and len(value) == 2,
+        f"{name} must be a [lo, hi] pair of finite numbers, got {value!r}",
+    )
+    return tuple(_finite(x, ConfigError, f"{name} bound") for x in value)
 
 
 @dataclass(frozen=True)
@@ -74,10 +122,10 @@ class ProductGroup:
     def __post_init__(self):
         if not 1 <= _int(self.count, "group count") <= _MAX_SIZE:
             raise ConfigError(f"group count must lie in [1, {_MAX_SIZE}], got {self.count!r}")
-        lo, hi = self.profit
+        lo, hi = profit = _support(self.profit, "group profit")
         if not 0.0 <= lo <= hi:
             raise ConfigError(f"profit support must satisfy 0 <= lo <= hi, got {self.profit!r}")
-        lo, hi = self.valuation
+        lo, hi = valuation = _support(self.valuation, "group valuation")
         if not 0.0 <= lo <= hi <= 1.0:
             raise ConfigError(
                 f"valuation support must sit inside [0, 1], got {self.valuation!r}"
@@ -85,20 +133,31 @@ class ProductGroup:
         for name in ("launch_time", "launch_spacing"):
             if _int(getattr(self, name), f"group {name}") < 0:
                 raise ConfigError(f"group {name} must be >= 0, got {getattr(self, name)!r}")
-        if not self.tiers or not set(self.tiers) <= {1, 2}:
+        tiers = tuple(_int(k, "group tier") for k in _tuple(self.tiers, "group tiers"))
+        if not tiers or not set(tiers) <= {1, 2}:
             raise ConfigError(f"tiers must be a non-empty subset of (1, 2), got {self.tiers!r}")
+        if type(self.valuation_known) is not bool:
+            raise ConfigError(f"group valuation_known must be true or false, got {self.valuation_known!r}")
+        for name, value in (("profit", profit), ("valuation", valuation), ("tiers", tiers)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
 class PolicySpec:
     """A policy name plus construction options; ``label`` names it in outputs
-    (defaults to the name)."""
+    (defaults to the name).  ``options`` is stored as a copy."""
 
     name: str
     options: Mapping = field(default_factory=dict)
     label: str | None = None
 
     def __post_init__(self):
+        _str(self.name, "policy name")
+        _require(
+            isinstance(self.options, Mapping) and all(isinstance(k, str) for k in self.options),
+            f"policy options must be an object, got {self.options!r}",
+        )
+        object.__setattr__(self, "options", dict(self.options))
         if "known_valuations" in self.options:
             raise ConfigError(
                 "policy options cannot set known_valuations; the config's known "
@@ -106,6 +165,7 @@ class PolicySpec:
             )
         if self.label is None:
             object.__setattr__(self, "label", self.name)
+        _str(self.label, "policy label")
 
     @property
     def display_label(self) -> str:
@@ -132,30 +192,38 @@ class ExperimentConfig:
     benchmark: str = "launched"
 
     def __post_init__(self):
+        _str(self.label, "label")
         if not 1 <= _int(self.horizon, "horizon") <= _MAX_SIZE:
             raise ConfigError(f"horizon must lie in [1, {_MAX_SIZE}], got {self.horizon!r}")
         if _int(self.replications, "replications") < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications!r}")
         if _int(self.base_seed, "base_seed") < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed!r}")
-        if self.benchmark not in ("launched", "full"):
+        if _str(self.benchmark, "benchmark") not in ("launched", "full"):
             raise ConfigError(
                 f"benchmark must be 'launched' or 'full', got {self.benchmark!r}"
             )
-        if not self.policies:
+        policies = tuple(_instance(p, PolicySpec, "policy") for p in _tuple(self.policies, "policies"))
+        groups = tuple(_instance(g, ProductGroup, "group") for g in _tuple(self.groups, "groups"))
+        known = tuple(_id(i, "known product") for i in _tuple(self.known_products, "known_products"))
+        if self.catalog is not None:
+            _instance(self.catalog, Catalog, "catalog")
+        for name, value in (("policies", policies), ("groups", groups), ("known_products", known)):
+            object.__setattr__(self, name, value)
+        if not policies:
             raise ConfigError("config needs at least one policy")
-        labels = [spec.display_label for spec in self.policies]
+        labels = [spec.display_label for spec in policies]
         for k, label in enumerate(labels):
             if label in labels[:k]:
                 raise ConfigError(f"policy labels {label!r} and {label!r} are duplicates")
-        if (self.catalog is None) == (not self.groups):
+        if (self.catalog is None) == (not groups):
             raise ConfigError("provide exactly one of groups / explicit catalog")
-        if self.known_products and self.catalog is None:
+        if known and self.catalog is None:
             raise ConfigError("known_products needs an explicit catalog; groups use valuation_known")
-        for i in self.known_products:
+        for i in known:
             if i not in self.catalog:
                 raise ConfigError(f"known product {i!r} is not in the catalog")
-        for g in self.groups:
+        for g in groups:
             last = g.launch_time + (g.count - 1) * g.launch_spacing
             if last > self.horizon:
                 raise ConfigError(
@@ -238,7 +306,7 @@ def run(config: ExperimentConfig, policy_spec: PolicySpec, seed: int = 0) -> Reg
         catalog,
         policy_rng,
         known_valuations=known,
-        **dict(policy_spec.options),
+        **policy_spec.options,
     )
     customer_rng = BufferedRandom(
         np.random.default_rng(np.random.SeedSequence(config.base_seed, spawn_key=(seed, 1)))
@@ -413,117 +481,8 @@ def experiment_preset(which: int) -> list[ExperimentConfig]:
 
 
 # --- config (de)serialization ---------------------------------------------------
-# One table per level (``ExperimentConfig``, ``ProductGroup``, ``PolicySpec``)
-# maps its keys, the dataclass's fields, to the checkers of their values.
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
-def _int(value, name: str) -> int:
-    _require(type(value) is int, f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _str(value, name: str) -> str:
-    _require(isinstance(value, str), f"{name} must be a string, got {value!r}")
-    return value
-
-
-def _id(value, name: str):
-    _require(
-        isinstance(value, (int, str)) and not isinstance(value, bool),
-        f"{name} must be a product id (string or integer), got {value!r}",
-    )
-    return value
-
-
-def _bool(value, name: str) -> bool:
-    _require(type(value) is bool, f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _object(value, name: str) -> dict:
-    _require(isinstance(value, dict), f"{name} must be an object, got {value!r}")
-    return dict(value)
-
-
-def _support(value, name: str) -> tuple[float, float]:
-    _require(
-        isinstance(value, (list, tuple)) and len(value) == 2,
-        f"{name} must be a [lo, hi] pair of finite numbers, got {value!r}",
-    )
-    return tuple(_finite(x, ConfigError, f"{name} bound") for x in value)
-
-
-def _tuple_of(check, item: str):
-    """Checker of a list whose entries ``check`` reads, each named ``item``."""
-
-    def read(value, name: str) -> tuple:
-        _require(isinstance(value, list), f"{name} must be a list, got {value!r}")
-        return tuple(check(x, item) for x in value)
-
-    return read
-
-
-def _build(cls, keys: dict, what: str, defaults=None):
-    """Checker of a ``what`` object that builds a ``cls``: ``keys`` maps a
-    key to the checker of its value, named "<what> <key>" (``cls`` alone
-    checks the keys it leaves out), and ``defaults`` fills keys the
-    document may omit though ``cls`` has no default for them."""
-    defaults = defaults or {}
-    prefix = "" if what == "config" else f"{what} "
-
-    def build(raw, name: str = what):
-        _check_document(raw, cls, what, ConfigError, defaults)
-        raw = {**defaults, **raw}
-        return cls(**{k: keys[k](v, prefix + k) if k in keys else v for k, v in raw.items()})
-
-    return build
-
-
-_policy = _build(
-    PolicySpec,
-    {"name": _str, "options": _object, "label": lambda v, n: None if v is None else _str(v, n)},
-    "policy",
-)
-_group = _build(
-    ProductGroup,
-    {
-        "profit": _support,
-        "valuation": _support,
-        "tiers": _tuple_of(_int, "group tier"),
-        "valuation_known": _bool,
-    },
-    "group",
-)
-_config = _build(
-    ExperimentConfig,
-    {
-        "label": _str,
-        "policies": _tuple_of(_policy, "policy"),
-        "groups": _tuple_of(_group, "group"),
-        "catalog": lambda value, name: catalog_from_dict(value),
-        "known_products": _tuple_of(_id, "known product"),
-        "benchmark": _str,
-    },
-    "config",
-    {"label": "experiment", "horizon": 0, "policies": []},  # horizon 0 fails its range check
-)
-
-
-def _document(value):
-    """``value`` as JSON data: a dataclass as the dict of its fields, a tuple
-    as a list, a mapping copied with ``dict``."""
-    if isinstance(value, Catalog):
-        return catalog_to_dict(value)
-    if is_dataclass(value):
-        return {f.name: _document(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, (tuple, list)):
-        return [_document(x) for x in value]
-    return dict(value) if isinstance(value, Mapping) else value
+# ``model._from_document`` reads each level and ``model._document`` writes it;
+# the dataclasses above check every value.
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -536,7 +495,12 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 def config_from_dict(data: dict) -> ExperimentConfig:
     _require(isinstance(data, dict), "config document must be a JSON object")
     _require(data.get("schema") == 1, f"unsupported config schema {data.get('schema')!r}")
-    return _config({key: value for key, value in data.items() if key != "schema"})
+    document = {key: value for key, value in data.items() if key != "schema"}
+    policy = partial(_from_document, PolicySpec, what="policy", error=ConfigError)
+    group = partial(_from_document, ProductGroup, what="group", error=ConfigError)
+    nested = {"policies": policy, "groups": group, "catalog": catalog_from_dict}
+    defaults = {"label": "experiment", "horizon": 0, "policies": []}  # horizon 0 fails its range check
+    return _from_document(ExperimentConfig, document, "config", ConfigError, nested, defaults)
 
 
 def load_config(path) -> ExperimentConfig:

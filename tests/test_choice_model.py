@@ -280,6 +280,14 @@ class TestProductValidation:
         with pytest.raises(InvalidCatalogError, match=attr):
             Catalog(products, **{attr: ids})
 
+    @pytest.mark.parametrize("attr", ["candidates_tier1", "candidates_tier2"])
+    def test_bool_from_an_iterator_rejected(self, attr):
+        """An iterator is read once, into the candidate set, and a bool in
+        it is still refused."""
+        products = (Product(0, 1.0, 0.5), Product(1, 2.0, 0.5))
+        with pytest.raises(InvalidCatalogError, match=attr):
+            Catalog(products, **{attr: iter([True])})
+
     def test_visible_at_filters_by_launch_time(self):
         catalog = Catalog(
             (Product("a", 1.0, 0.5), Product("b", 1.0, 0.5, launch_time=10))

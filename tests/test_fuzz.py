@@ -3,7 +3,8 @@
 Number slots draw the values that trip naive parsers — bools, strings,
 NaN, ±inf, negatives, 10**30 and 10**400 (beyond the float range) — next
 to ordinary numbers, and now and then every document level gains an
-unknown key.  Only a ``TieredMnlError`` may escape the library, a catalog
+unknown key.  Only a ``TieredMnlError`` may escape the library, whether
+a document or a Python caller builds a catalog or config, a catalog
 that parses solves exactly to the oracle's value, a config that parses
 survives ``config_to_dict`` unchanged, and ``tieredmnl solve``, ``tieredmnl
 simulate`` and ``tieredmnl experiment`` exit 0 or 1.  A config that parses
@@ -22,9 +23,15 @@ from hypothesis import strategies as st
 
 from tieredmnl.cli import main
 from tieredmnl.errors import TieredMnlError
-from tieredmnl.model import catalog_from_dict
+from tieredmnl.model import Catalog, Product, catalog_from_dict
 from tieredmnl.optimizer import brute_force_optimal, solve_two_tier
-from tieredmnl.simulator import config_from_dict, config_to_dict
+from tieredmnl.simulator import (
+    ExperimentConfig,
+    PolicySpec,
+    ProductGroup,
+    config_from_dict,
+    config_to_dict,
+)
 
 FUZZ = settings(
     derandomize=True,
@@ -203,3 +210,44 @@ def test_config_documents_exit_0_or_1(doc):
         out = str(Path(tmp) / "out")
         assert main(["simulate", str(path), "--out", out]) in (0, 1)
         assert main(["experiment", str(path), "--reps", "1", "--out", out]) in (0, 1)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+# Valid arguments of every dataclass a document builds, one per field.
+VALID_ARGUMENTS = {
+    "Product": (Product, {"id": "a", "profit": 1.0, "valuation": 0.5, "launch_time": 0}),
+    "Catalog": (
+        Catalog,
+        {"products": (Product("a", 1.0, 0.5),), "candidates_tier1": ["a"], "candidates_tier2": None},
+    ),
+    "ProductGroup": (
+        ProductGroup,
+        {"count": 2, "profit": (0.0, 1.0), "valuation": (0.0, 0.5), "launch_time": 0,
+         "launch_spacing": 0, "tiers": (1, 2), "valuation_known": False},
+    ),
+    "PolicySpec": (PolicySpec, {"name": "oracle", "options": {}, "label": None}),
+    "ExperimentConfig": (
+        ExperimentConfig,
+        {"label": "x", "horizon": 10, "policies": (PolicySpec("oracle"),),
+         "groups": (ProductGroup(2, (0.0, 1.0), (0.0, 0.5)),), "catalog": None,
+         "known_products": (), "replications": 1, "base_seed": 0, "benchmark": "launched"},
+    ),
+}
+
+
+@given(which=st.sampled_from(sorted(VALID_ARGUMENTS)), data=st.data())
+@settings(FUZZ, max_examples=300)
+def test_python_arguments_fail_only_with_package_errors(which, data):
+    """Each dataclass a document builds, given valid arguments but one field
+    replaced by any JSON value, is built or refused with a TieredMnlError."""
+    cls, arguments = VALID_ARGUMENTS[which]
+    field = data.draw(st.sampled_from(sorted(arguments)))
+    try:
+        cls(**{**arguments, field: data.draw(JSON_VALUES)})
+    except TieredMnlError:
+        pass

@@ -566,6 +566,12 @@ class TestOverrideNumbers:
                 call({"a": bad, "b": 0.5})
             assert repr(bad) in str(info.value), name
 
+    def test_non_mapping_is_refused_everywhere(self):
+        """A list is not read by position: every entry point refuses it."""
+        for name, call in self.entry_points():
+            with pytest.raises(InvalidOfferError, match="^valuations must map product ids"):
+                call([0.5, 0.5])
+
     def test_float32_reads_as_the_float_it_equals(self):
         for name, call in self.entry_points():
             got, want = call({"a": np.float32(0.5), "b": 0.5}), call({"a": 0.5, "b": 0.5})
@@ -574,6 +580,33 @@ class TestOverrideNumbers:
     def test_int_reads_as_its_float(self):
         for name, call in self.entry_points():
             assert call({"a": 1, "b": 0}) == call({"a": 1.0, "b": 0.0}), name
+
+
+class TestStringIds:
+    """A str where a collection of ids belongs would split into one-letter
+    ids ("ab" into "a" and "b"); every such argument refuses it."""
+
+    CATALOG = Catalog((Product("a", 1.0, 0.5), Product("b", 0.5, 0.5), Product("ab", 0.8, 0.5)))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda c: solve_tier1_given_tier2(c, "ab"),
+            lambda c: solve_tier1_given_tier2(c, [], forced_tier1="ab"),
+            lambda c: solve_tier1_given_tier2(c, [], candidates_tier1="ab"),
+            lambda c: TieredOffer("ab"),
+            lambda c: TieredOffer.two_tier("ab", []),
+            lambda c: TieredOffer.two_tier([], "ab"),
+            lambda c: solve_two_tier(c, candidates_tier1="ab"),
+            lambda c: solve_two_tier(c, candidates_tier2="ab", exact=False),
+            lambda c: brute_force_optimal(c, candidate_sets=["ab", ["b"]]),
+            lambda c: is_profit_ordered_set("ab", ["a", "b", "ab"], c),
+            lambda c: expected_profit_single_tier("ab", c),
+        ],
+    )
+    def test_refused(self, call):
+        with pytest.raises(InvalidOfferError, match="must be a collection of product ids, got '"):
+            call(self.CATALOG)
 
 
 class TestGatherCheck:

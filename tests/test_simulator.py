@@ -9,6 +9,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import tracemalloc
 
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import tieredmnl.simulator as simulator
-from tieredmnl.errors import ConfigError, InvalidOfferError
+from tieredmnl.errors import ConfigError, InvalidCatalogError, InvalidOfferError
 from tieredmnl.estimation import min_learning_epochs
 from tieredmnl.model import Catalog, Product, TieredOffer
 from tieredmnl.optimizer import brute_force_optimal, solve_two_tier
@@ -543,10 +544,38 @@ class TestConfigValidation:
                 fixed_catalog(), TieredOffer.two_tier(["a"], []), "b", 1, "5",
                 np.random.default_rng(0)), ConfigError,
              "n_epochs must be an integer, at least 2 for a standard error, got '5'"),
+            (lambda: ProductGroup(3, ("a", "b"), (0.0, 0.5)), ConfigError,
+             "group profit bound must be a finite number, got 'a'"),
+            (lambda: ProductGroup(3, (0.0, 0.5, 1.0), (0.0, 0.5)), ConfigError,
+             "group profit must be a [lo, hi] pair of finite numbers, got (0.0, 0.5, 1.0)"),
+            (lambda: oracle_config(policies=("oracle",)), ConfigError,
+             "policy must be a PolicySpec, got 'oracle'"),
+            (lambda: oracle_config(catalog=None, groups=({"count": 2},)), ConfigError,
+             "group must be a ProductGroup, got {'count': 2}"),
+            (lambda: Catalog(fixed_catalog().products, [["a"]]), InvalidCatalogError,
+             "catalog 'candidates_tier1' must be a collection of product ids, got [['a']]"),
+            (lambda: Catalog([("a", 1.0, 0.5)]), InvalidCatalogError,
+             "catalog product must be a Product, got ('a', 1.0, 0.5)"),
+            (lambda: ProductGroup(3, (0.0, math.inf), (0.0, 0.5)), ConfigError,
+             "group profit bound must be a finite number, got inf"),
+            (lambda: ProductGroup(3, (0, 1), (0, 1), valuation_known="yes"), ConfigError,
+             "group valuation_known must be true or false, got 'yes'"),
+            (lambda: ProductGroup(3, (0, 1), (0, 1), tiers=(1.0,)), ConfigError,
+             "group tier must be an integer, got 1.0"),
+            (lambda: ProductGroup(3, (0, 1), (0, 1), tiers=(True,)), ConfigError,
+             "group tier must be an integer, got True"),
+            (lambda: PolicySpec(3), ConfigError, "policy name must be a string, got 3"),
+            (lambda: PolicySpec("oracle", [1]), ConfigError, "policy options must be an object, got [1]"),
+            (lambda: PolicySpec("oracle", label=5), ConfigError, "policy label must be a string, got 5"),
+            (lambda: oracle_config(label=5), ConfigError, "label must be a string, got 5"),
+            (lambda: oracle_config(catalog={"products": []}), ConfigError,
+             "catalog must be a Catalog, got {'products': []}"),
+            (lambda: Catalog(fixed_catalog().products, "ab"), InvalidCatalogError,
+             "catalog 'candidates_tier1' must be a collection of product ids, got 'ab'"),
         ],
     )
-    def test_python_callers_get_integer_checks(self, build, error, message):
-        """Values a config document's checkers would refuse are refused
+    def test_python_callers_get_document_checks(self, build, error, message):
+        """Values a config or catalog document would have refused are refused
         with the same words when a Python caller passes them directly."""
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build()
@@ -572,6 +601,19 @@ class TestConfigValidation:
         data = config_to_dict(oracle_config())
         with pytest.raises(ConfigError, match="'nope' is not in the catalog"):
             config_from_dict({**data, "known_products": ["nope"]})
+
+    def test_policy_spec_copies_its_options(self, tmp_path):
+        """A change to the caller's options dict after construction reaches
+        neither the run nor the saved config."""
+        options = {"min_epochs": 2}
+        spec = PolicySpec("ucb_tiered", options)
+        options["known_valuations"] = {}
+        config = oracle_config(policies=(spec,), horizon=20)
+        assert spec.options == {"min_epochs": 2}
+        run(config, spec)
+        path = tmp_path / "config.json"
+        save_config(config, path)
+        assert load_config(path) == config
 
     def test_policy_spec_label_defaults_to_name(self):
         assert PolicySpec("oracle").display_label == "oracle"
