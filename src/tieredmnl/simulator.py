@@ -206,8 +206,9 @@ class ExperimentConfig:
         policies = tuple(_instance(p, PolicySpec, "policy") for p in _tuple(self.policies, "policies"))
         groups = tuple(_instance(g, ProductGroup, "group") for g in _tuple(self.groups, "groups"))
         known = tuple(_id(i, "known product") for i in _tuple(self.known_products, "known_products"))
-        if self.catalog is not None:
-            _instance(self.catalog, Catalog, "catalog")
+        if self.catalog is not None and not isinstance(self.catalog, Catalog):
+            # named by type: the repr of a list of catalogs would print every product
+            raise ConfigError(f"catalog must be a Catalog, got {type(self.catalog).__name__}")
         for name, value in (("policies", policies), ("groups", groups), ("known_products", known)):
             object.__setattr__(self, name, value)
         if not policies:

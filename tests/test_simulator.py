@@ -569,7 +569,7 @@ class TestConfigValidation:
             (lambda: PolicySpec("oracle", label=5), ConfigError, "policy label must be a string, got 5"),
             (lambda: oracle_config(label=5), ConfigError, "label must be a string, got 5"),
             (lambda: oracle_config(catalog={"products": []}), ConfigError,
-             "catalog must be a Catalog, got {'products': []}"),
+             "catalog must be a Catalog, got dict"),
             (lambda: Catalog(fixed_catalog().products, "ab"), InvalidCatalogError,
              "catalog 'candidates_tier1' must be a collection of product ids, got 'ab'"),
         ],
