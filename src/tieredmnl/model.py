@@ -36,13 +36,15 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 from itertools import accumulate, chain
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import InvalidCatalogError, InvalidOfferError, TieredMnlError, UnknownProductError
+from .errors import ConfigError, InvalidCatalogError, InvalidOfferError, TieredMnlError, UnknownProductError
 
 ProductId = int | str
+_product_id = attrgetter("id")
 
 
 def sorted_ids(ids: Iterable[ProductId]) -> list[ProductId]:
@@ -123,9 +125,12 @@ class Catalog:
 
     Construction fixes the canonical order (profit descending, then
     ``str(id)``), each id's rank in it, the products and the profit and
-    valuation arrays in that order, and the launch schedule behind
-    ``visible_at``.  These caches are never refreshed, so an instance must
-    not be mutated after construction.
+    valuation arrays in that order, each candidate set's sorted ranks (the
+    optimizer's frames read these; one ``np.arange`` serves both tiers when
+    neither set is given), and the launch schedule behind ``visible_at``
+    and ``_launched``.
+    These caches are never refreshed, so an instance must not be mutated
+    after construction.
     """
 
     products: tuple[Product, ...]
@@ -136,6 +141,8 @@ class Catalog:
     _ranked: tuple = field(init=False, repr=False, compare=False)
     _profits: np.ndarray = field(init=False, repr=False, compare=False)
     _valuations: np.ndarray = field(init=False, repr=False, compare=False)
+    _candidate_ranks: tuple = field(init=False, repr=False, compare=False)
+    _launch_by_rank: np.ndarray = field(init=False, repr=False, compare=False)
     _launch_times: list = field(init=False, repr=False, compare=False)
     _by_launch: tuple = field(init=False, repr=False, compare=False)
     _launch_sets: dict = field(init=False, repr=False, compare=False)
@@ -158,6 +165,9 @@ class Catalog:
         if "" in names or "|" in "".join(names):  # a trace cell joins a tier's ids with "|"
             bad = next(p.id for p in self.products if str(p.id) == "" or "|" in str(p.id))
             raise InvalidCatalogError(f"product id {bad!r} is empty or holds '|', the trace's id separator")
+        self._ranked = ranked = tuple(sorted(self.products, key=lambda p: (-p.profit, str(p.id))))
+        self._rank = {p.id: k for k, p in enumerate(ranked)}
+        whole, cand_ranks = np.arange(len(ranked)), []
         for attr in ("candidates_tier1", "candidates_tier2"):
             raw = getattr(self, attr)
             cand = all_ids if raw is None else _id_set(raw, f"catalog {attr!r}", InvalidCatalogError)
@@ -171,10 +181,11 @@ class Catalog:
                     f"{sorted_ids(unknown)[0]!r}"
                 )
             setattr(self, attr, cand)
-        self._ranked = ranked = tuple(sorted(self.products, key=lambda p: (-p.profit, str(p.id))))
-        self._rank = {p.id: k for k, p in enumerate(ranked)}
+            cand_ranks.append(whole if raw is None else np.sort(self._indices(cand)))
+        self._candidate_ranks = tuple(cand_ranks)
         self._profits = np.array([p.profit for p in ranked], dtype=float)
         self._valuations = np.array([p.valuation for p in ranked], dtype=float)
+        self._launch_by_rank = np.array([p.launch_time for p in ranked])
         launched = sorted(self.products, key=lambda p: p.launch_time)
         self._launch_times = [p.launch_time for p in launched]
         self._by_launch = tuple(p.id for p in launched)
@@ -205,11 +216,19 @@ class Catalog:
         There is one set per distinct launch time, built on first request
         and returned as the same object afterwards.
         """
-        count = bisect.bisect_right(self._launch_times, t)
+        try:
+            count = bisect.bisect_right(self._launch_times, t)
+        except TypeError:  # a time that does not compare with ints
+            raise ConfigError(f"visible_at needs an int time step, got {t!r}") from None
         visible = self._launch_sets.get(count)
         if visible is None:
             visible = self._launch_sets[count] = frozenset(self._by_launch[:count])
         return visible
+
+    def _launched(self, t: int) -> tuple[np.ndarray, ...]:
+        """The sorted ranks of each candidate set's products launched by time
+        step t: one mask over the set's rank array."""
+        return tuple(x[self._launch_by_rank[x] <= t] for x in self._candidate_ranks)
 
     def _indices(self, ids: Iterable[ProductId]) -> np.ndarray:
         """Canonical ranks of ``ids``, in the order given."""
@@ -217,6 +236,23 @@ class Catalog:
             return np.fromiter(map(self._rank.__getitem__, ids), dtype=np.intp)
         except KeyError as exc:
             raise UnknownProductError(exc.args[0]) from None
+
+    def _ids_at(self, ranks: Iterable[int]) -> _RankedIds:
+        return _RankedIds(self._ranked, ranks)
+
+
+class _RankedIds:
+    """The ids at some catalog ranks, in that order, read afresh each time
+    it is iterated: a frame keeps one to name a bad weight, and reads no id
+    while every weight is good."""
+
+    __slots__ = ("_ranked", "_ranks")
+
+    def __init__(self, ranked: tuple, ranks: Iterable[int]):
+        self._ranked, self._ranks = ranked, ranks
+
+    def __iter__(self) -> Iterator[ProductId]:
+        return map(_product_id, map(self._ranked.__getitem__, self._ranks))
 
 
 @dataclass(frozen=True)
@@ -226,7 +262,10 @@ class TieredOffer:
     tiers: tuple[frozenset[ProductId], ...]
 
     def __post_init__(self):
-        tiers = tuple(_id_set(t, "offer tier") for t in self.tiers)
+        try:  # _id_set refuses a bad tier itself, so a TypeError is from iterating tiers
+            tiers = tuple(_id_set(t, "offer tier") for t in self.tiers)
+        except TypeError:
+            raise InvalidOfferError(f"offer tiers must be id collections, got {self.tiers!r}") from None
         object.__setattr__(self, "tiers", tiers)
         seen = set()
         for t in tiers:
@@ -243,10 +282,15 @@ class TieredOffer:
 
     @classmethod
     def empty(cls, num_tiers: int = 2):
+        if type(num_tiers) is not int or num_tiers < 0:
+            raise InvalidOfferError(f"num_tiers must be an integer >= 0, got {num_tiers!r}")
         return cls(tuple(frozenset() for _ in range(num_tiers)))
 
     def tier(self, k: int) -> frozenset[ProductId]:
-        return self.tiers[k] if k < len(self.tiers) else frozenset()
+        try:
+            return self.tiers[k] if k < len(self.tiers) else frozenset()
+        except TypeError:  # a k that does not compare with ints or index a tuple
+            raise InvalidOfferError(f"tier index must be an int, got {k!r}") from None
 
     @property
     def tier1(self) -> frozenset[ProductId]:
@@ -362,7 +406,7 @@ def _tier_sums(r, w) -> tuple[float, float]:
 
 def total_weight(ids: Iterable[ProductId], catalog: Catalog, valuations=None) -> float:
     """Sum of preference weights over ``ids``, in deterministic order."""
-    (_, r, w), = _tier_lists([ids], catalog, valuations)
+    (_, r, w), = _tier_lists([_id_set(ids, "total_weight ids")], catalog, valuations)
     return _tier_sums(r, w)[0]
 
 

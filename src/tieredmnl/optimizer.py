@@ -8,11 +8,11 @@ The search walks a structured family of offers instead of all subsets:
   whose profit beats the offer's continuation value belongs in, anything
   below belongs out).  ``_sweep`` finds the best pair in one sweep over a
   with O(n) memory, on profit and weight lists already gathered in profit
-  order.  A ``_PairFrame`` holds one candidate layout and gathers the
-  weights from a vector indexed by catalog rank; ``solve_two_tier`` builds
-  one per call and the UCB policy one per visible set.  Likewise a
-  ``_Tier1Frame`` feeds ``_tier1_prefix`` for ``solve_tier1_given_tier2``
-  and for the policy's tier-1 re-solves.
+  order.  A ``_PairFrame`` holds one candidate layout as catalog rank
+  arrays, with no ids, and gathers the weights from a vector by rank;
+  ``solve_two_tier`` builds one per call, the policies one per launched set.
+  Likewise a ``_Tier1Frame`` feeds ``_tier1_prefix`` for
+  ``solve_tier1_given_tier2`` and for the policy's tier-1 re-solves.
 
   - For a fixed a, the tier-2 value along p is unimodal: adding the next
     product raises it while that product's profit beats the current value,
@@ -96,20 +96,6 @@ _BRUTE_FORCE_CAP = 2_000_000
 _MAX_EXACT_WORK = 20_000_000
 
 
-def _canonical(ids: Iterable, catalog: Catalog) -> tuple[list, np.ndarray]:
-    """``ids`` in the catalog's canonical order, read at their sorted ranks,
-    and those ranks."""
-    ranks = np.sort(catalog._indices(ids))
-    ranked = catalog._ranked
-    return [ranked[k].id for k in ranks.tolist()], ranks
-
-
-def profit_order(ids: Iterable, catalog: Catalog) -> list:
-    """Candidate order used throughout: profit descending, id ascending
-    (the catalog's canonical order)."""
-    return _canonical(ids, catalog)[0]
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """An optimal offer, its expected profit, and per-tier profit cutoffs.
@@ -125,12 +111,12 @@ class SolveResult:
 
 
 def _thresholds(offer: TieredOffer, catalog: Catalog) -> tuple[float, ...]:
-    # each tier's minimum profit, kept non-increasing across non-empty tiers;
-    # lowering a cutoff below the tier's minimum keeps it a valid cutoff
+    # each tier's minimum profit (at its highest rank), kept non-increasing
+    # across non-empty tiers; lowering a cutoff below it keeps it valid
     out, prev = [], math.inf
     for tier in offer.tiers:
         if tier:
-            prev = min(prev, min(catalog.profit_of(i) for i in tier))
+            prev = min(prev, catalog._profits[catalog._indices(tier).max()].item())
         out.append(prev if tier else math.inf)
     return tuple(out)
 
@@ -218,29 +204,33 @@ class _PairFrame:
     solved against any weight vector indexed by catalog rank.
 
     ``ranks1``/``ranks2`` are the tier-1 and tier-2 candidates' sorted
-    catalog ranks, and ``ids1``/``ids2`` and the profit lists are read at
-    them, in the catalog's canonical order; when both tiers share one
-    candidate set, tier 2 uses tier 1's lists.  ``rank1``/``pos2`` are the
-    sweep's maps between the two orders, built from the ranks.
+    catalog ranks, the catalog's own or their launched parts from
+    ``Catalog._launched`` (an id set is ranked first), and the profit lists
+    are read at them; when both tiers share one candidate set, tier 2 uses
+    tier 1's.  ``rank1``/``pos2`` are the sweep's maps between the two
+    orders.  The frame holds no ids: ``ids1``/``ids2`` read them back from
+    the ranks each time they are iterated, and ``tiers`` reads only the
+    products it names.
     """
 
-    __slots__ = ("ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2", "rank1", "pos2")
+    __slots__ = ("catalog", "ranks1", "profits1", "ids1", "ranks2", "profits2", "ids2", "rank1", "pos2")
 
-    def __init__(self, catalog: Catalog, x1: frozenset, x2: frozenset):
-        self.ids1, self.ranks1 = _canonical(x1, catalog)
-        self.profits1 = catalog._profits[self.ranks1].tolist()
-        if x1 == x2:
-            self.ids2, self.ranks2, self.profits2 = self.ids1, self.ranks1, self.profits1
+    def __init__(self, catalog: Catalog, x1, x2):
+        self.catalog = catalog
+        self.ranks1, ranks2 = _sorted_ranks(catalog, x1), _sorted_ranks(catalog, x2)
+        self.profits1, self.ids1 = catalog._profits[self.ranks1].tolist(), catalog._ids_at(self.ranks1)
+        if ranks2 is self.ranks1 or np.array_equal(ranks2, self.ranks1):
+            self.ranks2, self.profits2, self.ids2 = self.ranks1, self.profits1, self.ids1
         else:
-            self.ids2, self.ranks2 = _canonical(x2, catalog)
-            self.profits2 = catalog._profits[self.ranks2].tolist()
+            self.ranks2, self.profits2 = ranks2, catalog._profits[ranks2].tolist()
+            self.ids2 = catalog._ids_at(ranks2)
         self.rank1, self.pos2 = _tier_maps(self.ranks1, self.ranks2)
 
     def weights(self, w: np.ndarray) -> tuple[list, list]:
         """``_gather`` of ``w`` at the tier-1 and at the tier-2 candidates
         (one list when the tiers share their candidates)."""
         w1 = _gather(w, self.ranks1, self.ids1)
-        return w1, w1 if self.ids2 is self.ids1 else _gather(w, self.ranks2, self.ids2)
+        return w1, w1 if self.ranks2 is self.ranks1 else _gather(w, self.ranks2, self.ids2)
 
     def solve(self, w: np.ndarray) -> tuple[float, int, int]:
         """``_sweep``'s (value, a, e) of the best prefix pair."""
@@ -248,9 +238,16 @@ class _PairFrame:
         return _sweep(self.profits1, w1, self.profits2, w2, self.rank1, self.pos2)
 
     def tiers(self, a: int, e: int) -> tuple[list, list]:
-        """The ids of (a, e): tier 1 ``ids1[:a]``, tier 2 ``ids2[:e]`` minus tier 1."""
-        ids2, rank1 = self.ids2, self.rank1
-        return self.ids1[:a], [ids2[k] for k in range(e) if rank1[k] >= a]
+        """The ids of (a, e): the first a tier-1 candidates, then the first e
+        tier-2 candidates minus those."""
+        ranked = self.catalog._ranked
+        tier2 = [ranked[k].id for k, j in zip(self.ranks2[:e].tolist(), self.rank1) if j >= a]
+        return [ranked[k].id for k in self.ranks1[:a].tolist()], tier2
+
+
+def _sorted_ranks(catalog: Catalog, x) -> np.ndarray:
+    """``x`` itself if it is a rank array, else the sorted ranks of its ids."""
+    return x if isinstance(x, np.ndarray) else np.sort(catalog._indices(x))
 
 
 def _tier_value(r, w) -> float:
@@ -289,20 +286,21 @@ def _tier1_prefix(r1, w1, n_forced: int, r2, w2) -> tuple[int, float]:
 class _Tier1Frame:
     """The tier-1 prefix scan's inputs against a fixed tier 2, built once
     and solved against any weight vector indexed by catalog rank: the
-    ``forced`` products (``str(id)`` order), then the ``free`` candidates
-    (``order`` minus tier 2 and the forced products, in profit order), and
-    ``tier2`` in ``str(id)`` order, each with ranks and profit lists."""
+    forced products (``str(id)`` order), then the ``free`` candidates'
+    ranks (the sorted ranks ``order`` minus tier 2 and the forced products,
+    one mask), read back by ``ids1``, and tier 2's ids ``ids2`` (``str(id)``
+    order), each with ranks and profit lists."""
 
-    __slots__ = ("free", "n_forced", "ids1", "ranks1", "profits1", "ids2", "ranks2", "profits2")
+    __slots__ = ("n_forced", "free", "ranks1", "profits1", "ids1", "ids2", "ranks2", "profits2")
 
-    def __init__(self, catalog: Catalog, order: list, forced: frozenset, tier2: frozenset):
-        self.free = [i for i in order if i not in tier2 and i not in forced]
-        self.n_forced = len(forced)
-        self.ids1 = sorted_ids(forced) + self.free
-        self.ranks1 = catalog._indices(self.ids1)
-        self.profits1 = catalog._profits[self.ranks1].tolist()
-        self.ids2 = sorted_ids(tier2)
-        self.ranks2 = catalog._indices(self.ids2)
+    def __init__(self, catalog: Catalog, order: np.ndarray, forced: frozenset, tier2: frozenset):
+        self.n_forced, self.ids2 = len(forced), sorted_ids(tier2)
+        forced_ranks, self.ranks2 = catalog._indices(sorted_ids(forced)), catalog._indices(self.ids2)
+        taken = np.zeros(len(catalog._profits), dtype=bool)
+        taken[forced_ranks] = taken[self.ranks2] = True
+        self.free = order[~taken[order]]
+        self.ranks1 = np.concatenate((forced_ranks, self.free))
+        self.profits1, self.ids1 = catalog._profits[self.ranks1].tolist(), catalog._ids_at(self.ranks1)
         self.profits2 = catalog._profits[self.ranks2].tolist()
 
     def solve(self, w: np.ndarray) -> tuple[int, float]:
@@ -415,9 +413,10 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
     if best is None:
         return None
     tier1, a, e = best
-    ids1, ids2 = frame.ids1, frame.ids2
-    shown1 = [ids1[j] for j in exc[:a]] + [ids2[k] for k in range(n2) if tier1 >> k & 1]
-    return best_value, shown1, [ids2[k] for k in range(e) if not tier1 >> k & 1]
+    ranks1, ranks2, ids_at = frame.ranks1.tolist(), frame.ranks2.tolist(), frame.catalog._ids_at
+    shown1 = [ranks1[j] for j in exc[:a]] + [ranks2[k] for k in range(n2) if tier1 >> k & 1]
+    shown2 = [ranks2[k] for k in range(e) if not tier1 >> k & 1]
+    return best_value, list(ids_at(shown1)), list(ids_at(shown2))
 
 
 def solve_two_tier(
@@ -443,13 +442,13 @@ def solve_two_tier(
     overlap corners short by at most a sliver; the simulation loop runs with
     it so policies and their regret benchmark price offers on one family.
     """
-    x1 = _resolve_candidates(catalog, candidates_tier1, catalog.candidates_tier1)
-    x2 = _resolve_candidates(catalog, candidates_tier2, catalog.candidates_tier2)
+    x1 = _resolve_candidates(catalog, candidates_tier1, catalog._candidate_ranks[0])
+    x2 = _resolve_candidates(catalog, candidates_tier2, catalog._candidate_ranks[1])
     frame = _PairFrame(catalog, x1, x2)
     w1, w2 = frame.weights(_weight_vector(catalog, valuations, frame.ids1, frame.ids2))
     value, a, e = _sweep(frame.profits1, w1, frame.profits2, w2, frame.rank1, frame.pos2)
     tier1, tier2 = frame.tiers(a, e)
-    if exact and not x1.isdisjoint(x2):
+    if exact and min(frame.pos2, default=len(frame.ranks2)) < len(frame.ranks2):  # sets overlap
         refined = _completion(frame, w1, w2, value)
         if refined is not None:
             _, tier1, tier2 = refined
@@ -479,10 +478,10 @@ def solve_tier1_given_tier2(
     forced = _id_set(forced_tier1, "forced_tier1")
     if forced & tier2:
         raise InvalidOfferError("forced tier-1 products overlap tier 2")
-    x1 = _resolve_candidates(catalog, candidates_tier1, catalog.candidates_tier1)
-    frame = _Tier1Frame(catalog, profit_order(x1, catalog), forced, tier2)
+    x1 = _resolve_candidates(catalog, candidates_tier1, catalog._candidate_ranks[0])
+    frame = _Tier1Frame(catalog, _sorted_ranks(catalog, x1), forced, tier2)
     a, value = frame.solve(_weight_vector(catalog, valuations, frame.ids2, frame.ids1))
-    return frozenset(frame.free[:a]) | forced, value
+    return frozenset(catalog._ids_at(frame.free[:a])) | forced, value
 
 
 # --- exhaustive reference ----------------------------------------------------
@@ -584,12 +583,12 @@ def enumerate_prefix_pair_offers(catalog: Catalog) -> list[TieredOffer]:
     catalog's candidate sets, once each, in (a, e) order.  With disjoint
     candidate sets this family contains an optimum; with shared ones it can
     miss it (the exact completion closes that gap)."""
-    frame = _PairFrame(catalog, catalog.candidates_tier1, catalog.candidates_tier2)
+    frame = _PairFrame(catalog, *catalog._candidate_ranks)
     rank1 = frame.rank1
     return [
         TieredOffer.two_tier(*frame.tiers(a, e))
-        for a in range(len(frame.ids1) + 1)
-        for e in range(len(frame.ids2) + 1)
+        for a in range(len(frame.ranks1) + 1)
+        for e in range(len(frame.ranks2) + 1)
         if e == 0 or rank1[e - 1] >= a  # else tier 2 is the same as at e - 1
     ]
 

@@ -13,8 +13,9 @@ nothing.
 
 The UCB family decides in the catalog's canonical order: one valuation
 vector indexed by catalog rank, solved through the optimizer's candidate
-frames — a ``_PairFrame`` for the visible set in force and a
-``_Tier1Frame`` per tier-2 epoch.  The ledger counts by the same ranks, so
+frames — a ``_PairFrame`` over the launched candidates' ranks from
+``Catalog._launched`` (the oracle's too) and a ``_Tier1Frame`` per
+tier-2 epoch.  The ledger counts by the same ranks, so
 the policies hand it ranks and never translate them.  The public
 solvers solve through the same frames, so the offers equal theirs for the
 same valuations.  A tier-1 re-solve keeping the prefix in force keeps
@@ -62,7 +63,7 @@ from .optimizer import (
     _Tier1Frame,
     enumerate_prefix_pair_offers,
     solve_tier1_given_tier2,  # not called here; perfbench/probe.py wraps it on this module
-    solve_two_tier,
+    solve_two_tier,  # likewise
 )
 
 # Optimistic preference weight for a product with no completed epochs yet:
@@ -116,18 +117,15 @@ class OraclePolicy(Policy):
         visible = self._catalog.visible_at(t)
         if visible is not self._visible:  # one set object per launch count
             self._visible = visible
-            result = solve_two_tier(
-                self._catalog,
-                candidates_tier1=self._catalog.candidates_tier1 & visible,
-                candidates_tier2=self._catalog.candidates_tier2 & visible,
-                exact=False,
-            )
-            self._current = result.offer
+            pair = _PairFrame(self._catalog, *self._catalog._launched(t))
+            _, a, e = pair.solve(self._catalog._valuations)
+            self._current = TieredOffer.two_tier(*pair.tiers(a, e))
         return self._current
 
 
 class _VisibleView:
-    """What the UCB policies derive from one visible product set.
+    """What the UCB policies derive from one visible product set and
+    ``launched``, its tier-1 and tier-2 candidates' ranks (``Catalog._launched``).
 
     ``unknown`` lists the visible ids whose weights are learned, in
     ``str(id)`` order, and ``ranks`` their catalog ranks, which are also
@@ -136,20 +134,18 @@ class _VisibleView:
     minimum-learning target (ranks ``learning_ranks``).  Ledger counts only
     grow, by at most one per closed epoch, so a product only ever joins the
     estimated and leaves learning, not before ``ledger.completed`` reaches
-    ``recheck``.  ``pair`` is the frame over the visible candidates.
+    ``recheck``.  ``pair`` is the frame over the visible candidates' ranks.
     """
 
     __slots__ = (
         "unknown", "ranks", "estimated_ranks", "learning", "learning_ranks", "recheck", "pair"
     )
 
-    def __init__(self, catalog: Catalog, visible: frozenset, known: Mapping):
+    def __init__(self, catalog: Catalog, visible: frozenset, launched: tuple, known: Mapping):
         self.unknown = self.learning = tuple(i for i in sorted_ids(visible) if i not in known)
         self.ranks = self.learning_ranks = catalog._indices(self.unknown)
         self.estimated_ranks, self.recheck = self.ranks[:0], 0
-        self.pair = _PairFrame(
-            catalog, catalog.candidates_tier1 & visible, catalog.candidates_tier2 & visible
-        )
+        self.pair = _PairFrame(catalog, *launched)
 
     def update_estimated(self, ledger: EpochLedger) -> None:
         if len(self.estimated_ranks) < len(self.ranks):  # some product has no epoch yet
@@ -250,7 +246,8 @@ class UcbTieredPolicy(Policy):
         if visible is not self._visible:  # one set object per launch count
             # visible sets only grow, so an earlier view is never needed again
             self._visible = visible
-            self._view = _VisibleView(self._catalog, visible, self._known)
+            launched = self._catalog._launched(t)
+            self._view = _VisibleView(self._catalog, visible, launched, self._known)
         view = self._view
         self._update_valuations(self.ledger.completed)
         _, a, e = view.pair.solve(self._w)
@@ -279,14 +276,15 @@ class UcbTieredPolicy(Policy):
         frame = self._frame
         if frame is None:  # first tier-1 re-solve of this tier-2 epoch
             frame = self._frame = _Tier1Frame(
-                self._catalog, self._view.pair.ids1, self._forced_tier1, tier2
+                self._catalog, self._view.pair.ranks1, self._forced_tier1, tier2
             )
         self._update_valuations(self.ledger.completed)
         a, _ = frame.solve(self._w)
         self.tier1_resolves += 1
         if a != self._tier1_a:  # the same prefix is the same offer
             self._tier1_a = a
-            self._current = TieredOffer.two_tier(self._forced_tier1.union(frame.free[:a]), tier2)
+            tier1 = self._forced_tier1.union(self._catalog._ids_at(frame.free[:a]))
+            self._current = TieredOffer.two_tier(tier1, tier2)
             self._split = None  # no longer the offer the full re-solve built
         self._need_tier1 = False
 

@@ -16,10 +16,13 @@ derives the end once after the scan must return the same triple.
 ``id_completion`` is the exact completion as it was written on product ids,
 a Gray-code enumeration of every split of the shared products that outearn
 the seed; the frontier completion must reach the same value.
+``profit_order`` sorts ids into the canonical order the frames read.
 ``frontier_completion`` is the frontier completion as it was before the
 screen, pricing every fresh frontier point; the screened completion must
 return the same result.  ``frontier_sizes`` counts the completion's
-frontiers from all subsets.
+frontiers from all subsets.  ``IdPairFrame`` is the pair frame as it was
+built from id sets, holding each set's ids; the frame built from catalog
+rank arrays must hold the same lists and name the same tiers.
 """
 
 from __future__ import annotations
@@ -36,8 +39,14 @@ from tieredmnl.optimizer import (
     SolveResult,
     _resolve_candidates,
     _thresholds,
-    profit_order,
+    _tier_maps,
 )
+
+
+def profit_order(ids, catalog) -> list:
+    """``ids`` in the catalog's canonical order, sorted on their own: profit
+    descending, then ``str(id)``."""
+    return sorted(ids, key=lambda i: (-catalog.profit_of(i), str(i)))
 
 
 def _weight(catalog, valuations, product_id):
@@ -380,9 +389,39 @@ def frontier_completion(frame, w1, w2, seed_value):
     if best is None:
         return None
     tier1, a, e = best
-    ids1, ids2 = frame.ids1, frame.ids2
+    ids1, ids2 = list(frame.ids1), list(frame.ids2)
     shown1 = [ids1[j] for j in exc[:a]] + [ids2[k] for k in range(n2) if tier1 >> k & 1]
     return best_value, shown1, [ids2[k] for k in range(e) if not tier1 >> k & 1]
+
+
+def _canonical(ids, catalog) -> tuple[list, np.ndarray]:
+    """``ids`` in the catalog's canonical order, read at their sorted ranks,
+    and those ranks."""
+    ranks = np.sort(catalog._indices(ids))
+    ranked = catalog._ranked
+    return [ranked[k].id for k in ranks.tolist()], ranks
+
+
+class IdPairFrame:
+    """``optimizer._PairFrame`` as it was built from two id sets: each set's
+    ids in canonical order and its sorted ranks (``_canonical``), the profit
+    lists read at the ranks, one set of lists when the sets are equal, and
+    the sweep's maps from ``_tier_maps``."""
+
+    def __init__(self, catalog, x1, x2):
+        self.ids1, self.ranks1 = _canonical(x1, catalog)
+        self.profits1 = catalog._profits[self.ranks1].tolist()
+        if x1 == x2:
+            self.ids2, self.ranks2, self.profits2 = self.ids1, self.ranks1, self.profits1
+        else:
+            self.ids2, self.ranks2 = _canonical(x2, catalog)
+            self.profits2 = catalog._profits[self.ranks2].tolist()
+        self.rank1, self.pos2 = _tier_maps(self.ranks1, self.ranks2)
+
+    def tiers(self, a, e):
+        """The ids of (a, e): tier 1 ``ids1[:a]``, tier 2 ``ids2[:e]`` minus tier 1."""
+        ids2, rank1 = self.ids2, self.rank1
+        return self.ids1[:a], [ids2[k] for k in range(e) if rank1[k] >= a]
 
 
 def frontier_sizes(items) -> list[int]:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from tieredmnl.errors import (
+    ConfigError,
     InvalidCatalogError,
     InvalidOfferError,
     UnknownProductError,
@@ -190,6 +191,18 @@ class TestTieredOffer:
         assert not offer.is_empty
         assert TieredOffer.empty().is_empty
 
+    def test_non_collection_tiers_refused(self):
+        with pytest.raises(InvalidOfferError, match="offer tiers must be id collections, got 5"):
+            TieredOffer(5)
+
+    def test_non_int_tier_count_refused(self):
+        with pytest.raises(InvalidOfferError, match="num_tiers must be an integer >= 0, got '2'"):
+            TieredOffer.empty("2")
+
+    def test_non_int_tier_index_refused(self):
+        with pytest.raises(InvalidOfferError, match="tier index must be an int, got 'x'"):
+            TieredOffer.two_tier(["a"], ["b"]).tier("x")
+
     def test_total_weight_sums_valuations(self):
         catalog = two_product_catalog()
         assert total_weight([1, 2], catalog) == pytest.approx(1.1, abs=1e-12)
@@ -306,6 +319,40 @@ class TestProductValidation:
         assert catalog.visible_at(10**9) == catalog.ids
         # one cached set per distinct launch time
         assert catalog.visible_at(6) is catalog.visible_at(7)
+
+    def test_visible_at_refuses_a_non_int_time(self):
+        catalog = Catalog((Product("a", 1.0, 0.5),))
+        with pytest.raises(ConfigError, match="visible_at needs an int time step, got 'x'"):
+            catalog.visible_at("x")
+
+    @pytest.mark.parametrize("kind", ["str", "int", "mixed"])
+    def test_rank_arrays_are_the_sorted_ranks_of_their_ids(self, kind):
+        """Each candidate set's rank array, and the ranks ``_launched(t)``
+        gives for its products launched by t, equal
+        ``np.sort(catalog._indices(ids))``: int, str or mixed ids with
+        profits on a coarse grid, so many tie and the order falls back on
+        ``str(id)``."""
+        rng = np.random.default_rng(20190801 + len(kind))
+        for _ in range(100):
+            n = int(rng.integers(0, 30))
+            ids = [f"p{k}" if kind == "str" or (kind == "mixed" and k % 2) else k for k in range(n)]
+            profits = rng.integers(0, 4, n) / 4
+            launches = rng.integers(0, 5, n)
+            products = tuple(
+                Product(i, float(r), 0.1, launch_time=int(s)) for i, r, s in zip(ids, profits, launches)
+            )
+            sets = [None if rng.random() < 0.3 else [i for i in ids if rng.random() < 0.6] for _ in "12"]
+            catalog = Catalog(products, *sets)
+            cands = catalog.candidates_tier1, catalog.candidates_tier2
+            for ranks, cand in zip(catalog._candidate_ranks, cands):
+                assert ranks.tolist() == np.sort(catalog._indices(cand)).tolist()
+            if sets == [None, None]:
+                assert catalog._candidate_ranks[0] is catalog._candidate_ranks[1]
+            for t in range(-1, 6):
+                visible = catalog.visible_at(t)
+                assert visible == {i for i, s in zip(ids, launches) if s <= t}
+                for ranks, cand in zip(catalog._launched(t), cands):
+                    assert ranks.tolist() == np.sort(catalog._indices(cand & visible)).tolist()
 
 
 class _Uniform:

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from reference_solvers import (
+    IdPairFrame,
     frontier_completion,
     frontier_sizes,
     gathered,
@@ -24,6 +25,7 @@ from reference_solvers import (
     numpy_sweep,
     numpy_tier1_prefix,
     numpy_tier_value,
+    profit_order,
     seed_reference,
     solve_two_tier_naive,
     stack_sweep,
@@ -56,7 +58,6 @@ from tieredmnl.optimizer import (
     is_profit_ordered_by_tier,
     is_profit_ordered_set,
     predict_new_product_tier,
-    profit_order,
     solve_tier1_given_tier2,
     solve_two_tier,
     suffix_profits,
@@ -602,6 +603,7 @@ class TestStringIds:
             lambda c: brute_force_optimal(c, candidate_sets=["ab", ["b"]]),
             lambda c: is_profit_ordered_set("ab", ["a", "b", "ab"], c),
             lambda c: expected_profit_single_tier("ab", c),
+            lambda c: total_weight("ab", c),
         ],
     )
     def test_refused(self, call):
@@ -798,6 +800,9 @@ class TestRunningSumCores:
 
 
 class TestProfitOrder:
+    """A frame reads its candidates in the canonical order: profit
+    descending, then ``str(id)``."""
+
     def test_matches_profit_then_id_sort(self):
         rng = np.random.default_rng(20190429)
         for _ in range(50):
@@ -808,7 +813,7 @@ class TestProfitOrder:
             )
             subset = [i for i in catalog.ids if rng.random() < 0.6]
             want = sorted(subset, key=lambda i: (-catalog.profit_of(i), str(i)))
-            assert profit_order(subset, catalog) == want
+            assert list(_PairFrame(catalog, subset, subset).ids1) == want
 
     @pytest.mark.parametrize("kind", ["int", "mixed"])
     def test_int_and_mixed_ids_with_profit_ties(self, kind):
@@ -823,13 +828,13 @@ class TestProfitOrder:
             catalog = Catalog(tuple(Product(i, float(r), 0.1) for i, r in zip(ids, profits)))
             subset = [i for i in ids if rng.random() < 0.6]
             want = sorted(subset, key=lambda i: (-catalog.profit_of(i), str(i)))
-            assert profit_order(subset, catalog) == want
-            assert profit_order(frozenset(subset), catalog) == want
+            assert list(_PairFrame(catalog, subset, ()).ids1) == want
+            assert list(_PairFrame(catalog, (), frozenset(subset)).ids2) == want
 
     def test_unknown_id_raises(self):
         catalog = Catalog((Product("a", 1.0, 0.5),))
         with pytest.raises(UnknownProductError):
-            profit_order(["a", "ghost"], catalog)
+            _PairFrame(catalog, ["a", "ghost"], ())
 
 
 class TestTierMaps:
@@ -862,12 +867,57 @@ class TestTierMaps:
             ranks1, ranks2 = catalog._indices(order1), catalog._indices(order2)
             assert _tier_maps(ranks1, ranks2) == self.dict_maps(order1, order2)
             frame = _PairFrame(catalog, x1, x2)
-            assert (frame.ids1, frame.ids2) == (order1, order2)
+            assert (list(frame.ids1), list(frame.ids2)) == (order1, order2)
             assert frame.ranks1.tolist() == ranks1.tolist()
             assert frame.ranks2.tolist() == ranks2.tolist()
             assert (list(frame.rank1), list(frame.pos2)) == self.dict_maps(order1, order2)
             if shape == "shared":
                 assert frame.rank1 == frame.pos2 == range(len(order1))
+
+
+class TestFrameFromRanks:
+    """A pair frame built from the catalog's rank arrays, or from their
+    launched parts (``Catalog._launched``), against ``IdPairFrame`` on the same id
+    sets: the same profit lists, maps, sharing and ``tiers(a, e)`` ids for
+    every (a, e).  Int and str ids, profits on a coarse grid (ties)."""
+
+    @pytest.mark.parametrize("shape", ["shared", "disjoint", "overlapping", "visible"])
+    def test_matches_the_id_built_frame(self, shape):
+        rng = np.random.default_rng(20190901 + len(shape))
+        for _ in range(300):
+            n = int(rng.integers(0, 25))
+            ids = [f"p{k}" if k % 3 else k for k in range(n)]
+            profits = rng.integers(0, 6, n) / 5
+            launches = rng.integers(0, 4, n) if shape == "visible" else np.zeros(n, int)
+            products = tuple(
+                Product(i, float(r), 0.1, launch_time=int(s)) for i, r, s in zip(ids, profits, launches)
+            )
+            if shape == "shared" or (shape == "visible" and rng.random() < 0.3):
+                x1 = x2 = None if rng.random() < 0.5 else [i for i in ids if rng.random() < 0.8]
+            elif shape == "disjoint":
+                coin = rng.random(n)
+                x1 = [i for i, c in zip(ids, coin) if c < 0.5]
+                x2 = [i for i, c in zip(ids, coin) if c >= 0.5]
+            else:
+                x1 = [i for i in ids if rng.random() < 0.7]
+                x2 = [i for i in ids if rng.random() < 0.7]
+            catalog = Catalog(products, x1, x2)
+            x1, x2 = catalog.candidates_tier1, catalog.candidates_tier2
+            if shape == "visible":
+                t = int(rng.integers(0, 4))
+                visible = catalog.visible_at(t)
+                got = _PairFrame(catalog, *catalog._launched(t))
+                want = IdPairFrame(catalog, x1 & visible, x2 & visible)
+            else:
+                got = _PairFrame(catalog, *catalog._candidate_ranks)
+                want = IdPairFrame(catalog, x1, x2)
+            assert (got.profits1, got.profits2) == (want.profits1, want.profits2)
+            assert (got.ranks2 is got.ranks1) == (want.ranks2 is want.ranks1)
+            assert (list(got.rank1), list(got.pos2)) == (list(want.rank1), list(want.pos2))
+            assert (list(got.ids1), list(got.ids2)) == (want.ids1, want.ids2)
+            for a in range(len(want.ids1) + 1):
+                for e in range(len(want.ids2) + 1):
+                    assert got.tiers(a, e) == want.tiers(a, e)
 
 
 class TestWorkCap:

@@ -377,7 +377,7 @@ class TestLearningBound:
         learning at the first check where its count reaches min_epochs; p1
         is offered by every other epoch and p2 by none."""
         catalog = Catalog(tuple(Product(f"p{k}", 1.0 - 0.1 * k, 0.1) for k in range(3)))
-        view = _VisibleView(catalog, catalog.ids, {})
+        view = _VisibleView(catalog, catalog.ids, catalog._launched(0), {})
         ledger = types.SimpleNamespace(completed=0, _epochs_total=np.zeros(3, dtype=np.int64))
         for completed in range(1, 13):
             ledger.completed = completed
@@ -637,7 +637,7 @@ class TestArrayDecisionPath:
                 equal += offer == previous
             if policy._frame is not None:
                 tier2 = policy._current.tiers[1]
-                assert policy._frame.free == [
+                assert list(catalog._ids_at(policy._frame.free)) == [
                     i for i in policy._view.pair.ids1
                     if i not in tier2 and i not in policy._forced_tier1
                 ]
@@ -680,7 +680,7 @@ class TestArrayDecisionPath:
                     forced_tier1=policy._forced_tier1,
                 )
                 assert got[1] == want[1]
-                assert policy._forced_tier1.union(frame.free[: got[0]]) == want[0]
+                assert policy._forced_tier1.union(catalog._ids_at(frame.free[: got[0]])) == want[0]
                 checked += 1
             policy.observe(t, offer, ChoiceSampler(offer, catalog).sample(customers))
         assert checked > 50
