@@ -74,7 +74,7 @@ def _finite(value, error: type[TieredMnlError], what: str) -> float:
     raise error(f"{what} must be a finite number, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     """One sellable item: per-sale profit and latent preference weight.
 
@@ -162,9 +162,11 @@ class Catalog:
             a = seen[str(b)]
             clash = f"duplicate product id {a!r}" if a == b else f"product ids {a!r} and {b!r} have one str()"
             raise InvalidCatalogError(clash)
-        if "" in names or "|" in "".join(names):  # a trace cell joins a tier's ids with "|"
-            bad = next(p.id for p in self.products if str(p.id) == "" or "|" in str(p.id))
-            raise InvalidCatalogError(f"product id {bad!r} is empty or holds '|', the trace's id separator")
+        # a trace cell joins a tier's ids with "|", and csv before Python 3.13 leaves "\r" unquoted
+        joined = "".join(names)
+        if "" in names or "|" in joined or "\r" in joined:
+            bad = next(p.id for p in self.products if str(p.id) == "" or any(c in str(p.id) for c in "|\r"))
+            raise InvalidCatalogError(f"product id {bad!r} is empty or holds '|' (the trace's id separator) or '\\r'")
         self._ranked = ranked = tuple(sorted(self.products, key=lambda p: (-p.profit, str(p.id))))
         self._rank = {p.id: k for k, p in enumerate(ranked)}
         whole, cand_ranks = np.arange(len(ranked)), []

@@ -22,7 +22,6 @@ stream-for-stream (the experiment-1 scenarios share profits this way).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
@@ -516,20 +515,23 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 
 def _id_cell(ids: Iterable) -> str:
-    return "|".join(str(i) for i in sorted_ids(ids))
+    """A tier's str ids joined by "|", quoted as csv's QUOTE_MINIMAL quotes
+    a cell with a "\\n" line terminator (catalogs refuse ids holding "\\r")."""
+    cell = "|".join(str(i) for i in sorted_ids(ids))
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def write_trace_csv(trace: RegretTrace, path) -> None:
-    """Per-step trace; csv writes floats via repr, so replays are
-    byte-identical.  Each distinct offer's id cells are formatted once."""
-    cells = [(_id_cell(offer.tier(0)), _id_cell(offer.tier(1))) for offer in trace.offers]
+    """Per-step trace, one f-string per row: t as an int and each float by
+    repr, the bytes csv writes, so replays are byte-identical on every
+    supported Python.  Each distinct offer's id cells are formatted once."""
+    ends = [f"{_id_cell(offer.tier(0))},{_id_cell(offer.tier(1))}\n" for offer in trace.offers]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["t", "instantaneous_regret", "cumulative_regret", "offered_tier1", "offered_tier2"]
-        )
-        writer.writerows(
-            (t, regret, cumulative, *cells[slot])
+        fh.write("t,instantaneous_regret,cumulative_regret,offered_tier1,offered_tier2\n")
+        fh.writelines(
+            f"{t},{regret!r},{cumulative!r},{ends[slot]}"
             for t, regret, cumulative, slot in zip(
                 count(1),
                 trace.instantaneous.tolist(),
@@ -540,11 +542,12 @@ def write_trace_csv(trace: RegretTrace, path) -> None:
 
 
 def write_mean_curve_csv(summary: ReplicationSummary, path) -> None:
+    """Mean curves, one f-string per row, formatted as ``write_trace_csv``'s."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "mean_instantaneous_regret", "mean_cumulative_regret"])
-        writer.writerows(
-            zip(
+        fh.write("t,mean_instantaneous_regret,mean_cumulative_regret\n")
+        fh.writelines(
+            f"{t},{regret!r},{cumulative!r}\n"
+            for t, regret, cumulative in zip(
                 count(1),
                 summary.mean_instantaneous.tolist(),
                 summary.mean_cumulative.tolist(),

@@ -457,10 +457,10 @@ class TestNoOutputOnError:
 
 
 class TestIdsTraceCellsCannotCarry:
-    """A catalog id that is empty or holds "|" is bad input for every
-    command that reads a catalog, refused before anything is written."""
+    """A catalog id that is empty or holds "|" or "\\r" is bad input for
+    every command that reads a catalog, refused before anything is written."""
 
-    @pytest.mark.parametrize("bad", ["", "a|b"])
+    @pytest.mark.parametrize("bad", ["", "a|b", "a\rb"])
     def test_solve(self, bad, tmp_path, capsys):
         path = tmp_path / "catalog.json"
         products = [{"id": i, "profit": 1.0, "valuation": 0.5} for i in ("a", bad)]
@@ -468,7 +468,7 @@ class TestIdsTraceCellsCannotCarry:
         assert main(["solve", str(path)]) == 1
         assert repr(bad) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["", "a|b"])
+    @pytest.mark.parametrize("bad", ["", "a|b", "a\rb"])
     def test_simulate(self, bad, tmp_path, capsys):
         config, _ = small_config(tmp_path)
         document = config_to_dict(config)

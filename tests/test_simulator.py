@@ -52,6 +52,21 @@ def fixed_catalog() -> Catalog:
     )
 
 
+def quoting_catalog() -> Catalog:
+    """Plain ids beside ones whose trace cells csv quotes (a ",", a '"' or
+    a newline) and an int id."""
+    return Catalog(
+        (
+            Product("a", 3.0, 0.5),
+            Product(7, 2.0, 0.4),
+            Product("c d", 2.5, 0.6),
+            Product("e,f", 1.0, 0.3),
+            Product('say "g"', 2.8, 0.45),
+            Product("h\ni", 2.2, 0.35),
+        )
+    )
+
+
 def oracle_config(**overrides) -> ExperimentConfig:
     kwargs = dict(
         label="unit",
@@ -752,8 +767,8 @@ class TestCsvOutput:
         """Each row names the offer its step's slot points at, and a trace
         whose instantaneous column holds 0.0 and -0.0 (and other repeats, a
         NaN and an infinity) writes the bytes that formatting every cell
-        gives."""
-        config = oracle_config(policies=(PolicySpec("ucb_tiered"),), horizon=60)
+        gives, quoted id cells included."""
+        config = oracle_config(catalog=quoting_catalog(), policies=(PolicySpec("ucb_tiered"),), horizon=60)
         trace = run(config, config.policies[0])
         values = [0.0, -0.0, 0.125, -0.0, 1e-300, 0.0, float("nan"), -5e-324, float("inf"), 0.125]
         trace.instantaneous[:] = np.resize(np.array(values), len(trace))
@@ -773,6 +788,7 @@ class TestCsvOutput:
         written = path.read_bytes()
         assert written == reference.read_bytes()
         assert b",-0.0," in written and b",0.0," in written
+        assert b'""g""' in written and b'h\ni' in written
 
     @pytest.mark.parametrize("name", ["oracle", "ucb_tiered", "random_tier", "explore_then_exploit"])
     def test_tier_cells_split_back_into_the_served_ids(self, name, tmp_path, monkeypatch):
@@ -786,16 +802,8 @@ class TestCsvOutput:
             return recorded[-1]
 
         monkeypatch.setattr(simulator, "make_policy", record)
-        catalog = Catalog(
-            (
-                Product("a", 3.0, 0.5),
-                Product(7, 2.0, 0.4),
-                Product("c d", 2.5, 0.6),
-                Product("e,f", 1.0, 0.3),
-            )
-        )
         spec = PolicySpec(name)
-        config = oracle_config(catalog=catalog, horizon=150, policies=(spec,))
+        config = oracle_config(catalog=quoting_catalog(), horizon=150, policies=(spec,))
         path = tmp_path / "trace.csv"
         write_trace_csv(run(config, spec, seed=0), path)
         with open(path, encoding="utf-8", newline="") as fh:
@@ -819,6 +827,14 @@ class TestCsvOutput:
         last = lines[-1].split(",")
         assert last[0] == "30"
         assert float(last[2]) == summary.mean_cumulative[-1]
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(lines[0].split(","))
+            writer.writerows(
+                zip(range(1, 31), summary.mean_instantaneous.tolist(), summary.mean_cumulative.tolist())
+            )
+        assert path.read_bytes() == reference.read_bytes()
 
 
 class TestPinnedLaunchRun:
