@@ -65,8 +65,10 @@ The search walks a structured family of offers instead of all subsets:
   less the tier-1 terms bound that sum with one bisect.  A point it leaves
   short by more than a margin scaled to the sums falls short of lam and is
   skipped; the unchanged walks price the rest, so the answer is the same.
-  A step's fresh points are screened once, at the best value when the step
-  starts; any later best value is no lower, so the skipped points stay beaten.
+  Fresh points wait for a settle, which screens the points of many steps
+  at once at the best value when it starts (no higher than their steps'
+  own, so it skips nothing a per-step screen keeps), prices the survivors
+  in walk order and replays the stop test after each step.
 
 ``brute_force_optimal`` enumerates every assignment outright with one
 recursive search for any number of tiers, and serves as the reference
@@ -110,14 +112,14 @@ class SolveResult:
     thresholds: tuple[float, ...]
 
 
-def _thresholds(offer: TieredOffer, catalog: Catalog) -> tuple[float, ...]:
-    # each tier's minimum profit (at its highest rank), kept non-increasing
-    # across non-empty tiers; lowering a cutoff below it keeps it valid
+def _thresholds(catalog: Catalog, tiers) -> tuple[float, ...]:
+    # each tier's minimum profit, read at the highest of its catalog ranks, kept
+    # non-increasing across non-empty tiers; lowering a cutoff below it keeps it valid
     out, prev = [], math.inf
-    for tier in offer.tiers:
-        if tier:
-            prev = min(prev, catalog._profits[catalog._indices(tier).max()].item())
-        out.append(prev if tier else math.inf)
+    for ranks in tiers:
+        if len(ranks):
+            prev = min(prev, catalog._profits[max(ranks)].item())
+        out.append(prev if len(ranks) else math.inf)
     return tuple(out)
 
 
@@ -210,7 +212,7 @@ class _PairFrame:
     tier 1's.  ``rank1``/``pos2`` are the sweep's maps between the two
     orders.  The frame holds no ids: ``ids1``/``ids2`` read them back from
     the ranks each time they are iterated, and ``tiers`` reads only the
-    products it names.
+    products ``shown`` names.
     """
 
     __slots__ = ("catalog", "ranks1", "profits1", "ids1", "ranks2", "profits2", "ids2", "rank1", "pos2")
@@ -237,12 +239,14 @@ class _PairFrame:
         w1, w2 = self.weights(w)
         return _sweep(self.profits1, w1, self.profits2, w2, self.rank1, self.pos2)
 
+    def shown(self, a: int, e: int) -> tuple[list, list]:
+        """The catalog ranks of (a, e): tier 1's first a candidates, tier 2's first e less those."""
+        return self.ranks1[:a].tolist(), [k for k, j in zip(self.ranks2[:e].tolist(), self.rank1) if j >= a]
+
     def tiers(self, a: int, e: int) -> tuple[list, list]:
-        """The ids of (a, e): the first a tier-1 candidates, then the first e
-        tier-2 candidates minus those."""
-        ranked = self.catalog._ranked
-        tier2 = [ranked[k].id for k, j in zip(self.ranks2[:e].tolist(), self.rank1) if j >= a]
-        return [ranked[k].id for k in self.ranks1[:a].tolist()], tier2
+        """The ids of ``shown(a, e)``."""
+        ranked, (ranks1, ranks2) = self.catalog._ranked, self.shown(a, e)
+        return [ranked[k].id for k in ranks1], [ranked[k].id for k in ranks2]
 
 
 def _sorted_ranks(catalog: Catalog, x) -> np.ndarray:
@@ -322,30 +326,25 @@ def _resolve_candidates(catalog, candidates, default):
 
 def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
     """The exact completion on ``frame``'s lists and the sweep's weights (see
-    the module docstring).  The frontier of demoted sets A is one complex
-    array ``z``, sum rv + i * (-sum v), in numpy's lexicographic complex
-    order.  Walking product f stacks it on a copy that also demotes f, sorts
-    stably (timsort merges the two runs), unshifted copy first (f's tier-2
-    bit is the highest yet, so (sum rv, -sum v, bits) tuples sort alike),
-    and keeps each point whose sum v strictly rises; ``history`` holds each
-    kept point's origin in the stack, from which a priced point's tier-1
-    bits are read back.  A point's offer has the walked products outside A
-    and the best exclusive prefix in tier 1, the best prefix of the tier-2
-    candidates left in tier 2; points holding f repeat their parent's offer
-    and are not priced again.  Raises InstanceTooLargeError once the work,
-    frontier points summed over the steps times |exclusives| + 1 + n2 (the
-    screen's skips included), exceeds ``_MAX_EXACT_WORK``.  The screen takes
-    a step's fresh points once, at the best value from the start of the
-    step, and the survivors are priced in order; its margin is 1e-9 * (1 +
-    sum rv + (1 + |need|) * (1 + sum v)), sums over the tier-2 candidates
-    and exclusives.  Returns (value, tier1 ids, tier2 ids) when some offer
-    beats ``seed_value``, else None."""
+    the module docstring).  A frontier point's offer has the walked products
+    it does not demote and the best exclusive prefix in tier 1, the best
+    prefix of the tier-2 candidates left in tier 2.  A step merges and leaves
+    its fresh points pending.  A settle screens them all at the best value
+    when it starts, prices the survivors in walk order (bits read back through
+    ``history[:step]``), re-screening one once the best value has risen, and
+    replays the stop test after each step, dropping the later steps once it
+    fires.  The walk settles at its stop test or end, once the pending points
+    are as many as the frontier, and before it raises InstanceTooLargeError
+    for work (frontier points summed over the steps times |exclusives| + 1 +
+    n2) past ``_MAX_EXACT_WORK``, returning instead if that settle stops it.
+    Returns (value, tier1 ids, tier2 ids, tier1 ranks, tier2 ranks) when some
+    offer beats ``seed_value``, else None."""
     r1, r2, pos2 = frame.profits1, frame.profits2, frame.pos2
     n2 = len(r2)
     exc = [j for j, k in enumerate(pos2) if k == n2]
     shared = [j for j, k in enumerate(pos2) if k < n2 and w1[j] > 0.0]
     work = walk = len(exc) + 1 + n2
-    z, fresh, history = np.array([complex(0.0, -0.0)]), np.zeros(1, int), []
+    z, fresh, history, pending = np.array([complex(0.0, -0.0)]), np.zeros(1, int), [], []
     sum_v, sum_rv = 0.0, 0.0  # the walked products' sums
     best_value, best = seed_value, None
     rx, wx = [r1[j] for j in exc], [w1[j] for j in exc]
@@ -354,28 +353,29 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
     cvx, crvx = list(accumulate(wx, initial=0.0)), list(accumulate(map(mul, rx, wx), initial=0.0))
     scale_rw, scale_w = 1.0 + crv2[-1] + crvx[-1], 1.0 + cv2[-1] + cvx[-1]
     cv2, crv2 = np.array(cv2), np.array(crv2)
-    with np.errstate(over="ignore", invalid="ignore"):  # huge overrides overflow, as floats do
-        for step in range(len(shared) + 1):
-            if work > _MAX_EXACT_WORK:
-                raise InstanceTooLargeError(
-                    f"exact completion reached {work} steps on {len(z)} demoted "
-                    f"sets (cap {_MAX_EXACT_WORK}); restrict the candidate sets or pass exact=False"
-                )
-            zf = z[fresh]
-            rv1, v1 = sum_rv - zf.real, 1.0 + sum_v + zf.imag
-            m = bisect_left(negx, -best_value)
-            need = best_value * (v1 + cvx[m]) - rv1 - crvx[m]  # the tier-2 value to beat
-            m = np.searchsorted(neg2, -need)
-            slack = crv2[m] - need * cv2[m] - rv1 + need * (v1 - 2.0)  # >= the sum less need
-            skip = slack < -1e-9 * (scale_rw + (1.0 + abs(need)) * scale_w)  # NaN is priced
-            for i in (~skip).nonzero()[0].tolist():
-                tier1, o = 0, fresh[i]
-                for origin, n, bit in reversed(history):
+
+    def short(lam, v1, rv1):  # the screen: True where a point's offers fall short of lam
+        m = bisect_left(negx, -lam)
+        need = lam * (v1 + cvx[m]) - rv1 - crvx[m]  # the tier-2 value to beat
+        m = np.searchsorted(neg2, -need)
+        slack = crv2[m] - need * cv2[m] - rv1 + need * (v1 - 2.0)  # >= the sum less need
+        return slack < -1e-9 * (scale_rw + (1.0 + abs(need)) * scale_w)  # the margin; NaN is priced
+
+    def settle() -> bool:  # prices the pending (step, fresh, z[fresh], 1 + sum_v, sum_rv); True on a stop
+        nonlocal best_value, best
+        steps, fresh_at, zf, v0, rv0 = zip(*pending)
+        counts, lam, zf = list(map(len, fresh_at)), best_value, np.concatenate(zf)
+        rv1, v1 = np.repeat(rv0, counts) - zf.real, np.repeat(v0, counts) + zf.imag
+        kept = (~short(lam, v1, rv1)).nonzero()[0].tolist()
+        for step, points, start in zip(steps, fresh_at, accumulate(counts, initial=0)):
+            back = history[:step][::-1]  # step k merged history[k]
+            for i in kept[bisect_left(kept, start):bisect_left(kept, start + len(points))]:
+                if best_value > lam and short(best_value, v1[i], rv1[i]):
+                    continue  # the best value rose past this point since the screen
+                tier1, o = 0, points[i - start]
+                for origin, n, bit in back:  # o < n: the product walked at that step stayed in tier 1
                     o = origin[o]
-                    if o < n:  # the product walked at that step stayed in tier 1
-                        tier1 |= bit
-                    else:
-                        o -= n
+                    tier1, o = (tier1 | bit, o) if o < n else (tier1, o - n)
                 e, tail, sv, srv = 0, 0.0, 0.0, 0.0
                 for k in range(n2):
                     if tier1 >> k & 1:
@@ -383,8 +383,7 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
                     r = r2[k]
                     if r <= tail:  # from here on no product raises tier 2's value
                         break
-                    sv += w2[k]
-                    srv += r * w2[k]
+                    sv, srv = sv + w2[k], srv + r * w2[k]
                     if srv / (1.0 + sv) > tail:
                         tail, e = srv / (1.0 + sv), k + 1
                 v, rv, a = float(v1[i]), float(rv1[i]) + tail, 0
@@ -393,19 +392,34 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
                         best_value, best = rv / v, (tier1, a, e)
                     if a == len(exc) or r1[exc[a]] <= best_value:
                         break
-                    v += w1[exc[a]]
-                    rv += r1[exc[a]] * w1[exc[a]]
-                    a += 1
+                    v, rv, a = v + w1[exc[a]], rv + r1[exc[a]] * w1[exc[a]], a + 1
             if step == len(shared) or r1[shared[step]] <= max(best_value - 1e-9, 0.0):
+                return True
+        pending.clear()
+        return False
+
+    with np.errstate(over="ignore", invalid="ignore"):  # huge overrides overflow, as floats do
+        for step in range(len(shared) + 1):
+            capped = work > _MAX_EXACT_WORK
+            if not capped:
+                pending.append((step, fresh, z[fresh], 1.0 + sum_v, sum_rv))
+            stop = step == len(shared) or r1[shared[step]] <= max(best_value - 1e-9, 0.0)
+            if pending and (capped or stop or sum(len(p[1]) for p in pending) >= len(z)) and settle():
                 break
+            if capped:
+                raise InstanceTooLargeError(
+                    f"exact completion reached {work} steps on {len(z)} demoted "
+                    f"sets (cap {_MAX_EXACT_WORK}); restrict the candidate sets or pass exact=False"
+                )
             j = shared[step]
             w, rw, n = w1[j], r1[j] * w1[j], len(z)
             z = np.concatenate((z, z + complex(rw, -w)))
             order = np.argsort(z, kind="stable")
-            z = z[order]
-            nv = z.imag
-            keep = np.concatenate(([True], nv[1:] < np.minimum.accumulate(nv)[:-1]))
-            origin, z = order[keep], z[keep]
+            nv = z.imag[order]
+            keep = np.ones(len(nv), bool)
+            np.less(nv[1:], np.minimum.accumulate(nv)[:-1], out=keep[1:])
+            origin = order[keep]
+            z = z[origin]
             history.append((origin, n, 1 << pos2[j]))
             fresh = (origin < n).nonzero()[0]
             sum_v, sum_rv = sum_v + w, sum_rv + rw
@@ -416,7 +430,7 @@ def _completion(frame: _PairFrame, w1: list, w2: list, seed_value: float):
     ranks1, ranks2, ids_at = frame.ranks1.tolist(), frame.ranks2.tolist(), frame.catalog._ids_at
     shown1 = [ranks1[j] for j in exc[:a]] + [ranks2[k] for k in range(n2) if tier1 >> k & 1]
     shown2 = [ranks2[k] for k in range(e) if not tier1 >> k & 1]
-    return best_value, list(ids_at(shown1)), list(ids_at(shown2))
+    return best_value, list(ids_at(shown1)), list(ids_at(shown2)), shown1, shown2
 
 
 def solve_two_tier(
@@ -447,14 +461,15 @@ def solve_two_tier(
     frame = _PairFrame(catalog, x1, x2)
     w1, w2 = frame.weights(_weight_vector(catalog, valuations, frame.ids1, frame.ids2))
     value, a, e = _sweep(frame.profits1, w1, frame.profits2, w2, frame.rank1, frame.pos2)
-    tier1, tier2 = frame.tiers(a, e)
+    shown = frame.shown(a, e)
+    tier1, tier2 = map(catalog._ids_at, shown)
     if exact and min(frame.pos2, default=len(frame.ranks2)) < len(frame.ranks2):  # sets overlap
         refined = _completion(frame, w1, w2, value)
         if refined is not None:
-            _, tier1, tier2 = refined
+            _, tier1, tier2, *shown = refined
     offer = TieredOffer.two_tier(tier1, tier2)
     value = expected_profit(offer, catalog, valuations)
-    return SolveResult(offer, value, _thresholds(offer, catalog))
+    return SolveResult(offer, value, _thresholds(catalog, shown))
 
 
 def solve_tier1_given_tier2(
@@ -575,7 +590,7 @@ def brute_force_optimal(
         ]
     offer = _brute_force_recursive(catalog, sets, valuations)
     value = expected_profit(offer, catalog, valuations)
-    return SolveResult(offer, value, _thresholds(offer, catalog))
+    return SolveResult(offer, value, _thresholds(catalog, map(catalog._indices, offer.tiers)))
 
 
 def enumerate_prefix_pair_offers(catalog: Catalog) -> list[TieredOffer]:

@@ -334,8 +334,8 @@ def id_completion(order2, exc1, free, catalog, valuations, seed_value):
 
 def frontier_completion(frame, w1, w2, seed_value):
     """``optimizer._completion`` without its screen: every fresh frontier
-    point is priced by the tier-2 and exclusive walks.  Same arguments,
-    work count, cap message and return value."""
+    point is priced by the tier-2 and exclusive walks as soon as its step
+    is walked.  Same arguments, work count, cap message and return value."""
     r1, r2, pos2 = frame.profits1, frame.profits2, frame.pos2
     n2 = len(r2)
     exc = [j for j, k in enumerate(pos2) if k == n2]
@@ -390,8 +390,10 @@ def frontier_completion(frame, w1, w2, seed_value):
         return None
     tier1, a, e = best
     ids1, ids2 = list(frame.ids1), list(frame.ids2)
-    shown1 = [ids1[j] for j in exc[:a]] + [ids2[k] for k in range(n2) if tier1 >> k & 1]
-    return best_value, shown1, [ids2[k] for k in range(e) if not tier1 >> k & 1]
+    ranks1, ranks2 = frame.ranks1.tolist(), frame.ranks2.tolist()
+    in1, in2 = [k for k in range(n2) if tier1 >> k & 1], [k for k in range(e) if not tier1 >> k & 1]
+    return (best_value, [ids1[j] for j in exc[:a]] + [ids2[k] for k in in1], [ids2[k] for k in in2],
+            [ranks1[j] for j in exc[:a]] + [ranks2[k] for k in in1], [ranks2[k] for k in in2])
 
 
 def _canonical(ids, catalog) -> tuple[list, np.ndarray]:
@@ -495,4 +497,4 @@ def solve_two_tier_naive(
             for a in range(len(exc1) + 1):
                 for b in range(len(rest) + 1):
                     consider(list(exc1[:a]) + p, rest[:b])
-    return SolveResult(best, best_value, _thresholds(best, catalog))
+    return SolveResult(best, best_value, _thresholds(catalog, map(catalog._indices, best.tiers)))

@@ -1137,6 +1137,66 @@ class TestScreenedCompletion:
             refined += isinstance(want, tuple)
         assert refined >= 100  # the frames reach past the seed family
 
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 0.97])
+    @pytest.mark.parametrize("shape", ["shared", "overlapping", "exclusive-heavy"])
+    def test_seed_values_below_the_prefix_pair(self, shape, factor):
+        """Seeded below the prefix-pair value (at 0, half of it or 0.97 of
+        it), points the walk meets early raise the best value, so a settle
+        prices points it screened at a value since passed and must replay
+        each step's stop test with the best value as it rose."""
+        rng = np.random.default_rng(20190701 + len(shape) + int(100 * factor))
+        refined = 0
+        for k in range(600):
+            catalog, valuations = self.random_case(rng, shape, (None, 1e6, 1e12)[k % 3])
+            frame, w1, w2, seed_value, _ = TestFrameCompletion.seeded_frame(catalog, valuations)
+            want = self.outcome(frontier_completion, frame, w1, w2, seed_value * factor)
+            assert self.outcome(_completion, frame, w1, w2, seed_value * factor) == want
+            refined += isinstance(want, tuple)
+        assert refined >= 590  # nearly every frame beats the lowered seed
+
+    def test_settles_before_the_cap_raises(self, monkeypatch):
+        """The per-step walk stops at step s once an early point has raised
+        the best value; with the seed value alone it would walk on.  Capped
+        at W, the work checked at step s, or at any larger work the seed
+        value's walk would check, the batched walk may merge past s before
+        it settles, and must then settle the pending steps, which stop at s,
+        instead of raising.  With the cap at W - 1 both raise the same
+        message at step s.  Dyadic profits and weights keep the sums
+        exact, so ``frontier_sizes`` gives the work at every step."""
+        rng = np.random.default_rng(20190707)
+        checked = 0
+        for _ in range(150):
+            n = int(rng.integers(3, 13))
+            profits, weights = rng.integers(1, 17, n) / 16, rng.integers(1, 9, n) / 16
+            products = tuple(Product(f"p{k}", float(profits[k]), float(weights[k])) for k in range(n))
+            ids = [p.id for p in products]
+            x1, x2 = ([i for i in ids if rng.random() < 0.85] for _ in range(2))
+            frame, w1, w2, seed_value, _ = TestFrameCompletion.seeded_frame(Catalog(products, x1, x2), None)
+            seed_value *= float(rng.choice([0.0, 0.5]))
+            n2 = len(frame.ranks2)
+            shared = [j for j, k in enumerate(frame.pos2) if k < n2 and w1[j] > 0.0]
+            walk = sum(k == n2 for k in frame.pos2) + 1 + n2  # each point's work
+            sizes = frontier_sizes([(frame.profits1[j], w1[j]) for j in shared])
+            works = [walk * sum(sizes[: s + 1]) for s in range(len(shared) + 1)]
+            seed_stop = next(
+                (s for s, j in enumerate(shared) if frame.profits1[j] <= max(seed_value - 1e-9, 0.0)),
+                len(shared),
+            )
+            for s, work in enumerate(works[:seed_stop]):
+                monkeypatch.setattr(optimizer, "_MAX_EXACT_WORK", work)
+                want = self.outcome(frontier_completion, frame, w1, w2, seed_value)
+                if isinstance(want, tuple):  # the per-step walk stops at step s < seed_stop
+                    for cap in works[s:seed_stop]:
+                        monkeypatch.setattr(optimizer, "_MAX_EXACT_WORK", cap)
+                        assert _completion(frame, w1, w2, seed_value) == want
+                    monkeypatch.setattr(optimizer, "_MAX_EXACT_WORK", work - 1)
+                    message = self.outcome(frontier_completion, frame, w1, w2, seed_value)
+                    assert message.startswith(f"exact completion reached {work} steps")
+                    assert self.outcome(_completion, frame, w1, w2, seed_value) == message
+                    checked += 1
+                    break
+        assert checked >= 100
+
 
 class TestArrayFrontier:
     """``_completion`` keeps its frontier in numpy arrays where
